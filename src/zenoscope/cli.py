@@ -13,6 +13,7 @@ maximum deviation and exit with status 2 when a tolerance is breached
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 
@@ -112,10 +113,13 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         field, cast = _KEYS[key]
         try:
-            setattr(cfg, field, cast(value))
+            parsed = cast(value)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: cannot parse {value!r} as {cast.__name__} for key {key!r}")
+        if cast is float and not math.isfinite(parsed):
+            raise ConfigError(f"line {lineno}: key {key!r} must be finite, got {value!r}")
+        setattr(cfg, field, parsed)
     if cfg.experiment is None:
         raise ConfigError("missing required key 'experiment'")
     if cfg.experiment not in EXPERIMENTS:

@@ -10,6 +10,19 @@ each step.  The no-click contraction and the click probability are linked
 by ``gamma_eff = [1 - |a_bar|^2]/dt_step``, which makes the two outcomes
 exactly exhaust the step probability.
 
+Sampling follows the waiting-time formulation (Dalibard, Castin & Molmer,
+PRL 68, 580 (1992); Plenio & Knight, RMP 70, 101 (1998)).  Between clicks
+the evolution is deterministic, and every click leaves the same post-click
+state, so a trajectory is a chain of slices of two no-click *paths*: one
+from the initial state and one from the post-click state.  Each path holds
+the click probability ``p1[j]`` of its step ``j`` and the occupation after
+it, both computed by the single-step update ``_advance``.  A segment that
+starts at step ``k0`` ends at the first ``k`` with ``eps[k] < p1[k - k0]``,
+found by one vectorised comparison, so a trajectory costs a few numpy calls
+per click instead of one Python step per time step, and its records are
+bit-identical to the stepwise loop.  ``mc_step`` and ``_advance`` remain the
+stepwise reference.
+
 Reproducibility: every trajectory consumes one uniform variate per step
 from a counter-based Philox generator seeded through
 ``numpy.random.SeedSequence(seed)``.  Ensembles derive the seed of
@@ -20,10 +33,12 @@ recomputed independently and results never depend on scheduling order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +80,9 @@ class DriveConfig:
     n_steps: int
 
     def __post_init__(self):
+        for name in ("omega", "gamma_eff", "dt_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt_step <= 0:
             raise ValueError(f"dt_step must be positive, got {self.dt_step}")
         if self.n_steps < 1:
@@ -138,9 +156,13 @@ def unitary_drive(state: AtomState, omega: float, dt: float) -> AtomState:
     return AtomState(alpha, beta)
 
 
+def _p_excited(alpha: complex) -> float:
+    return alpha.real * alpha.real + alpha.imag * alpha.imag
+
+
 def _advance(alpha, beta, eps, a_bar, geff_dt, cw, sw):
     """One measurement-then-drive update on raw amplitudes."""
-    p1 = (alpha.real * alpha.real + alpha.imag * alpha.imag) * geff_dt
+    p1 = _p_excited(alpha) * geff_dt
     if p1 >= 1.0:
         raise ValueError(f"jump probability p1 = {p1:.3g} >= 1; dt_step too coarse")
     if eps < p1:
@@ -171,6 +193,73 @@ def mc_step(state: AtomState, cfg: DriveConfig, a_bar_dt: complex,
     return AtomState(alpha, beta), jumped
 
 
+class _Path(NamedTuple):
+    """No-click evolution from one state, both arrays read-only.
+
+    ``p1[j]`` is the click probability of step ``j``; ``p_e[0]`` is the
+    occupation of the starting state and ``p_e[j + 1]`` the occupation after
+    step ``j``, given that none of the steps ``0..j`` clicked.
+    """
+
+    p1: np.ndarray
+    p_e: np.ndarray
+
+
+def _no_click_path(alpha: complex, beta: complex, n: int, a_bar, geff_dt, cw, sw) -> _Path:
+    p1 = np.empty(n)
+    p_e = np.empty(n + 1)
+    p_e[0] = _p_excited(alpha)
+    for j in range(n):
+        p1[j] = _p_excited(alpha) * geff_dt
+        # a uniform of 1.0 never clicks: _advance rejects p1 >= 1
+        alpha, beta, _ = _advance(alpha, beta, 1.0, a_bar, geff_dt, cw, sw)
+        p_e[j + 1] = _p_excited(alpha)
+    p1.flags.writeable = False
+    p_e.flags.writeable = False
+    return _Path(p1, p_e)
+
+
+def _paths(initial_amps: tuple[complex, complex], cfg: DriveConfig,
+           a_bar_dt: complex) -> tuple[_Path, _Path]:
+    """No-click paths from the initial state and from the post-click state."""
+    if abs(a_bar_dt) > 1.0 + 1e-9:
+        raise ValueError(f"|a_bar_dt| = {abs(a_bar_dt)!r} exceeds 1 beyond tolerance")
+    a_bar = complex(a_bar_dt)
+    cw = math.cos(cfg.omega * cfg.dt_step)
+    sw = math.sin(cfg.omega * cfg.dt_step)
+    geff_dt = cfg.gamma_eff * cfg.dt_step
+    # a uniform of -1.0 always clicks, whatever the state before the step
+    click_alpha, click_beta, _ = _advance(0.0j, 1.0 + 0.0j, -1.0, a_bar, geff_dt, cw, sw)
+    alpha, beta = (complex(amp) for amp in initial_amps)
+    return (_no_click_path(alpha, beta, cfg.n_steps, a_bar, geff_dt, cw, sw),
+            _no_click_path(click_alpha, click_beta, cfg.n_steps - 1, a_bar, geff_dt, cw, sw))
+
+
+#: paths of recent single-trajectory calls; repeated calls with one layout
+#: (seed scans, first-jump statistics) then cost one uniform draw each
+_cached_paths = functools.lru_cache(maxsize=8)(_paths)
+
+
+def _sample(eps: np.ndarray, start: _Path, after_click: _Path, p_e: np.ndarray) -> list[int]:
+    """Fill ``p_e`` (length ``len(eps) + 1``) from the uniforms ``eps``.
+
+    Returns the steps that registered a photon.  Each segment between clicks
+    is one slice of a path; its end is the first step whose uniform falls
+    below the path's click probability.
+    """
+    n = len(eps)
+    path, k0, clicks = start, 0, []
+    while True:
+        hits = np.flatnonzero(eps[k0:] < path.p1[:n - k0])
+        if hits.size == 0:
+            p_e[k0:] = path.p_e[:n + 1 - k0]
+            return clicks
+        j = int(hits[0])
+        p_e[k0:k0 + j + 1] = path.p_e[:j + 1]
+        clicks.append(k0 + j)
+        path, k0 = after_click, k0 + j + 1
+
+
 def simulate_trajectory(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
                         seed: int) -> TrajectoryRecord:
     """Run ``cfg.n_steps`` Monte-Carlo steps from ``initial`` with a fixed seed.
@@ -178,22 +267,12 @@ def simulate_trajectory(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
     The uniform stream is drawn in one batch from the seeded generator, one
     variate per step, so identical seeds give bit-identical records.
     """
-    if abs(a_bar_dt) > 1.0 + 1e-9:
-        raise ValueError(f"|a_bar_dt| = {abs(a_bar_dt)!r} exceeds 1 beyond tolerance")
+    start, after_click = _cached_paths((complex(initial.alpha), complex(initial.beta)),
+                                       cfg, complex(a_bar_dt))
     eps = make_rng(seed).random(cfg.n_steps)
-    cw = math.cos(cfg.omega * cfg.dt_step)
-    sw = math.sin(cfg.omega * cfg.dt_step)
-    geff_dt = cfg.gamma_eff * cfg.dt_step
-    a_bar = complex(a_bar_dt)
-
-    alpha, beta = complex(initial.alpha), complex(initial.beta)
     p_e = np.empty(cfg.n_steps + 1)
-    jumps = np.empty(cfg.n_steps, dtype=bool)
-    p_e[0] = alpha.real * alpha.real + alpha.imag * alpha.imag
-    for k in range(cfg.n_steps):
-        alpha, beta, jumped = _advance(alpha, beta, eps[k], a_bar, geff_dt, cw, sw)
-        p_e[k + 1] = alpha.real * alpha.real + alpha.imag * alpha.imag
-        jumps[k] = jumped
+    jumps = np.zeros(cfg.n_steps, dtype=bool)
+    jumps[_sample(eps, start, after_click, p_e)] = True
     return TrajectoryRecord(dt_step=cfg.dt_step, p_e=p_e, jumps=jumps, seed=seed)
 
 
@@ -233,13 +312,12 @@ class EnsembleResult:
 
 def _trajectory_block(args):
     initial_amps, cfg, a_bar_dt, master_seed, indices = args
-    initial = AtomState(*initial_amps)
+    start, after_click = _paths(initial_amps, cfg, a_bar_dt)
     block_pe = np.empty((len(indices), cfg.n_steps + 1))
     block_counts = np.empty(len(indices), dtype=np.int64)
     for row, idx in enumerate(indices):
-        rec = simulate_trajectory(initial, cfg, a_bar_dt, child_seed(master_seed, idx))
-        block_pe[row] = rec.p_e
-        block_counts[row] = rec.jump_count
+        eps = make_rng(child_seed(master_seed, idx)).random(cfg.n_steps)
+        block_counts[row] = len(_sample(eps, start, after_click, block_pe[row]))
     return block_pe, block_counts
 
 

@@ -39,6 +39,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("experiment = decay\nlambda = wide\n")
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_float_reports_line(self, value):
+        with pytest.raises(ConfigError, match="line 2.*must be finite"):
+            parse_config(f"experiment = decay\ngamma = {value}\n")
+
     def test_missing_experiment(self):
         with pytest.raises(ConfigError, match="experiment"):
             parse_config("shape = lorentzian\n")
@@ -81,6 +86,23 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", cfg])
         assert result.exit_code == 1
         assert "line 3" in result.stderr
+
+    @pytest.mark.parametrize("body, line", [
+        # unchecked, these end in a traceback, a misleading dt error and NaN output
+        ("experiment = decay\nshape = lorentzian\nlambda = 5\nt_max = inf\n", 4),
+        ("experiment = decay\nshape = lorentzian\nlambda = inf\n", 3),
+        ("experiment = trajectory\nshape = rectangular\nlambda = 1\nx = 2\n"
+         "omega = nan\nt_max = 5\n", 5),
+    ])
+    def test_non_finite_value_exits_1(self, runner, tmp_path, body, line):
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, ["run", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"line {line}" in result.stderr
+        assert "must be finite" in result.stderr
+        assert not out.exists()
 
     def test_missing_file_exits_1(self, runner, tmp_path):
         result = runner.invoke(main, ["run", str(tmp_path / "nope.cfg")])

@@ -141,6 +141,28 @@ class TestSolveMaster:
         e1, e2 = error(0.04), error(0.02)
         assert e1 / e2 >= 8.0
 
+    @pytest.mark.parametrize("omega, gamma, t_max, dt", [
+        (1.0, 0.3, 20.0, 0.05), (0.0, 0.6, 10.0, 0.01), (-0.7, 0.0, 5.0, 0.02)])
+    def test_tabulated_step_matches_stagewise_rk4(self, omega, gamma, t_max, dt):
+        # reference: the four RK4 stages evaluated through lindblad_rhs every step
+        def rhs(m):
+            return lindblad_rhs(DensityMatrix2.from_matrix(m), omega, gamma).matrix
+
+        rho = DensityMatrix2.from_state(0.6, 0.8j).matrix
+        expected = [rho[0, 0].real]
+        for _ in range(int(round(t_max / dt))):
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * dt * k1)
+            k3 = rhs(rho + 0.5 * dt * k2)
+            k4 = rhs(rho + dt * k3)
+            rho = rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = 0.5 * (rho + rho.conj().T)
+            expected.append(rho[0, 0].real)
+        p_e, history = solve_master(DensityMatrix2.from_state(0.6, 0.8j), omega=omega,
+                                    gamma_eff=gamma, t_max=t_max, dt=dt, full_output=True)
+        assert np.max(np.abs(p_e - expected)) < 1e-13
+        np.testing.assert_allclose(history[-1], rho, rtol=0, atol=1e-13)
+
     def test_rejects_coarse_step(self):
         with pytest.raises(ValueError, match="coarse"):
             solve_master(DensityMatrix2.excited(), omega=2.0, gamma_eff=0.1,

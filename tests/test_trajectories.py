@@ -35,6 +35,32 @@ def detection_config(x=0.2, omega=1.0, t_max=10.0):
     return make_drive_config(gx, omega=omega, t_max=t_max)
 
 
+def ac7_config(x=0.2):
+    """Undriven layout of the AC7 first-jump test: 8 lifetimes, 0.005-lifetime steps."""
+    gx = gamma_rectangular(x).real
+    dt = 0.005 / gx
+    a_bar = math.exp(-0.5 * gx * dt)
+    geff = gamma_eff(a_bar, dt)
+    n_steps = int(round(8.0 / (geff * dt)))
+    return DriveConfig(omega=0.0, gamma_eff=geff, dt_step=dt, n_steps=n_steps), a_bar
+
+
+def stepwise_trajectory(initial, cfg, a_bar, seed):
+    """Per-step reference loop: one ``_advance`` call per step on the same uniforms."""
+    eps = make_rng(seed).random(cfg.n_steps)
+    cw = math.cos(cfg.omega * cfg.dt_step)
+    sw = math.sin(cfg.omega * cfg.dt_step)
+    geff_dt = cfg.gamma_eff * cfg.dt_step
+    alpha, beta = complex(initial.alpha), complex(initial.beta)
+    p_e = np.empty(cfg.n_steps + 1)
+    jumps = np.empty(cfg.n_steps, dtype=bool)
+    p_e[0] = alpha.real * alpha.real + alpha.imag * alpha.imag
+    for k in range(cfg.n_steps):
+        alpha, beta, jumps[k] = _advance(alpha, beta, eps[k], complex(a_bar), geff_dt, cw, sw)
+        p_e[k + 1] = alpha.real * alpha.real + alpha.imag * alpha.imag
+    return p_e, jumps
+
+
 class TestAtomState:
     def test_rejects_unnormalised(self):
         with pytest.raises(ValueError):
@@ -116,6 +142,14 @@ class TestMcStep:
         s = 1.0 / math.sqrt(2.0)
         _, jumped = mc_step(AtomState(s, s), cfg, 0.98, epsilon=p1 * 0.6)
         assert not jumped
+
+    @pytest.mark.parametrize("field", ["omega", "gamma_eff", "dt_step"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_config_rejected(self, field, value):
+        params = dict(omega=0.0, gamma_eff=0.4, dt_step=0.1, n_steps=10)
+        params[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DriveConfig(**params)
 
     def test_overcoarse_step_rejected_in_config(self):
         with pytest.raises(ValueError, match="at-most-one-photon"):
@@ -211,6 +245,83 @@ class TestSimulateTrajectory:
         assert lines[1].endswith(",0")
         for k, line in enumerate(lines[2:]):
             assert line.split(",")[2] == str(int(record.jumps[k]))
+
+
+class TestSegmentSamplerOracle:
+    """The segment sampler against the stepwise loop, bit for bit."""
+
+    N_SEEDS = 200
+
+    def assert_matches_stepwise(self, initial, cfg, a_bar, seeds):
+        clicks = 0
+        for seed in seeds:
+            record = simulate_trajectory(initial, cfg, a_bar, seed)
+            p_e, jumps = stepwise_trajectory(initial, cfg, a_bar, seed)
+            assert np.array_equal(record.p_e, p_e), seed
+            assert np.array_equal(record.jumps, jumps), seed
+            clicks += record.jump_count
+        return clicks
+
+    @pytest.mark.parametrize("x", [0.02, 0.2, 2.0])
+    def test_driven(self, x):
+        cfg, a_bar = detection_config(x=x, omega=1.0, t_max=10.0)
+        clicks = self.assert_matches_stepwise(AtomState.excited(), cfg, a_bar,
+                                              range(self.N_SEEDS))
+        assert clicks > 0
+
+    def test_undriven_ac7_layout(self):
+        cfg, a_bar = ac7_config()
+        clicks = self.assert_matches_stepwise(AtomState.excited(), cfg, a_bar,
+                                              [child_seed(2017, i) for i in range(self.N_SEEDS)])
+        assert clicks > 0.99 * self.N_SEEDS
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0])
+    def test_superposition_initial_state(self, omega):
+        s = 1.0 / math.sqrt(2.0)
+        cfg, a_bar = detection_config(x=2.0, omega=omega, t_max=10.0)
+        clicks = self.assert_matches_stepwise(AtomState(s * 1j, s), cfg, a_bar,
+                                              range(1000, 1000 + self.N_SEEDS))
+        assert clicks > 0
+
+    def test_click_in_first_or_last_step(self):
+        # undriven from |e>: every step clicks with p1 = 0.05 until the first click
+        cfg = DriveConfig(omega=0.0, gamma_eff=0.5, dt_step=0.1, n_steps=3)
+        seeds = range(200)
+        self.assert_matches_stepwise(AtomState.excited(), cfg, math.sqrt(0.95), seeds)
+        records = [simulate_trajectory(AtomState.excited(), cfg, math.sqrt(0.95), seed)
+                   for seed in seeds]
+        assert any(r.jumps[0] for r in records)
+        assert any(r.jumps[-1] for r in records)
+
+    def test_ensemble_matches_stepwise_reduction(self):
+        cfg, a_bar = detection_config(x=2.0, omega=1.0, t_max=10.0)
+        runs = [stepwise_trajectory(AtomState.excited(), cfg, a_bar, child_seed(3, i))
+                for i in range(40)]
+        p_e = np.array([run[0] for run in runs])
+        counts = np.array([np.count_nonzero(run[1]) for run in runs])
+        for n_jobs in (1, 3):
+            result = run_ensemble(AtomState.excited(), cfg, a_bar, 40, master_seed=3,
+                                  n_jobs=n_jobs)
+            assert np.array_equal(result.p_e_mean, p_e.mean(axis=0))
+            assert np.array_equal(result.p_e_stderr, p_e.std(axis=0, ddof=1) / math.sqrt(40))
+            assert np.array_equal(result.jump_counts, counts)
+
+    @pytest.mark.parametrize("x", [0.02, 2.0])  # mostly click-free, and click-dense
+    def test_returned_records_do_not_share_state(self, x):
+        cfg, a_bar = detection_config(x=x, omega=1.0, t_max=10.0)
+        first = simulate_trajectory(AtomState.excited(), cfg, a_bar, seed=8)
+        expected_p_e, expected_jumps = first.p_e.copy(), first.jumps.copy()
+        first.p_e[:] = -1.0
+        first.jumps[:] = ~first.jumps
+        again = simulate_trajectory(AtomState.excited(), cfg, a_bar, seed=8)
+        assert np.array_equal(again.p_e, expected_p_e)
+        assert np.array_equal(again.jumps, expected_jumps)
+        assert not np.shares_memory(first.p_e, again.p_e)
+
+    def test_rejects_expanding_contraction_in_ensembles(self):
+        cfg, _ = detection_config(t_max=1.0)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            run_ensemble(AtomState.excited(), cfg, 1.0 + 1e-4, 5, master_seed=0)
 
 
 class TestEnsemble:

@@ -37,6 +37,7 @@ from .spectral import (
     load_tabulated_profile,
     scaled_kernel_g,
     sdf_value,
+    uniform_kernel_g,
 )
 from .trajectories import (
     AtomState,
@@ -58,6 +59,7 @@ from .volterra import (
     analytic_lorentzian_a,
     conditioned_state,
     default_time_step,
+    interval_amplitude,
     null_conditioned_power,
     null_result_survival,
     solve_decay,

@@ -23,10 +23,11 @@ import numpy as np
 from .lindblad import DensityMatrix2, solve_master, write_master_csv
 from .rates import RateSource, gamma_closed_form, gamma_numeric, rate_curve
 from .spectral import MemoryKernel, Shape, SpectralDensity, load_tabulated_profile
-from .trajectories import (MAX_RATE_DT, AtomState, DriveConfig, a_bar_from_memory,
-                           make_drive_config, run_ensemble, simulate_trajectory)
+from .trajectories import (MAX_RATE_DT, AtomState, DriveConfig, make_drive_config,
+                           run_ensemble, simulate_trajectory)
 from .verify import SUITES, run_suite
-from .volterra import analytic_lorentzian_a, null_result_survival, solve_decay
+from .volterra import (analytic_lorentzian_a, interval_amplitude, null_conditioned_power,
+                       null_result_survival, solve_decay)
 
 EXPERIMENTS = ("decay", "null_decay", "gamma_curve", "scaling_check",
                "trajectory", "ensemble", "kk_check")
@@ -161,6 +162,10 @@ def _density(cfg: RunConfig) -> SpectralDensity:
 
 
 def _tau_and_x(cfg: RunConfig, density: SpectralDensity) -> tuple[float, float]:
+    for key in ("tau", "x"):
+        value = getattr(cfg, key)
+        if value is not None and not value > 0:
+            raise ConfigError(f"key {key!r} must be positive, got {value}")
     if cfg.tau is not None:
         return cfg.tau, cfg.tau * density.lam
     if cfg.x is not None:
@@ -217,6 +222,8 @@ def _exp_null_decay(cfg: RunConfig, out: str):
 
 
 def _exp_gamma_curve(cfg: RunConfig, out: str, kk_only: bool = False):
+    if cfg.x_points < 1:
+        raise ConfigError(f"key 'x_points' must be >= 1, got {cfg.x_points}")
     density = _density(cfg)
     kernel = MemoryKernel(density)
     grid = np.linspace(cfg.x_min, cfg.x_max, cfg.x_points)
@@ -286,12 +293,13 @@ def _detection_setup(cfg: RunConfig):
     elif cfg.a_bar_mode == "memory":
         drive, _ = make_drive_config(gx, omega=cfg.omega, t_max=t_max, tau=tau)
         n_per = max(1, int(round(drive.dt_step / tau)))
-        a_bar = a_bar_from_memory(kernel, tau, n_per)
+        a_tau = interval_amplitude(kernel, tau)
+        a_bar = null_conditioned_power(a_tau, n_per)
         # the memory-resolved contraction can sit slightly above the scaling
         # estimate; shrink the step until the one-photon criterion holds
         while n_per > 1 and 1.0 - abs(a_bar) ** 2 > MAX_RATE_DT:
             n_per -= 1
-            a_bar = a_bar_from_memory(kernel, tau, n_per)
+            a_bar = null_conditioned_power(a_tau, n_per)
         dt = n_per * tau
         drive = DriveConfig(omega=cfg.omega, gamma_eff=(1.0 - abs(a_bar) ** 2) / dt,
                             dt_step=dt, n_steps=max(1, int(round(t_max / dt))))

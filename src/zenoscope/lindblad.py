@@ -19,6 +19,7 @@ re-Hermitisation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,10 @@ def solve_master(rho0: DensityMatrix2, omega: float, gamma_eff: float,
     ndarray
         ``P_e(k dt) = rho_ee`` on the grid (and the history if requested).
     """
+    for name, value in (("omega", omega), ("gamma_eff", gamma_eff),
+                        ("t_max", t_max), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if t_max <= 0 or dt <= 0:
         raise ValueError(f"t_max and dt must be positive, got {t_max}, {dt}")
     if dt * max(abs(omega), gamma_eff) > 0.05 + 1e-12:

@@ -13,6 +13,13 @@ variable ``x = lam * tau``.  The rate admits three independent evaluations:
 
 All three agree for every supported spectrum; the test suite exercises the
 mutual equalities as well as the width-independence of the numeric routes.
+
+Both numeric routes sample ``g`` on a uniform grid through
+:func:`~zenoscope.spectral.uniform_kernel_g`.  For compact-support
+quadrature kernels (rectangular, tabulated) that is one chirp-z transform
+of the Simpson sum instead of one Simpson sum per grid point; it agrees
+with the point-by-point sum of :func:`~zenoscope.spectral.scaled_kernel_g`,
+which arbitrary ``x`` arrays still take, to at most 1.5e-15 Gamma.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 from scipy.special import erf, sici
 
-from .spectral import MemoryKernel, Shape, SpectralDensity, scaled_kernel_g
+from .spectral import MemoryKernel, Shape, SpectralDensity, uniform_kernel_g
 
 __all__ = [
     "RateSource",
@@ -47,17 +54,17 @@ PANELS_PER_UNIT = 2048
 MAX_PANELS = 2 ** 20
 
 
-def _panel_grid(x: float, panels_per_unit: int) -> np.ndarray:
+def _panel_count(x: float, panels_per_unit: int) -> int:
     n = int(math.ceil(panels_per_unit * x))
     n = min(max(n, 32), MAX_PANELS)
     if n % 2:
         n += 1
-    return np.linspace(0.0, x, n + 1)
+    return n
 
 
 def _kernel_samples(kernel: MemoryKernel, x: float, panels_per_unit: int):
-    grid = _panel_grid(x, panels_per_unit)
-    return grid, scaled_kernel_g(kernel, grid)
+    n = _panel_count(x, panels_per_unit)
+    return np.linspace(0.0, x, n + 1), uniform_kernel_g(kernel, x, n)
 
 
 def _double_route(grid: np.ndarray, g: np.ndarray, x: float) -> complex:

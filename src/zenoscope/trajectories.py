@@ -44,7 +44,7 @@ import numpy as np
 
 from .rates import gamma_eff as _gamma_eff_of
 from .spectral import MemoryKernel
-from .volterra import AtomState, null_conditioned_power, solve_decay
+from .volterra import AtomState, interval_amplitude, null_conditioned_power
 
 __all__ = [
     "DriveConfig",
@@ -401,5 +401,5 @@ def a_bar_from_memory(kernel: MemoryKernel, tau: float, n_intervals: int,
     """
     if n_intervals < 1:
         raise ValueError(f"n_intervals must be >= 1, got {n_intervals}")
-    series = solve_decay(kernel, t_max=tau, dt=tau / steps_per_interval)
-    return null_conditioned_power(complex(series.values[-1]), n_intervals)
+    return null_conditioned_power(interval_amplitude(kernel, tau, steps_per_interval),
+                                  n_intervals)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import MemoryKernel, kernel_value
+from .spectral import MemoryKernel, kernel_value, uniform_kernel_g
 
 __all__ = [
     "AtomState",
@@ -28,6 +28,7 @@ __all__ = [
     "default_time_step",
     "solve_decay",
     "analytic_lorentzian_a",
+    "interval_amplitude",
     "null_conditioned_power",
     "conditioned_state",
     "null_result_survival",
@@ -45,6 +46,8 @@ class AtomState:
     beta: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
+            raise ValueError(f"state amplitudes must be finite, got {self.alpha!r}, {self.beta!r}")
         n2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(n2 - 1.0) > 1e-9:
             raise ValueError(f"state norm^2 = {n2!r} differs from 1 beyond 1e-9")
@@ -105,6 +108,8 @@ def solve_decay(kernel: MemoryKernel, t_max: float, dt: float | None = None,
     kernel : MemoryKernel
         Kernel evaluator; its values on the grid are computed once up front,
         which keeps the O(N^2) convolution the only expensive part.
+        Compact-support quadrature kernels are sampled on the whole grid at
+        once by :func:`~zenoscope.spectral.uniform_kernel_g`.
     t_max : float
         Final time (must be positive).
     dt : float, optional
@@ -139,7 +144,10 @@ def solve_decay(kernel: MemoryKernel, t_max: float, dt: float | None = None,
         raise ValueError(f"unknown scheme {scheme!r}")
 
     n = int(round(t_max / dt))
-    k = kernel_value(kernel, dt * np.arange(n + 1))
+    if kernel.compact_support is None:
+        k = kernel_value(kernel, dt * np.arange(n + 1))
+    else:
+        k = lam * uniform_kernel_g(kernel, lam * dt * n, n)
     krev = k[::-1].copy()  # krev[i] = k[n-i]; keeps the convolution dots contiguous
     a = np.empty(n + 1, dtype=complex)
     a[0] = 1.0
@@ -183,6 +191,18 @@ def analytic_lorentzian_a(t, gamma: float, lam: float, energy_offset: float = 0.
     else:
         out = (a_plus * np.exp(-a_minus * ts) - a_minus * np.exp(-a_plus * ts)) / (a_plus - a_minus)
     return complex(out) if np.isscalar(t) else out
+
+
+def interval_amplitude(kernel: MemoryKernel, tau: float,
+                       steps_per_interval: int = 400) -> complex:
+    """Decay amplitude ``a(tau)`` at the end of one detection interval.
+
+    The full-memory solve over ``(0, tau)`` with ``steps_per_interval``
+    steps; every null result restarts this evolution, so ``n`` intervals
+    contract the amplitude by ``a(tau)**n`` (:func:`null_conditioned_power`).
+    """
+    series = solve_decay(kernel, t_max=tau, dt=tau / steps_per_interval)
+    return complex(series.values[-1])
 
 
 def null_conditioned_power(a_tau: complex, n: int) -> complex:
@@ -235,9 +255,7 @@ def null_result_survival(kernel: MemoryKernel, tau: float, n_intervals: int,
         raise ValueError(f"tau must be positive, got {tau}")
     if n_intervals < 0:
         raise ValueError(f"n_intervals must be nonnegative, got {n_intervals}")
-    dt = tau / steps_per_interval
-    series = solve_decay(kernel, t_max=tau, dt=dt)
-    a_tau = complex(series.values[-1])
+    a_tau = interval_amplitude(kernel, tau, steps_per_interval)
     times = tau * np.arange(n_intervals + 1)
     p_e = np.array([abs(null_conditioned_power(a_tau, k)) ** 2
                     for k in range(n_intervals + 1)])

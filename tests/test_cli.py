@@ -3,6 +3,8 @@
 import pytest
 from click.testing import CliRunner
 
+from zenoscope import (MemoryKernel, SpectralDensity, a_bar_from_memory, cli, gamma_lorentzian,
+                       make_drive_config, volterra)
 from zenoscope.cli import ConfigError, dump_config, main, parse_config
 
 
@@ -104,6 +106,25 @@ class TestRunCommand:
         assert "must be finite" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, message", [
+        # unchecked, x = 0 ends in a ZeroDivisionError traceback and
+        # x_points = 0 in "zero-size array to reduction operation maximum"
+        ("experiment = null_decay\nshape = lorentzian\nlambda = 5\nx = 0\n",
+         "'x' must be positive"),
+        ("experiment = null_decay\nshape = lorentzian\nlambda = 5\ntau = -0.1\n",
+         "'tau' must be positive"),
+        ("experiment = gamma_curve\nshape = rectangular\nlambda = 1\nx_points = 0\n",
+         "'x_points' must be >= 1"),
+    ])
+    def test_degenerate_value_exits_1(self, runner, tmp_path, body, message):
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, ["run", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert message in result.stderr
+        assert not out.exists()
+
     def test_missing_file_exits_1(self, runner, tmp_path):
         result = runner.invoke(main, ["run", str(tmp_path / "nope.cfg")])
         assert result.exit_code == 1
@@ -173,6 +194,36 @@ class TestRunCommand:
                                      "a_bar_mode = memory\n")
         result = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "m.csv")])
         assert result.exit_code == 0, result.output
+
+    def test_memory_mode_solves_the_interval_once(self, monkeypatch):
+        # a lowered one-photon cap makes the step-shrinking loop take several passes
+        cap = 0.0485
+        monkeypatch.setattr(cli, "MAX_RATE_DT", cap)
+        lam, x = 0.3, 0.01
+        kernel = MemoryKernel(SpectralDensity.lorentzian(1.0, lam))
+        tau = x / lam
+        # the reference re-solves a(tau) on every pass
+        drive, _ = make_drive_config(gamma_lorentzian(x), omega=0.0, t_max=20.0, tau=tau)
+        n_per = int(round(drive.dt_step / tau))
+        a_bar = a_bar_from_memory(kernel, tau, n_per)
+        passes = 1
+        while n_per > 1 and 1.0 - abs(a_bar) ** 2 > cap:
+            n_per -= 1
+            a_bar = a_bar_from_memory(kernel, tau, n_per)
+            passes += 1
+        assert passes > 2
+
+        calls = []
+        solve = volterra.solve_decay
+        monkeypatch.setattr(volterra, "solve_decay",
+                            lambda *args, **kw: calls.append(args) or solve(*args, **kw))
+        cfg = parse_config(f"experiment = trajectory\nshape = lorentzian\nlambda = {lam}\n"
+                           f"x = {x}\nomega = 0\nt_max = 20\na_bar_mode = memory\n")
+        new_drive, new_a_bar, _ = cli._detection_setup(cfg)
+        assert len(calls) == 1
+        assert new_a_bar == a_bar
+        assert new_drive.dt_step == n_per * tau
+        assert new_drive.gamma_eff == (1.0 - abs(a_bar) ** 2) / (n_per * tau)
 
     def test_ensemble_threads_agree(self, runner, tmp_path):
         body = ("experiment = ensemble\nshape = rectangular\nlambda = 1\n"

@@ -170,3 +170,11 @@ class TestSolveMaster:
         with pytest.raises(ValueError):
             solve_master(DensityMatrix2.excited(), omega=0.0, gamma_eff=0.1,
                          t_max=-1.0, dt=0.01)
+
+    @pytest.mark.parametrize("name", ["omega", "gamma_eff", "t_max", "dt"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, name, value):
+        args = dict(omega=0.5, gamma_eff=0.1, t_max=1.0, dt=0.01)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            solve_master(DensityMatrix2.excited(), **args)

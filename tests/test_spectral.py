@@ -1,10 +1,15 @@
 """Spectral-density models, memory kernels, and the rescaled kernel g(x)."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zenoscope
 from zenoscope import (
     KernelMode,
     MemoryKernel,
@@ -14,6 +19,7 @@ from zenoscope import (
     load_tabulated_profile,
     scaled_kernel_g,
     sdf_value,
+    uniform_kernel_g,
 )
 
 GAMMA = 1.3
@@ -72,6 +78,11 @@ class TestSpectralDensity:
         dict(gamma=1.0, lam=0.0),
         dict(gamma=1.0, lam=-2.0),
         dict(gamma=1.0, lam=1.0, b=-0.1),
+        dict(gamma=math.inf, lam=1.0),
+        dict(gamma=1.0, lam=math.inf),
+        dict(gamma=1.0, lam=1.0, omega0=math.nan),
+        dict(gamma=1.0, lam=1.0, c=math.nan),
+        dict(gamma=1.0, lam=1.0, b=math.inf),
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -233,3 +244,79 @@ class TestScaledKernel:
         arr = scaled_kernel_g(k, xs)
         for i, x in enumerate(xs):
             assert scaled_kernel_g(k, float(x)) == arr[i]
+
+
+def gaussian_table(half_width=8.0, n=801):
+    w = np.linspace(-half_width, half_width, n)
+    return np.column_stack([w, np.exp(-0.5 * w ** 2)])
+
+
+def compact_kernel(profile, c):
+    density = (named_density(Shape.RECTANGULAR, c=c) if profile == "rectangular"
+               else SpectralDensity.tabulated(GAMMA, LAM, gaussian_table(), c=c))
+    return MemoryKernel(density, mode=KernelMode.QUADRATURE)
+
+
+class TestUniformKernelG:
+    """Chirp-z sampling on uniform grids against the per-point Simpson sum."""
+
+    @staticmethod
+    def compare(kernel, x_max, n, stride=1):
+        # the per-point loop is the reference; a stride keeps the largest
+        # grids affordable while still covering the last point
+        xs = np.linspace(0.0, x_max, n + 1)
+        picked = np.unique(np.r_[np.arange(0, n + 1, stride), n])
+        fast = uniform_kernel_g(kernel, x_max, n)
+        assert fast.shape == xs.shape
+        return np.max(np.abs(fast[picked] - scaled_kernel_g(kernel, xs[picked])))
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, -0.7])
+    @pytest.mark.parametrize("profile", ["rectangular", "tabulated"])
+    @pytest.mark.parametrize("x_max, n, stride", [(0.02, 32, 1), (0.97, 1988, 7)])
+    def test_matches_per_point_sum(self, profile, c, x_max, n, stride):
+        assert self.compare(compact_kernel(profile, c), x_max, n, stride) < 1e-12 * GAMMA
+
+    @pytest.mark.parametrize("profile, c", [("rectangular", 0.3), ("tabulated", -0.7)])
+    def test_largest_rate_grid(self, profile, c):
+        # x = 20 at the default 2048 panels per unit: 40961 points
+        assert self.compare(compact_kernel(profile, c), 20.0, 40960, stride=97) < 1e-12 * GAMMA
+
+    def test_odd_panel_count_is_rounded_up(self):
+        kernel = MemoryKernel(named_density(Shape.RECTANGULAR, c=0.3),
+                              mode=KernelMode.QUADRATURE, n_panels=1001)
+        assert kernel.n_panels == 1002
+        assert self.compare(kernel, 5.0, 64) < 1e-12 * GAMMA
+
+    @pytest.mark.parametrize("kernel", [
+        MemoryKernel(named_density(Shape.LORENTZIAN, c=0.3)),
+        MemoryKernel(named_density(Shape.RECTANGULAR)),
+        MemoryKernel(named_density(Shape.GAUSSIAN), mode=KernelMode.QUADRATURE),
+    ], ids=["analytic", "analytic-rectangular", "adaptive-quadrature"])
+    def test_other_kernels_are_sampled_point_by_point(self, kernel):
+        assert kernel.compact_support is None
+        np.testing.assert_array_equal(uniform_kernel_g(kernel, 3.7, 16),
+                                      scaled_kernel_g(kernel, np.linspace(0.0, 3.7, 17)))
+
+    def test_compact_support(self):
+        table = gaussian_table(half_width=3.0, n=61)
+        rect = named_density(Shape.RECTANGULAR)
+        assert MemoryKernel(rect, mode=KernelMode.QUADRATURE).compact_support == (-0.5, 0.5)
+        assert MemoryKernel(SpectralDensity.tabulated(GAMMA, LAM, table)).compact_support == (
+            -3.0, 3.0)
+
+    def test_rejects_bad_grids(self):
+        kernel = MemoryKernel(named_density(Shape.RECTANGULAR), mode=KernelMode.QUADRATURE)
+        with pytest.raises(ValueError):
+            uniform_kernel_g(kernel, 1.0, 0)
+        with pytest.raises(ValueError):
+            uniform_kernel_g(kernel, -1.0, 8)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal would add most of a second to every import of the package
+    code = "import sys, zenoscope; print('scipy.signal' in sys.modules)"
+    src = str(Path(zenoscope.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -66,6 +66,12 @@ class TestAtomState:
         with pytest.raises(ValueError):
             AtomState(1.0, 1.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(complex("nan"), 0j), (1.0, complex("inf")),
+                                             (complex(0.0, float("nan")), 1.0)])
+    def test_rejects_non_finite(self, alpha, beta):
+        with pytest.raises(ValueError, match="finite"):
+            AtomState(alpha, beta)
+
     def test_factories(self):
         assert AtomState.excited().p_excited == 1.0
         assert AtomState.ground().p_excited == 0.0

@@ -15,9 +15,11 @@ from zenoscope import (
     conditioned_state,
     default_time_step,
     gamma_lorentzian,
+    kernel_value,
     null_conditioned_power,
     null_result_survival,
     solve_decay,
+    volterra,
 )
 
 
@@ -171,6 +173,22 @@ class TestSolveDecay:
             solve_decay(kernel, t_max=10.0, dt=0.2)
         with pytest.raises(ValueError, match="scheme"):
             solve_decay(kernel, t_max=1.0, dt=0.01, scheme="midpoint")
+
+    def test_tabulated_kernel_matches_per_point_sampling(self, monkeypatch):
+        w = np.linspace(-3.0, 3.0, 61)
+        density = SpectralDensity.tabulated(1.0, 2.0, np.column_stack([w, np.exp(-0.5 * w * w)]),
+                                            c=0.4)
+        kernel = MemoryKernel(density)
+        dt = 0.005
+        fast = solve_decay(kernel, t_max=1.0, dt=dt).values
+
+        def per_point(kernel, x_max, n):
+            # the kernel on the solver's own time grid, one Simpson sum per point
+            return kernel_value(kernel, dt * np.arange(n + 1)) / kernel.density.lam
+
+        monkeypatch.setattr(volterra, "uniform_kernel_g", per_point)
+        reference = solve_decay(kernel, t_max=1.0, dt=dt).values
+        assert np.max(np.abs(fast - reference)) < 1e-12
 
     def test_csv_export(self, tmp_path):
         kernel = lorentzian_kernel(lam=5.0)

@@ -52,7 +52,6 @@ from .trajectories import (
     mc_step,
     run_ensemble,
     simulate_trajectory,
-    unitary_drive,
 )
 from .volterra import (
     DecaySeries,

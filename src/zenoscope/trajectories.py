@@ -24,11 +24,21 @@ bit-identical to the stepwise loop.  ``mc_step`` and ``_advance`` remain the
 stepwise reference.
 
 Reproducibility: every trajectory consumes one uniform variate per step
-from a counter-based Philox generator seeded through
-``numpy.random.SeedSequence(seed)``.  Ensembles derive the seed of
-trajectory ``i`` from the first eight bytes of
+from a counter-based Philox4x64-10 generator (Salmon et al., SC'11) keyed
+through ``numpy.random.SeedSequence(seed)`` (``make_rng``).  Ensembles
+derive the seed of trajectory ``i`` from the first eight bytes of
 ``sha256(b"<master_seed>:<i>")``, so any subset of trajectories can be
-recomputed independently and results never depend on scheduling order.
+recomputed independently, and reduce the trajectories in index order.
+
+An ensemble does not build one ``SeedSequence`` and one generator per
+trajectory.  ``_philox_keys`` runs SeedSequence's entropy mixing (M. E.
+O'Neill's seed_seq alternative, pcg-random.org 2015, as numpy implements it
+with a pool of four 32-bit words) as uint64 array arithmetic masked to 32
+bits, which gives the Philox key of every trajectory of the ensemble in a
+few numpy calls.  One reused Philox generator is then reset to counter 0
+and each key in turn, and draws that trajectory's uniforms.  The stream is
+the one ``make_rng(seed)`` draws, bit for bit; ``make_rng`` stays the
+single-trajectory API and the oracle of the batched keys.
 """
 
 from __future__ import annotations
@@ -36,7 +46,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,7 +59,6 @@ __all__ = [
     "DriveConfig",
     "TrajectoryRecord",
     "EnsembleResult",
-    "unitary_drive",
     "mc_step",
     "simulate_trajectory",
     "run_ensemble",
@@ -137,7 +145,11 @@ class TrajectoryRecord:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator used for all trajectory sampling."""
+    """Counter-based generator of one trajectory's uniforms.
+
+    Ensembles draw the same streams without building one generator per
+    trajectory (``_seeded_uniforms``).
+    """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -147,13 +159,68 @@ def child_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def unitary_drive(state: AtomState, omega: float, dt: float) -> AtomState:
-    """Exact Rabi rotation ``exp(-i omega sigma_x dt)`` applied to the state."""
-    cw = math.cos(omega * dt)
-    sw = math.sin(omega * dt)
-    alpha = cw * state.alpha - 1j * sw * state.beta
-    beta = -1j * sw * state.alpha + cw * state.beta
-    return AtomState(alpha, beta)
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k mod 2**32`` for ``k = 0 .. count - 1``, as a uint64 column."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint64)[:, None]
+
+
+# the hash constants SeedSequence (numpy.random.bit_generator, pool size 4)
+# steps through: 16 for mixing the entropy into the pool, 5 for drawing the
+# four 32-bit words of a Philox key from it
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_DRAW_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 5)
+_MIX_MULT_L, _MIX_MULT_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_MASK32, _SHIFT16, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(16), np.uint64(32)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix: row ``k`` with the constants ``consts[k], consts[k + 1]``.
+
+    A 1-D ``values`` is hashed once with each pair of constants.
+    """
+    values = (values ^ consts[:-1]) * consts[1:] & _MASK32
+    return values ^ (values >> _SHIFT16)
+
+
+def _philox_keys(seeds) -> np.ndarray:
+    """``SeedSequence(s).generate_state(2, np.uint64)`` for every seed ``s``.
+
+    ``seeds`` holds integers in ``[0, 2**64)``; the result has shape
+    ``(len(seeds), 2)``.  A seed below ``2**64`` is at most two 32-bit
+    entropy words, and a missing word hashes like a zero word, so every seed
+    fills the pool of four words as ``(low, high, 0, 0)``.  The hash
+    constants do not depend on the data, so each round is a few uint64
+    array operations masked to 32 bits across all seeds; the three hashes of
+    one source word in the mixing loop are taken at once.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    pool = np.zeros((4, seeds.size), dtype=np.uint64)
+    pool[0], pool[1] = seeds & _MASK32, seeds >> _SHIFT32
+    pool = _hashmix(pool, _MIX_HASH[0:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        hashed = _hashmix(pool[src], _MIX_HASH[k:k + 4])
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed & _MASK32
+        pool[dst] = mixed ^ (mixed >> _SHIFT16)
+    words = _hashmix(pool, _DRAW_HASH)
+    return np.stack([words[0] | words[1] << _SHIFT32, words[2] | words[3] << _SHIFT32], axis=1)
+
+
+def _seeded_uniforms(seeds, n: int):
+    """Yield ``make_rng(seed).random(n)`` for each seed, in one reused buffer."""
+    bit_gen = np.random.Philox(key=0)
+    gen = np.random.Generator(bit_gen)
+    state = bit_gen.state   # counter 0 and an empty output buffer
+    eps = np.empty(n)
+    for key in _philox_keys(seeds):
+        state["state"]["key"] = key
+        bit_gen.state = state
+        gen.random(out=eps)
+        yield eps
 
 
 def _p_excited(alpha: complex) -> float:
@@ -310,41 +377,22 @@ class EnsembleResult:
                 fh.write(f"{t:.12g},{m:.12g},{s:.12g}\n")
 
 
-def _trajectory_block(args):
-    initial_amps, cfg, a_bar_dt, master_seed, indices = args
-    start, after_click = _paths(initial_amps, cfg, a_bar_dt)
-    block_pe = np.empty((len(indices), cfg.n_steps + 1))
-    block_counts = np.empty(len(indices), dtype=np.int64)
-    for row, idx in enumerate(indices):
-        eps = make_rng(child_seed(master_seed, idx)).random(cfg.n_steps)
-        block_counts[row] = len(_sample(eps, start, after_click, block_pe[row]))
-    return block_pe, block_counts
-
-
 def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
-                 n_traj: int, master_seed: int, n_jobs: int = 1) -> EnsembleResult:
+                 n_traj: int, master_seed: int) -> EnsembleResult:
     """Simulate ``n_traj`` seeded trajectories and reduce them by index.
 
-    Trajectory ``i`` always runs from ``child_seed(master_seed, i)``, and the
-    per-trajectory occupations are assembled into an index-ordered matrix
-    before averaging, so the statistics are identical for any ``n_jobs`` and
-    any execution order.
+    Row ``i`` of the occupation matrix is the trajectory that
+    ``simulate_trajectory`` runs from ``child_seed(master_seed, i)``; the
+    statistics are reduced over that index-ordered matrix.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    indices = np.arange(n_traj)
-    if n_jobs <= 1 or n_traj < 4:
-        blocks = [_trajectory_block(((initial.alpha, initial.beta), cfg, a_bar_dt,
-                                     master_seed, indices))]
-    else:
-        chunks = np.array_split(indices, min(n_jobs, n_traj))
-        payload = [((initial.alpha, initial.beta), cfg, a_bar_dt, master_seed, chunk)
-                   for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            blocks = list(pool.map(_trajectory_block, payload))
-
-    p_e = np.concatenate([b[0] for b in blocks], axis=0)
-    counts = np.concatenate([b[1] for b in blocks])
+    start, after_click = _paths((initial.alpha, initial.beta), cfg, a_bar_dt)
+    p_e = np.empty((n_traj, cfg.n_steps + 1))
+    counts = np.empty(n_traj, dtype=np.int64)
+    seeds = [child_seed(master_seed, i) for i in range(n_traj)]
+    for row, eps in enumerate(_seeded_uniforms(seeds, cfg.n_steps)):
+        counts[row] = len(_sample(eps, start, after_click, p_e[row]))
     mean = p_e.mean(axis=0)
     if n_traj > 1:
         stderr = p_e.std(axis=0, ddof=1) / math.sqrt(n_traj)
@@ -355,9 +403,9 @@ def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
 
 
 def ensemble_average(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
-                     n_traj: int, master_seed: int, n_jobs: int = 1) -> np.ndarray:
+                     n_traj: int, master_seed: int) -> np.ndarray:
     """Mean excited-state occupation over a seeded ensemble."""
-    return run_ensemble(initial, cfg, a_bar_dt, n_traj, master_seed, n_jobs).p_e_mean
+    return run_ensemble(initial, cfg, a_bar_dt, n_traj, master_seed).p_e_mean
 
 
 def make_drive_config(gamma_x: complex, omega: float, t_max: float,

@@ -140,20 +140,18 @@ def check_kk_equivalence() -> CheckResult:
                        detail=f"x in [{RATE_GRID[0]}, {RATE_GRID[-1]}], 4 shapes")
 
 
-def _rectangular_run(x: float, omega: float, t_max: float, n_traj: int,
-                     seed: int, n_jobs: int = 1):
+def _rectangular_run(x: float, omega: float, t_max: float, n_traj: int, seed: int):
     density = _named_density(Shape.RECTANGULAR, lam=1.0)
     gx = gamma_closed_form(density, x)
     cfg, a_bar = make_drive_config(gx, omega=omega, t_max=t_max)
-    result = run_ensemble(AtomState.excited(), cfg, a_bar, n_traj, seed, n_jobs=n_jobs)
+    result = run_ensemble(AtomState.excited(), cfg, a_bar, n_traj, seed)
     return cfg, result
 
 
-def check_ensemble_vs_lindblad(seed: int = DEFAULT_SEED, n_traj: int = 5000,
-                               n_jobs: int = 1) -> CheckResult:
+def check_ensemble_vs_lindblad(seed: int = DEFAULT_SEED, n_traj: int = 5000) -> CheckResult:
     """Ensemble mean of 5000 trajectories against the master equation (Fig. 4d)."""
     cfg, result = _rectangular_run(x=0.2, omega=1.0, t_max=10.0,
-                                   n_traj=n_traj, seed=seed, n_jobs=n_jobs)
+                                   n_traj=n_traj, seed=seed)
     reference = solve_master(DensityMatrix2.excited(), omega=cfg.omega,
                              gamma_eff=cfg.gamma_eff, t_max=cfg.t_max, dt=cfg.dt_step)
     dev = float(np.max(np.abs(result.p_e_mean - reference)))
@@ -161,13 +159,12 @@ def check_ensemble_vs_lindblad(seed: int = DEFAULT_SEED, n_traj: int = 5000,
                        detail=f"rectangular, x=0.2, omega=1, n_traj={n_traj}, seed={seed}")
 
 
-def check_zeno_jump_ordering(seed: int = DEFAULT_SEED, n_traj: int = 5000,
-                             n_jobs: int = 1) -> CheckResult:
+def check_zeno_jump_ordering(seed: int = DEFAULT_SEED, n_traj: int = 5000) -> CheckResult:
     """Scarcer photon emission for smaller x, separated by >= 3 standard errors."""
     stats = []
     for i, x in enumerate(sorted(X_VALUES)):
         _, result = _rectangular_run(x=x, omega=1.0, t_max=10.0, n_traj=n_traj,
-                                     seed=seed + i, n_jobs=n_jobs)
+                                     seed=seed + i)
         stats.append((result.jump_count_mean, result.jump_count_stderr))
     separations = []
     for (m_lo, se_lo), (m_hi, se_hi) in zip(stats, stats[1:]):
@@ -185,16 +182,13 @@ SUITES = {
     "rates": (check_closed_forms,),
     "appendix-a": (check_kk_equivalence,),
 }
+#: suites whose checks run from a master seed
+_SEEDED_SUITES = frozenset({"fig4"})
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED, n_jobs: int = 1) -> list[CheckResult]:
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run one named verification suite and return its check results."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    results = []
-    for check in SUITES[name]:
-        if check in (check_ensemble_vs_lindblad, check_zeno_jump_ordering):
-            results.append(check(seed=seed, n_jobs=n_jobs))
-        else:
-            results.append(check())
-    return results
+    kwargs = {"seed": seed} if name in _SEEDED_SUITES else {}
+    return [check(**kwargs) for check in SUITES[name]]

@@ -1,10 +1,13 @@
 """Config parsing, experiment dispatch, exit codes, and the verify suites."""
 
+import warnings
+
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from zenoscope import (MemoryKernel, SpectralDensity, a_bar_from_memory, cli, gamma_lorentzian,
-                       make_drive_config, volterra)
+from zenoscope import (AtomState, MemoryKernel, SpectralDensity, a_bar_from_memory, child_seed,
+                       cli, gamma_lorentzian, make_drive_config, simulate_trajectory, volterra)
 from zenoscope.cli import ConfigError, dump_config, main, parse_config
 
 
@@ -225,18 +228,43 @@ class TestRunCommand:
         assert new_drive.dt_step == n_per * tau
         assert new_drive.gamma_eff == (1.0 - abs(a_bar) ** 2) / (n_per * tau)
 
-    def test_ensemble_threads_agree(self, runner, tmp_path):
+    def test_ensemble_rows_follow_child_seeds(self, runner, tmp_path):
         body = ("experiment = ensemble\nshape = rectangular\nlambda = 1\n"
                 "x = 0.2\nomega = 1\nt_max = 2\nn_traj = 30\nseed = 4\n")
         cfg = write_config(tmp_path, body)
         out1, out2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
         r1 = runner.invoke(main, ["run", cfg, "--out", str(out1)])
-        r2 = runner.invoke(main, ["run", cfg, "--out", str(out2), "--threads", "2"])
+        r2 = runner.invoke(main, ["run", cfg, "--out", str(out2)])
         assert r1.exit_code == 0, r1.output
         assert r2.exit_code == 0, r2.output
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text().splitlines()[0] == "t,p_e_mean,p_e_stderr"
         assert (tmp_path / "e1_lindblad.csv").read_text().splitlines()[0] == "t,p_e"
+        # the mean column reduces, in index order, the trajectories that
+        # simulate_trajectory runs from child_seed(seed, i), here recomputed shuffled
+        drive, a_bar, _ = cli._detection_setup(parse_config(body))
+        rows = {i: simulate_trajectory(AtomState.excited(), drive, a_bar, child_seed(4, i)).p_e
+                for i in np.random.default_rng(4).permutation(30)}
+        mean = np.array([rows[i] for i in range(30)]).mean(axis=0)
+        column = [line.split(",")[1] for line in out1.read_text().splitlines()[1:]]
+        assert column == [f"{m:.12g}" for m in mean]
+
+    @pytest.mark.parametrize("experiment", ["gamma_curve", "kk_check"])
+    @pytest.mark.parametrize("x_max, x_points", [(2, 5), (0, 1)])
+    def test_rate_curve_from_x_zero(self, runner, tmp_path, experiment, x_max, x_points):
+        # every route gives exactly 0 at x = 0; relative deviations skip that point
+        body = (f"experiment = {experiment}\nshape = rectangular\nlambda = 1\n"
+                f"x_min = 0\nx_max = {x_max}\nx_points = {x_points}\n")
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["run", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert [str(w.message) for w in caught] == []
+        assert "nan" not in result.output
+        first = out.read_text().splitlines()[1].split(",")
+        assert first[0] == "0" and all(float(v) == 0.0 for v in first[1:])
 
     def test_dump_config_round_trip(self, runner, tmp_path):
         body = ("experiment = ensemble\nshape = rectangular\nlambda = 2.5\n"

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm, null_space
 
 from zenoscope import DensityMatrix2, lindblad_rhs, solve_master
+from zenoscope.lindblad import _real_generator
 
 
 def random_density(rng):
@@ -80,6 +81,24 @@ class TestLindbladRhs:
                 [rhs.ee, rhs.eg, rhs.ge, rhs.gg], expected, atol=1e-13)
 
 
+class TestRealGenerator:
+    def test_matches_lindblad_rhs(self):
+        # coordinates (ee, gg, Re eg, Im eg) of the generator on random states
+        rng = np.random.default_rng(6)
+        gen = _real_generator(omega=0.9, gamma_eff=0.4)
+        for _ in range(10):
+            rho = random_density(rng)
+            rhs = lindblad_rhs(rho, omega=0.9, gamma_eff=0.4)
+            vec = np.array([rho.ee.real, rho.gg.real, rho.eg.real, rho.eg.imag])
+            np.testing.assert_allclose(
+                gen @ vec, [rhs.ee.real, rhs.gg.real, rhs.eg.real, rhs.eg.imag],
+                rtol=0, atol=1e-15)
+
+    def test_gg_row_is_the_negated_ee_row(self):
+        gen = _real_generator(omega=-1.7, gamma_eff=0.3)
+        assert np.array_equal(gen[1], -gen[0])
+
+
 class TestSolveMaster:
     def test_pure_decay_curve(self):
         gamma = 0.6
@@ -118,6 +137,37 @@ class TestSolveMaster:
         assert p_e[-1] == pytest.approx(exact[0].real, abs=2e-9)
         np.testing.assert_allclose(history[-1].flatten(),
                                    [exact[0], exact[1], exact[2], exact[3]], atol=2e-9)
+
+    def test_long_run_agrees_with_exact_propagator(self):
+        # 16000 steps filled by increment doubling: the RK4 truncation error,
+        # not round-off, sets the deviation, and the trace holds to round-off
+        omega, gamma = 0.8, 0.3
+        gen = liouvillian_by_components(omega, gamma)
+        rho0 = DensityMatrix2.from_state(0.6, 0.8j)
+        t_max, dt = 160.0, 0.01
+        p_e, history = solve_master(rho0, omega=omega, gamma_eff=gamma, t_max=t_max,
+                                    dt=dt, full_output=True)
+        assert len(p_e) == 16001
+        vec0 = rho0.matrix.ravel()
+        for k in list(range(0, 16001, 997)) + [16000]:
+            exact = expm(gen * k * dt) @ vec0
+            np.testing.assert_allclose(history[k].ravel(), exact, rtol=0, atol=1e-9)
+        assert np.max(np.abs(np.einsum("kii->k", history) - 1.0)) < 5e-14
+
+    def test_history_is_hermitian_bit_for_bit(self):
+        _, history = solve_master(DensityMatrix2.from_state(0.6, 0.8j), omega=1.3,
+                                  gamma_eff=0.4, t_max=30.0, dt=0.01, full_output=True)
+        assert np.array_equal(history[:, 1, 0], np.conj(history[:, 0, 1]))
+        assert np.all(history[:, 0, 0].imag == 0.0)
+        assert np.all(history[:, 1, 1].imag == 0.0)
+
+    def test_propagates_the_hermitian_part(self):
+        rho = DensityMatrix2(0.5, 0.3 + 0.1j, 0.1 - 0.3j, 0.5)
+        hermitian = DensityMatrix2(0.5, 0.2 + 0.2j, 0.2 - 0.2j, 0.5)
+        p_a, h_a = solve_master(rho, 1.0, 0.3, 2.0, 0.01, full_output=True)
+        p_b, h_b = solve_master(hermitian, 1.0, 0.3, 2.0, 0.01, full_output=True)
+        assert np.array_equal(p_a, p_b)
+        assert np.array_equal(h_a, h_b)
 
     def test_trace_hermiticity_positivity_preserved(self):
         p_e, history = solve_master(DensityMatrix2.excited(), omega=1.0, gamma_eff=0.3,

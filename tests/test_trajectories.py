@@ -1,5 +1,6 @@
 """Monte-Carlo trajectory sampler: step rule, seeding, and ensemble statistics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,9 +24,8 @@ from zenoscope import (
     mc_step,
     run_ensemble,
     simulate_trajectory,
-    unitary_drive,
 )
-from zenoscope.trajectories import _advance
+from zenoscope.trajectories import _advance, _philox_keys, _seeded_uniforms
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -77,15 +77,32 @@ class TestAtomState:
         assert AtomState.ground().p_excited == 0.0
 
 
+def rotate(state, angle):
+    """Drive ``state`` through the Rabi angle ``angle`` in click-free ``mc_step`` calls.
+
+    With ``gamma_eff = 0`` and ``a_bar = 1`` a step is the drive rotation
+    ``exp(-i omega sigma_x dt_step)`` alone; the angle is split into steps of
+    at most ``MAX_RATE_DT``.
+    """
+    n = max(1, math.ceil(abs(angle) / 0.05))
+    cfg = DriveConfig(omega=angle / n, gamma_eff=0.0, dt_step=1.0, n_steps=n)
+    for _ in range(n):
+        state, jumped = mc_step(state, cfg, 1.0, epsilon=0.5)
+        assert not jumped
+    return state
+
+
 class TestUnitaryDrive:
+    """The drive rotation of ``mc_step``, with the measurement switched off."""
+
     def test_zero_drive_is_identity(self):
         state = AtomState(0.6, 0.8j)
-        out = unitary_drive(state, omega=0.0, dt=0.3)
+        out = rotate(state, 0.0)
         assert out.alpha == state.alpha
         assert out.beta == state.beta
 
     def test_quarter_period_swaps_excited_into_ground(self):
-        out = unitary_drive(AtomState.excited(), omega=1.0, dt=math.pi / 2)
+        out = rotate(AtomState.excited(), math.pi / 2)
         assert out.alpha == pytest.approx(0.0, abs=1e-15)
         assert out.beta == pytest.approx(-1j, abs=1e-15)
 
@@ -94,7 +111,7 @@ class TestUnitaryDrive:
         state = AtomState(0.6, 0.8j)
         propagator = expm(-1j * angle * SIGMA_X)
         expected = propagator @ np.array([state.alpha, state.beta])
-        out = unitary_drive(state, omega=1.0, dt=angle)
+        out = rotate(state, angle)
         assert out.alpha == pytest.approx(expected[0], abs=1e-14)
         assert out.beta == pytest.approx(expected[1], abs=1e-14)
 
@@ -103,7 +120,7 @@ class TestUnitaryDrive:
     def test_preserves_norm(self, weight, phase, angle):
         alpha = math.sqrt(weight) * np.exp(1j * phase)
         beta = math.sqrt(1.0 - weight)
-        out = unitary_drive(AtomState(complex(alpha), complex(beta)), omega=1.0, dt=angle)
+        out = rotate(AtomState(complex(alpha), complex(beta)), angle)
         assert abs(out.alpha) ** 2 + abs(out.beta) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -305,12 +322,10 @@ class TestSegmentSamplerOracle:
                 for i in range(40)]
         p_e = np.array([run[0] for run in runs])
         counts = np.array([np.count_nonzero(run[1]) for run in runs])
-        for n_jobs in (1, 3):
-            result = run_ensemble(AtomState.excited(), cfg, a_bar, 40, master_seed=3,
-                                  n_jobs=n_jobs)
-            assert np.array_equal(result.p_e_mean, p_e.mean(axis=0))
-            assert np.array_equal(result.p_e_stderr, p_e.std(axis=0, ddof=1) / math.sqrt(40))
-            assert np.array_equal(result.jump_counts, counts)
+        result = run_ensemble(AtomState.excited(), cfg, a_bar, 40, master_seed=3)
+        assert np.array_equal(result.p_e_mean, p_e.mean(axis=0))
+        assert np.array_equal(result.p_e_stderr, p_e.std(axis=0, ddof=1) / math.sqrt(40))
+        assert np.array_equal(result.jump_counts, counts)
 
     @pytest.mark.parametrize("x", [0.02, 2.0])  # mostly click-free, and click-dense
     def test_returned_records_do_not_share_state(self, x):
@@ -330,6 +345,67 @@ class TestSegmentSamplerOracle:
             run_ensemble(AtomState.excited(), cfg, 1.0 + 1e-4, 5, master_seed=0)
 
 
+class TestBatchedSeeding:
+    """Batched Philox keys and the reused generator against ``make_rng``."""
+
+    EDGE_SEEDS = [0, 1, 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1]
+
+    def test_keys_match_seed_sequence(self):
+        seeds = [child_seed(m, i) for m in (0, 2017) for i in range(5000)]
+        seeds += [child_seed(2 ** 64 - 1, i) for i in range(200)] + self.EDGE_SEEDS
+        expected = np.array([np.random.SeedSequence(s).generate_state(2, np.uint64)
+                             for s in seeds])
+        keys = _philox_keys(seeds)
+        assert keys.shape == (len(seeds), 2) and keys.dtype == np.uint64
+        assert np.array_equal(keys, expected)
+
+    @pytest.mark.parametrize("n", [1, 3, 200, 1604])
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_uniforms_match_make_rng(self, n, block):
+        seeds = (self.EDGE_SEEDS + [child_seed(n, i) for i in range(block)])[:block]
+        rows = [eps.copy() for eps in _seeded_uniforms(seeds, n)]
+        assert len(rows) == block
+        for seed, eps in zip(seeds, rows):
+            assert np.array_equal(eps, make_rng(seed).random(n)), seed
+
+    @pytest.mark.parametrize("n_traj", [1, 3])
+    def test_small_ensembles_match_single_trajectories(self, n_traj):
+        cfg, a_bar = detection_config(x=2.0)
+        result = run_ensemble(AtomState.excited(), cfg, a_bar, n_traj, master_seed=11)
+        records = [simulate_trajectory(AtomState.excited(), cfg, a_bar, child_seed(11, i))
+                   for i in range(n_traj)]
+        assert np.array_equal(result.p_e_mean, np.mean([r.p_e for r in records], axis=0))
+        assert np.array_equal(result.jump_counts, [r.jump_count for r in records])
+
+
+def ensemble_digest(result):
+    h = hashlib.sha256()
+    for a in (result.p_e_mean, result.jump_counts):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestEnsembleBitPin:
+    """SHA-256 of ``run_ensemble`` outputs, pinned from per-trajectory ``make_rng`` seeding.
+
+    The seeded statistics are part of the reproducibility contract: any
+    change to their bits (seeding, sampling or reduction) fails here.
+    """
+
+    def test_driven(self):
+        cfg, a_bar = detection_config(x=2.0, omega=1.0, t_max=10.0)
+        result = run_ensemble(AtomState.excited(), cfg, a_bar, 64, master_seed=2017)
+        assert ensemble_digest(result) == (
+            "4ebf75ee4d5116c79bfa4053d953b95ebd271a0fc81dba00d4e976b5f00a069f")
+
+    def test_undriven_ac7_layout(self):
+        cfg, a_bar = ac7_config()
+        result = run_ensemble(AtomState.excited(), cfg, a_bar, 64, master_seed=2017)
+        assert ensemble_digest(result) == (
+            "bdc548a97268fac5b1b27d66d2ecb44ead7ee8031f2e88ecb61a86eb88ca2e46")
+
+
 class TestEnsemble:
     def test_single_trajectory_reduction(self):
         cfg, a_bar = detection_config(t_max=1.0)
@@ -342,13 +418,20 @@ class TestEnsemble:
         assert len(set(seeds)) == 100
         assert seeds == [child_seed(9, i) for i in range(100)]
 
-    def test_parallel_equals_serial(self):
-        cfg, a_bar = detection_config(t_max=1.0)
-        serial = run_ensemble(AtomState.excited(), cfg, a_bar, 40, master_seed=1, n_jobs=1)
-        parallel = run_ensemble(AtomState.excited(), cfg, a_bar, 40, master_seed=1, n_jobs=3)
-        np.testing.assert_array_equal(serial.p_e_mean, parallel.p_e_mean)
-        np.testing.assert_array_equal(serial.p_e_stderr, parallel.p_e_stderr)
-        np.testing.assert_array_equal(serial.jump_counts, parallel.jump_counts)
+    def test_rows_follow_child_seeds_in_any_order(self):
+        # trajectory i is simulate_trajectory from child_seed(master, i), whatever
+        # order the rows are recomputed in, and the reduction is over index order
+        cfg, a_bar = detection_config(x=2.0, t_max=1.0)
+        result = run_ensemble(AtomState.excited(), cfg, a_bar, 40, master_seed=1)
+        rows = {}
+        for i in np.random.default_rng(0).permutation(40):
+            rows[i] = simulate_trajectory(AtomState.excited(), cfg, a_bar, child_seed(1, i))
+        p_e = np.array([rows[i].p_e for i in range(40)])
+        counts = np.array([rows[i].jump_count for i in range(40)])
+        assert counts.any() and not np.all(counts == counts[0])
+        np.testing.assert_array_equal(result.p_e_mean, p_e.mean(axis=0))
+        np.testing.assert_array_equal(result.p_e_stderr, p_e.std(axis=0, ddof=1) / math.sqrt(40))
+        np.testing.assert_array_equal(result.jump_counts, counts)
 
     def test_jump_counts_increase_with_x(self):
         means = []

@@ -87,19 +87,23 @@ def _rhs_matrix(rho: np.ndarray, omega: float, gamma_eff: float) -> np.ndarray:
     return -1j * comm + gamma_eff * (jump - 0.5 * anti)
 
 
+#: Hermitian matrices with unit coordinate ``rho_ee``, ``rho_gg``,
+#: ``Re rho_eg`` and ``Im rho_eg`` respectively
+_REAL_BASIS = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]],
+                        [[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0j], [-1.0j, 0.0]]])
+
+
 def _real_generator(omega: float, gamma_eff: float) -> np.ndarray:
     """Generator as a real 4x4 matrix on ``(rho_ee, rho_gg, Re rho_eg, Im rho_eg)``.
 
-    Rows are the component equations ``d ee = -2 w Im eg - g ee``,
-    ``d gg = -d ee``, ``d Re eg = -g/2 Re eg`` and
-    ``d Im eg = w (ee - gg) - g/2 Im eg``.  The ``gg`` row is the negated
-    ``ee`` row, so every power of the map keeps the trace to round-off.
+    Column ``k`` holds the coordinates of the generator applied to the basis
+    matrix ``k``.  The generator is traceless, so the ``gg`` row is the
+    negated ``ee`` row and every power of the map keeps the trace to
+    round-off.
     """
-    w, g = omega, gamma_eff
-    return np.array([[-g, 0.0, 0.0, -2.0 * w],
-                     [g, 0.0, 0.0, 2.0 * w],
-                     [0.0, 0.0, -0.5 * g, 0.0],
-                     [w, -w, 0.0, -0.5 * g]])
+    images = _rhs_matrix(_REAL_BASIS, omega, gamma_eff)
+    return np.stack([images[:, 0, 0].real, images[:, 1, 1].real,
+                     images[:, 0, 1].real, images[:, 0, 1].imag])
 
 
 def _rk4_increment_matrix(omega: float, gamma_eff: float, dt: float) -> np.ndarray:

@@ -28,7 +28,8 @@ from a counter-based Philox4x64-10 generator (Salmon et al., SC'11) keyed
 through ``numpy.random.SeedSequence(seed)`` (``make_rng``).  Ensembles
 derive the seed of trajectory ``i`` from the first eight bytes of
 ``sha256(b"<master_seed>:<i>")``, so any subset of trajectories can be
-recomputed independently, and reduce the trajectories in index order.
+recomputed independently, and reduce the trajectories in index order, also
+when ``run_ensemble`` fills blocks of rows in threads (``n_jobs``).
 
 An ensemble does not build one ``SeedSequence`` and one generator per
 trajectory.  ``_philox_keys`` runs SeedSequence's entropy mixing (M. E.
@@ -46,6 +47,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -377,13 +379,22 @@ class EnsembleResult:
                 fh.write(f"{t:.12g},{m:.12g},{s:.12g}\n")
 
 
+def _fill_rows(start: _Path, after_click: _Path, seeds, p_e: np.ndarray,
+               counts: np.ndarray):
+    """Sample the trajectory of ``seeds[r]`` into ``p_e[r]`` and ``counts[r]``."""
+    for row, eps in enumerate(_seeded_uniforms(seeds, len(start.p1))):
+        counts[row] = len(_sample(eps, start, after_click, p_e[row]))
+
+
 def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
-                 n_traj: int, master_seed: int) -> EnsembleResult:
+                 n_traj: int, master_seed: int, n_jobs: int = 1) -> EnsembleResult:
     """Simulate ``n_traj`` seeded trajectories and reduce them by index.
 
     Row ``i`` of the occupation matrix is the trajectory that
     ``simulate_trajectory`` runs from ``child_seed(master_seed, i)``; the
-    statistics are reduced over that index-ordered matrix.
+    statistics are reduced over that index-ordered matrix.  ``n_jobs > 1``
+    fills contiguous blocks of rows in that many threads; each row depends
+    on its seed alone, so the result is the same for every ``n_jobs``.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
@@ -391,8 +402,14 @@ def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
     p_e = np.empty((n_traj, cfg.n_steps + 1))
     counts = np.empty(n_traj, dtype=np.int64)
     seeds = [child_seed(master_seed, i) for i in range(n_traj)]
-    for row, eps in enumerate(_seeded_uniforms(seeds, cfg.n_steps)):
-        counts[row] = len(_sample(eps, start, after_click, p_e[row]))
+    if n_jobs <= 1 or n_traj < 2:
+        _fill_rows(start, after_click, seeds, p_e, counts)
+    else:
+        blocks = [slice(b[0], b[-1] + 1)
+                  for b in np.array_split(np.arange(n_traj), min(n_jobs, n_traj))]
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            list(pool.map(lambda b: _fill_rows(start, after_click, seeds[b], p_e[b], counts[b]),
+                          blocks))
     mean = p_e.mean(axis=0)
     if n_traj > 1:
         stderr = p_e.std(axis=0, ddof=1) / math.sqrt(n_traj)

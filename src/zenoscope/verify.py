@@ -175,20 +175,20 @@ def check_zeno_jump_ordering(seed: int = DEFAULT_SEED, n_traj: int = 5000) -> Ch
                        detail=f"mean counts (x=0.02, 0.2, 2): {counts}, seed={seed}")
 
 
+#: suite name -> (its checks, whether they run from a master seed)
 SUITES = {
-    "fig1": (check_decay_accuracy, check_conditioned_decay_lorentzian),
-    "fig2": (check_scaling_collapse,),
-    "fig4": (check_ensemble_vs_lindblad, check_zeno_jump_ordering),
-    "rates": (check_closed_forms,),
-    "appendix-a": (check_kk_equivalence,),
+    "fig1": ((check_decay_accuracy, check_conditioned_decay_lorentzian), False),
+    "fig2": ((check_scaling_collapse,), False),
+    "fig4": ((check_ensemble_vs_lindblad, check_zeno_jump_ordering), True),
+    "rates": ((check_closed_forms,), False),
+    "appendix-a": ((check_kk_equivalence,), False),
 }
-#: suites whose checks run from a master seed
-_SEEDED_SUITES = frozenset({"fig4"})
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run one named verification suite and return its check results."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    kwargs = {"seed": seed} if name in _SEEDED_SUITES else {}
-    return [check(**kwargs) for check in SUITES[name]]
+    checks, seeded = SUITES[name]
+    kwargs = {"seed": seed} if seeded else {}
+    return [check(**kwargs) for check in checks]

@@ -235,6 +235,9 @@ def conditioned_state(alpha0: complex, beta0: complex, a_bar: complex) -> AtomSt
         raise ValueError(f"initial norm^2 = {n0!r} differs from 1 beyond 1e-9")
     alpha = a_bar * alpha0
     norm = math.sqrt(abs(alpha) ** 2 + abs(beta0) ** 2)
+    if norm == 0:
+        raise ValueError("the null result has probability zero: a_bar * alpha0 and "
+                         "beta0 both vanish")
     return AtomState(alpha / norm, beta0 / norm)
 
 

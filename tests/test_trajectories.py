@@ -418,6 +418,16 @@ class TestEnsemble:
         assert len(set(seeds)) == 100
         assert seeds == [child_seed(9, i) for i in range(100)]
 
+    def test_parallel_equals_serial(self):
+        cfg, a_bar = detection_config(t_max=1.0)
+        serial = run_ensemble(AtomState.excited(), cfg, a_bar, 40, master_seed=1)
+        for n_jobs in (2, 3, 41):
+            parallel = run_ensemble(AtomState.excited(), cfg, a_bar, 40, master_seed=1,
+                                    n_jobs=n_jobs)
+            np.testing.assert_array_equal(serial.p_e_mean, parallel.p_e_mean)
+            np.testing.assert_array_equal(serial.p_e_stderr, parallel.p_e_stderr)
+            np.testing.assert_array_equal(serial.jump_counts, parallel.jump_counts)
+
     def test_rows_follow_child_seeds_in_any_order(self):
         # trajectory i is simulate_trajectory from child_seed(master, i), whatever
         # order the rows are recomputed in, and the reduction is over index order

@@ -272,6 +272,8 @@ class TestConditionedState:
             conditioned_state(0.0j, 0.0j, 0.5)
         with pytest.raises(ValueError):
             conditioned_state(1.0, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            conditioned_state(1.0, 0.0, 0.0)
 
     @given(st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0),
            st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))
@@ -280,7 +282,10 @@ class TestConditionedState:
         alpha = math.sqrt(weight) * np.exp(1j * phase)
         beta = math.sqrt(1.0 - weight)
         a_bar = mod * np.exp(1j * bar_phase)
-        if weight == 0.0 and mod == 0.0:
+        if abs(a_bar * alpha) ** 2 + beta ** 2 == 0.0:
+            # no state survives a null result: fully excited and a_bar = 0
+            with pytest.raises(ValueError):
+                conditioned_state(complex(alpha), complex(beta), complex(a_bar))
             return
         state = conditioned_state(complex(alpha), complex(beta), complex(a_bar))
         assert abs(state.alpha) ** 2 + abs(state.beta) ** 2 == pytest.approx(1.0, abs=1e-12)

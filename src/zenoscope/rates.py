@@ -14,12 +14,33 @@ variable ``x = lam * tau``.  The rate admits three independent evaluations:
 All three agree for every supported spectrum; the test suite exercises the
 mutual equalities as well as the width-independence of the numeric routes.
 
-Both numeric routes sample ``g`` on a uniform grid through
+Both numeric routes take a whole curve in one pass (:func:`_numeric_rates`).
+``g`` is sampled once, on the uniform grid of ``PANELS_PER_UNIT`` panels per
+unit out to the largest ``x``, through
 :func:`~zenoscope.spectral.uniform_kernel_g`.  For compact-support
 quadrature kernels (rectangular, tabulated) that is one chirp-z transform
 of the Simpson sum instead of one Simpson sum per grid point; it agrees
-with the point-by-point sum of :func:`~zenoscope.spectral.scaled_kernel_g`,
-which arbitrary ``x`` arrays still take, to at most 1.5e-15 Gamma.
+with the point-by-point sum of :func:`~zenoscope.spectral.scaled_kernel_g`
+to at most 1.5e-15 Gamma.  Every rate is then read off cumulative Simpson
+sums of those samples: the inner integral ``I`` of ``g`` and the outer
+integral of ``I`` on the double route, the moments ``G0 = int g`` and
+``G1 = int x' g`` on the single-integral route, ``(2i/x)(x G0 - G1)``.
+
+The remainder rule: each ``x`` is read at the last even node ``t_m <= x``,
+where the cumulative sums are the composite Simpson rule, and every
+integral is closed from ``t_m`` to ``x`` (``d = x - t_m < 2h``) by a
+two-panel Simpson rule on ``[t_m, x]``.  It takes exact samples of ``g``
+at ``t_m + d/4``, ``t_m + d/2`` and ``x`` from one vectorised
+:func:`~zenoscope.spectral.scaled_kernel_g` call; the inner integral at the
+midpoint ``t_m + d/2`` takes its own two-panel rule.  An ``x`` on an even
+node takes no extra samples, so :func:`gamma_numeric` and :func:`kk_rate`,
+the one-point case, integrate on exactly the grid of ``x`` itself.
+
+Measured agreement (named shapes at ``lam = 1``, 200 points on
+``[0.01, 20]``): the curves meet the closed forms to 8.3e-13 relative and
+the two routes each other to 1.9e-14; against per-``x`` evaluation on each
+point's own grid they agree to 1.9e-12, and to 3e-15 on a 1601-row
+tabulated profile.
 """
 
 from __future__ import annotations
@@ -29,10 +50,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import cumulative_simpson
 from scipy.special import erf, sici
 
-from .spectral import MemoryKernel, Shape, SpectralDensity, uniform_kernel_g
+from .spectral import (MemoryKernel, Shape, SpectralDensity, scaled_kernel_g,
+                       uniform_kernel_g)
 
 __all__ = [
     "RateSource",
@@ -48,6 +70,13 @@ __all__ = [
     "rate_curve",
 ]
 
+
+class RateSource(enum.Enum):
+    CLOSED_FORM = "closed_form"
+    DOUBLE_INTEGRAL = "double_integral"
+    KK_INTEGRAL = "kk_integral"
+
+
 #: Simpson panels per unit of x for the rate integrals
 PANELS_PER_UNIT = 2048
 #: cap on the total number of quadrature points
@@ -62,21 +91,87 @@ def _panel_count(x: float, panels_per_unit: int) -> int:
     return n
 
 
-def _kernel_samples(kernel: MemoryKernel, x: float, panels_per_unit: int):
-    n = _panel_count(x, panels_per_unit)
-    return np.linspace(0.0, x, n + 1), uniform_kernel_g(kernel, x, n)
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative Simpson integral from 0 of complex samples ``y`` with spacing ``h``."""
+    # scipy's cumulative_simpson only handles real data
+    return (cumulative_simpson(y.real, dx=h, initial=0.0)
+            + 1j * cumulative_simpson(y.imag, dx=h, initial=0.0))
 
 
-def _double_route(grid: np.ndarray, g: np.ndarray, x: float) -> complex:
-    h = grid[1] - grid[0]
-    # cumulative_simpson only handles real data
-    inner = (cumulative_simpson(g.real, dx=h, initial=0.0)
-             + 1j * cumulative_simpson(g.imag, dx=h, initial=0.0))
-    return complex(2j / x * simpson(inner, dx=h))
+# The routes below hold the only reference to ``g`` and drop it as soon as
+# its last cumulative sum is taken: a 40k-node curve then never holds more
+# than two node-length complex arrays besides scipy's temporaries.
 
 
-def _kk_route(grid: np.ndarray, g: np.ndarray, x: float) -> complex:
-    return complex(2j / x * simpson((x - grid) * g, dx=grid[1] - grid[0]))
+def _nested_integral(grid, g, m, x, d, tail):
+    """``int_0^x dx' int_0^x' g`` by cumulative Simpson of ``g``, then of ``I = int g``."""
+    h, g_m = grid[1], g[m]
+    inner = _cumulative_simpson(g, h)
+    del g
+    g_quarter, g_half, g_x = tail
+    i_m = inner[m]
+    i_half = i_m + d / 12.0 * (g_m + 4.0 * g_quarter + g_half)
+    i_x = i_m + d / 6.0 * (g_m + 4.0 * g_half + g_x)
+    return _cumulative_simpson(inner, h)[m] + d / 6.0 * (i_m + 4.0 * i_half + i_x)
+
+
+def _moment_integral(grid, g, m, x, d, tail):
+    """``int_0^x (x - x') g(x') dx' = x G0(x) - G1(x)`` from the moments of ``g``."""
+    h, g_m, t_m = grid[1], g[m], grid[m]
+    g0 = _cumulative_simpson(g, h)[m]
+    g = grid * g  # x' g(x'); drops g itself
+    g1 = _cumulative_simpson(g, h)[m]
+    _, g_half, g_x = tail
+    m0 = g0 + d / 6.0 * (g_m + 4.0 * g_half + g_x)
+    m1 = g1 + d / 6.0 * (t_m * g_m + 4.0 * (t_m + 0.5 * d) * g_half + x * g_x)
+    return x * m0 - m1
+
+
+#: numeric route -> ``int_0^x (x - x') g(x') dx'`` at every ``x`` from one grid
+_ROUTES = {
+    RateSource.DOUBLE_INTEGRAL: _nested_integral,
+    RateSource.KK_INTEGRAL: _moment_integral,
+}
+
+
+def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource,
+                   panels_per_unit: int = PANELS_PER_UNIT) -> np.ndarray:
+    """``gamma`` at every ``x`` of ``xs`` from one sampling of ``g``.
+
+    ``g`` is sampled once on the uniform grid of ``_panel_count(X)`` panels
+    over ``[0, X]``, ``X = max(xs)``, and each rate is read off cumulative
+    Simpson sums of those samples at the last even node ``t_m <= x``, closed
+    to ``x`` by the two-panel remainder rule of the module docstring.
+    Negative, infinite and NaN entries raise ``ValueError`` before anything
+    is sampled; ``x = 0`` gives exactly ``0j``.
+    """
+    xs = np.asarray(xs, dtype=float)
+    bad = ~(np.isfinite(xs) & (xs >= 0))
+    if bad.any():
+        raise ValueError(f"x must be finite and nonnegative, got {xs[bad][0]}")
+    route = _ROUTES.get(source)
+    if route is None:
+        raise ValueError(f"no numeric route for source {source!r}")
+    out = np.zeros(xs.shape, dtype=complex)
+    positive = xs > 0
+    if not positive.any():
+        return out
+    x = xs[positive]
+    x_max = float(x.max())
+    n = _panel_count(x_max, panels_per_unit)
+    grid = np.linspace(0.0, x_max, n + 1)
+    m = np.searchsorted(grid, x, side="right") - 1
+    m -= m % 2
+    d = x - grid[m]
+    # an x on an even node takes no samples: its tail terms carry a factor d = 0
+    tail = np.zeros((3, x.size), dtype=complex)
+    off = d > 0
+    if off.any():
+        t_m, d_off = grid[m[off]], d[off]
+        points = np.concatenate([t_m + 0.25 * d_off, t_m + 0.5 * d_off, x[off]])
+        tail[:, off] = scaled_kernel_g(kernel, points).reshape(3, -1)
+    out[positive] = 2j / x * route(grid, uniform_kernel_g(kernel, x_max, n), m, x, d, tail)
+    return out
 
 
 def gamma_numeric(kernel: MemoryKernel, x: float,
@@ -84,28 +179,23 @@ def gamma_numeric(kernel: MemoryKernel, x: float,
     """Effective rate from the nested double integral of ``g``.
 
     The inner antiderivative is accumulated with a cumulative Simpson rule
-    and the outer integral applies composite Simpson to it, so the route is
-    genuinely a double quadrature (independent of :func:`kk_rate`).
+    and the outer integral with another one over it, so the route is
+    genuinely a double quadrature (independent of :func:`kk_rate`).  The
+    one-point case of :func:`rate_curve`: ``x`` is the last grid node.
     """
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0:
-        return 0.0j
-    return _double_route(*_kernel_samples(kernel, x, panels_per_unit), x)
+    return complex(_numeric_rates(kernel, [x], RateSource.DOUBLE_INTEGRAL, panels_per_unit)[0])
 
 
 def kk_rate(kernel: MemoryKernel, x: float,
             panels_per_unit: int = PANELS_PER_UNIT) -> complex:
     """Effective rate from the equivalent single-integral form.
 
-    ``r(x) = (2i/x) int_0^x (x - x') g(x') dx'`` by composite Simpson;
-    equals :func:`gamma_numeric` analytically (integration by parts).
+    ``r(x) = (2i/x) int_0^x (x - x') g(x') dx' = (2i/x) [x G0(x) - G1(x)]``
+    with the moments ``G0 = int g`` and ``G1 = int x' g`` by cumulative
+    Simpson; equals :func:`gamma_numeric` analytically (integration by
+    parts).
     """
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0:
-        return 0.0j
-    return _kk_route(*_kernel_samples(kernel, x, panels_per_unit), x)
+    return complex(_numeric_rates(kernel, [x], RateSource.KK_INTEGRAL, panels_per_unit)[0])
 
 
 # -- closed forms (c = 0 except for the Lorentzian; b = 1 for the double peak)
@@ -180,12 +270,6 @@ def gamma_eff(a_bar_dt: complex, dt_total: float) -> float:
     return (1.0 - mod2) / dt_total
 
 
-class RateSource(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    DOUBLE_INTEGRAL = "double_integral"
-    KK_INTEGRAL = "kk_integral"
-
-
 @dataclass(frozen=True, eq=False)
 class RateCurve:
     """``gamma(x)`` sampled on a grid, tagged with the evaluation route."""
@@ -215,16 +299,16 @@ class RateCurve:
 def rate_curve(kernel: MemoryKernel, x_grid,
                source: RateSource = RateSource.DOUBLE_INTEGRAL,
                validate: bool = True) -> RateCurve:
-    """Evaluate ``gamma(x)`` over ``x_grid`` by the requested route."""
+    """Evaluate ``gamma(x)`` over ``x_grid`` by the requested route.
+
+    The numeric routes sample ``g`` once for the whole grid (see
+    :func:`_numeric_rates`).
+    """
     xs = np.asarray(x_grid, dtype=float)
     if source is RateSource.CLOSED_FORM:
         values = np.asarray(gamma_closed_form(kernel.density, xs), dtype=complex)
-    elif source is RateSource.DOUBLE_INTEGRAL:
-        values = np.array([gamma_numeric(kernel, float(x)) for x in xs])
-    elif source is RateSource.KK_INTEGRAL:
-        values = np.array([kk_rate(kernel, float(x)) for x in xs])
     else:
-        raise ValueError(f"unknown source {source!r}")
+        values = _numeric_rates(kernel, xs, source)
     curve = RateCurve(x_grid=xs, values=values, source=source, model=kernel.density)
     if validate:
         curve.validate()

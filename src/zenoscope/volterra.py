@@ -113,8 +113,11 @@ def solve_decay(kernel: MemoryKernel, t_max: float, dt: float | None = None,
     t_max : float
         Final time (must be positive).
     dt : float, optional
-        Time step; defaults to :func:`default_time_step`.  Steps coarser than
-        ``0.5/lam`` are rejected.
+        Time step; defaults to :func:`default_time_step`, whose grid takes
+        ``round(t_max/dt)`` steps and so may end up to half a step before or
+        after ``t_max``.  An explicit ``dt`` must land on ``t_max``: one
+        whose grid misses it by more than ``1e-9 t_max`` is rejected, as are
+        steps coarser than ``0.5/lam``.
     scheme : {"trapezoid", "paper"}
         ``"paper"`` is the plain rectangle-rule recurrence
 
@@ -130,6 +133,7 @@ def solve_decay(kernel: MemoryKernel, t_max: float, dt: float | None = None,
     DecaySeries
         Amplitudes ``a(k dt)`` for ``k = 0..round(t_max/dt)``.
     """
+    explicit_dt = dt is not None
     if dt is None:
         dt = default_time_step(kernel)
     if not t_max > 0:
@@ -144,6 +148,9 @@ def solve_decay(kernel: MemoryKernel, t_max: float, dt: float | None = None,
         raise ValueError(f"unknown scheme {scheme!r}")
 
     n = int(round(t_max / dt))
+    if explicit_dt and abs(n * dt - t_max) > 1e-9 * t_max:
+        raise ValueError(f"dt={dt} does not divide t_max={t_max}: the grid would end "
+                         f"at t={n * dt:.12g}")
     if kernel.compact_support is None:
         k = kernel_value(kernel, dt * np.arange(n + 1))
     else:

@@ -82,9 +82,22 @@ class TestRunCommand:
     def test_decay_tolerance_breach_exits_2(self, runner, tmp_path):
         # an accepted but very coarse step drives the deviation above 1e-3
         cfg = write_config(tmp_path, "experiment = decay\nshape = lorentzian\n"
-                                     "lambda = 5\nt_max = 4\ndt = 0.09\n")
+                                     "lambda = 5\nt_max = 3.96\ndt = 0.09\n")
         result = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "d.csv")])
         assert result.exit_code == 2, result.output
+
+    def test_decay_step_missing_t_max_exits_1(self, runner, tmp_path):
+        # unchecked, the grid silently stops at t = 0.9
+        cfg = write_config(tmp_path, "experiment = decay\nshape = lorentzian\n"
+                                     "lambda = 1\nt_max = 1\ndt = 0.3\n")
+        out = tmp_path / "d.csv"
+        result = runner.invoke(main, ["run", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.output + result.stderr
+        assert "t=0.9" in result.stderr
+        assert not out.exists()
 
     def test_unknown_key_exits_1(self, runner, tmp_path):
         cfg = write_config(tmp_path, "experiment = decay\nshape = lorentzian\nwat = 1\n")

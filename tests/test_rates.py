@@ -21,6 +21,7 @@ from zenoscope import (
     gamma_rectangular,
     kk_rate,
     rate_curve,
+    rates,
     scaled_kernel_g,
 )
 
@@ -35,6 +36,12 @@ CLOSED_FORMS = {
 
 def kernel_for(shape, lam=1.0, gamma=1.0, **kw):
     return MemoryKernel(SpectralDensity(shape, gamma=gamma, lam=lam, **kw))
+
+
+def tabulated_gaussian_kernel(rows=1601):
+    w = np.linspace(-8, 8, rows)
+    table = np.column_stack([w, np.exp(-0.5 * w ** 2)])
+    return MemoryKernel(SpectralDensity.tabulated(1.0, 1.0, table))
 
 
 class TestClosedForms:
@@ -155,12 +162,87 @@ class TestNumericRoutes:
                 gamma_gaussian(x), rel=1e-6)
 
     def test_tabulated_profile_rate(self):
-        w = np.linspace(-8, 8, 1601)
-        tab = SpectralDensity.tabulated(1.0, 1.0, np.column_stack([w, np.exp(-0.5 * w ** 2)]))
-        k = MemoryKernel(tab)
+        k = tabulated_gaussian_kernel()
         for x in (0.5, 2.0):
             assert gamma_numeric(k, x, panels_per_unit=512) == pytest.approx(
                 gamma_gaussian(x), rel=1e-3)
+
+
+#: a curve out to X = 5: 10240 panels of h = 5/10240.  2048 h, 5000 h and X
+#: are even nodes, read off the cumulative sums alone; 37 h is an odd node
+#: and the other points fall between nodes, so those take a remainder
+CURVE_X = 5.0
+CURVE_NODES = CURVE_X / 10240 * np.array([37.0, 2048.0, 5000.0])
+CURVE_GRID = np.sort(np.concatenate([[1e-5, 0.01, 0.3, 1.2345, 3.3], CURVE_NODES, [CURVE_X]]))
+PER_X = {RateSource.DOUBLE_INTEGRAL: gamma_numeric, RateSource.KK_INTEGRAL: kk_rate}
+NUMERIC = tuple(PER_X)
+
+
+def curve_kernels():
+    return [*(kernel_for(shape) for shape in ALL_NAMED), kernel_for(Shape.GAUSSIAN, c=0.7),
+            tabulated_gaussian_kernel()]
+
+
+class TestSinglePass:
+    """Whole rate curves read off one sampling of ``g``."""
+
+    def test_grid_has_on_and_off_node_points(self):
+        nodes = np.linspace(0.0, CURVE_X, rates._panel_count(CURVE_X, rates.PANELS_PER_UNIT) + 1)
+        on_node = np.isin(CURVE_GRID, nodes)
+        assert on_node.sum() == 4 and (~on_node).sum() == 5
+
+    @pytest.mark.parametrize("kernel", curve_kernels(),
+                             ids=[s.value for s in ALL_NAMED] + ["gaussian-c0.7", "tabulated"])
+    @pytest.mark.parametrize("source", NUMERIC, ids=lambda s: s.value)
+    def test_curve_matches_per_x_rates(self, kernel, source):
+        curve = rate_curve(kernel, CURVE_GRID, source).values
+        per_x = np.array([PER_X[source](kernel, x) for x in CURVE_GRID])
+        np.testing.assert_allclose(curve, per_x, rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("source", NUMERIC, ids=lambda s: s.value)
+    def test_one_point_curve_is_the_per_x_rate(self, source):
+        for kernel in (kernel_for(Shape.DOUBLE_LORENTZIAN), tabulated_gaussian_kernel(101)):
+            for x in (1e-3, 0.3, 2.0, 7.25):
+                assert rate_curve(kernel, [x], source).values[0] == PER_X[source](kernel, x)
+
+    @pytest.mark.parametrize("source", NUMERIC, ids=lambda s: s.value)
+    def test_unsorted_and_repeated_x_keep_input_order(self, source):
+        kernel = kernel_for(Shape.GAUSSIAN, c=0.7)
+        xs = np.array([3.3, 0.5, 3.3, 1.2345, 0.01, 0.5])
+        values = rate_curve(kernel, xs, source, validate=False).values
+        per_x = np.array([PER_X[source](kernel, x) for x in xs])
+        np.testing.assert_allclose(values, per_x, rtol=1e-11, atol=0)
+        assert values[0] == values[2] and values[1] == values[5]
+
+    @pytest.mark.parametrize("source", NUMERIC, ids=lambda s: s.value)
+    def test_zero_entries_are_exactly_zero(self, source, monkeypatch):
+        kernel = kernel_for(Shape.RECTANGULAR)
+        values = rate_curve(kernel, [0.0, 0.5, 0.0, 2.0], source, validate=False).values
+        assert values[0] == 0j and values[2] == 0j
+        assert abs(values[1]) > 0 and abs(values[3]) > 0
+
+        def no_sampling(*args):
+            raise AssertionError("an all-zero grid samples g")
+
+        monkeypatch.setattr(rates, "uniform_kernel_g", no_sampling)
+        monkeypatch.setattr(rates, "scaled_kernel_g", no_sampling)
+        assert np.array_equal(rate_curve(kernel, [0.0, 0.0], source, validate=False).values,
+                              [0j, 0j])
+        assert PER_X[source](kernel, 0.0) == 0j
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1e-3])
+    def test_rejects_non_finite_and_negative_x(self, bad, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("g sampled before validation")
+
+        monkeypatch.setattr(rates, "uniform_kernel_g", no_sampling)
+        monkeypatch.setattr(rates, "scaled_kernel_g", no_sampling)
+        kernel = kernel_for(Shape.LORENTZIAN)
+        for source, per_x in PER_X.items():
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                per_x(kernel, bad)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                rate_curve(kernel, [0.5, bad], source, validate=False)
 
 
 class TestGammaEff:

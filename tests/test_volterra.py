@@ -1,5 +1,6 @@
 """Volterra decay solver, the closed-form reference, and null-result powers."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenoscope import (
+    KernelMode,
     MemoryKernel,
     Shape,
     SpectralDensity,
@@ -174,6 +176,24 @@ class TestSolveDecay:
         with pytest.raises(ValueError, match="scheme"):
             solve_decay(kernel, t_max=1.0, dt=0.01, scheme="midpoint")
 
+    def test_rejects_explicit_step_that_misses_t_max(self):
+        # round(1/0.3) = 3 steps would silently end the grid at t = 0.9
+        kernel = lorentzian_kernel(lam=1.0)
+        with pytest.raises(ValueError, match=r"dt=0\.3 .*t_max=1\.0.*t=0\.9\b"):
+            solve_decay(kernel, t_max=1.0, dt=0.3)
+        # steps that divide t_max up to round-off are accepted and end on it
+        for t_max, dt in ((1.0, 0.1), (0.7, 0.7 / 400), (3.96, 0.09)):
+            series = solve_decay(kernel, t_max=t_max, dt=dt)
+            assert series.times[-1] == pytest.approx(t_max, rel=1e-12)
+
+    def test_default_step_keeps_rounding_to_the_nearest_step(self):
+        # the default step does not divide 1.003, and the grid ends within half a step
+        kernel = lorentzian_kernel(lam=5.0)
+        series = solve_decay(kernel, t_max=1.003)
+        dt = default_time_step(kernel)
+        assert series.dt == dt
+        assert abs(series.times[-1] - 1.003) <= 0.5 * dt
+
     def test_tabulated_kernel_matches_per_point_sampling(self, monkeypatch):
         w = np.linspace(-3.0, 3.0, 61)
         density = SpectralDensity.tabulated(1.0, 2.0, np.column_stack([w, np.exp(-0.5 * w * w)]),
@@ -202,6 +222,51 @@ class TestSolveDecay:
         assert t == pytest.approx(0.1)
         assert re + 1j * im == pytest.approx(series.values[-1], rel=1e-9)
         assert abs2 == pytest.approx(series.abs2[-1], rel=1e-9)
+
+
+def decay_digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def unit_kernel(shape, lam, mode=None):
+    return MemoryKernel(SpectralDensity(shape, 1.0, lam), mode=mode)
+
+
+class TestDecayBitPin:
+    """SHA-256 of ``null_result_survival`` and short ``solve_decay`` outputs.
+
+    The decay path's bits are part of the reproducibility contract, so any
+    change to them fails here.  The sizes are small enough that the digests
+    are the same with one and with two OpenBLAS threads.
+    """
+
+    @pytest.mark.parametrize("shape, lam, mode, tau, n, digest", [
+        (Shape.GAUSSIAN, 5.0, None, 0.04, 250,
+         "89ceeabf84b3ebb6891952abefe2988fbd824f182863273c238b325fd09e8492"),
+        (Shape.LORENTZIAN, 100.0, None, 0.0002, 2000,
+         "ab82cd02a0f7aa5d0f6e67bf2e9e53c7cb0d1c25e048991367787562a704b7b1"),
+        (Shape.RECTANGULAR, 1.0, KernelMode.QUADRATURE, 2.0, 5,
+         "50c1dc01dc18b55fa2cbbd9910f0523f1f95cb968c5e3476abfef47af3e5453b"),
+    ])
+    def test_null_result_survival(self, shape, lam, mode, tau, n, digest):
+        assert decay_digest(*null_result_survival(unit_kernel(shape, lam, mode), tau, n)) == digest
+
+    @pytest.mark.parametrize("shape, lam, mode, t_max, dt, scheme, digest", [
+        (Shape.LORENTZIAN, 5.0, None, 1.0, None, "trapezoid",
+         "c5e74398dfad42caafa044b344c4dd774e21d232be49a4651ee275ce9b5909de"),
+        (Shape.DOUBLE_LORENTZIAN, 10.0, None, 0.5, 0.001, "paper",
+         "8e20de4358abc28ecfefaabb478403958f72aa4782034efcab87266bc171cefb"),
+        (Shape.RECTANGULAR, 1.0, KernelMode.QUADRATURE, 2.0, 0.01, "trapezoid",
+         "f65dad4fc26d39307ab4ec037df3317dab46ca4e495618f10779a1325c1f9172"),
+    ])
+    def test_solve_decay(self, shape, lam, mode, t_max, dt, scheme, digest):
+        series = solve_decay(unit_kernel(shape, lam, mode), t_max=t_max, dt=dt, scheme=scheme)
+        assert decay_digest(series.values) == digest
 
 
 class TestNullConditionedPower:

@@ -46,7 +46,6 @@ from .trajectories import (
     TrajectoryRecord,
     a_bar_from_memory,
     child_seed,
-    ensemble_average,
     make_drive_config,
     make_rng,
     mc_step,
@@ -56,7 +55,6 @@ from .trajectories import (
 from .volterra import (
     DecaySeries,
     analytic_lorentzian_a,
-    conditioned_state,
     default_time_step,
     interval_amplitude,
     null_conditioned_power,

@@ -16,28 +16,19 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import click
 import numpy as np
 
 from .lindblad import DensityMatrix2, solve_master, write_master_csv
 from .rates import RateSource, gamma_closed_form, gamma_numeric, rate_curve
-from .spectral import MemoryKernel, Shape, SpectralDensity, load_tabulated_profile
+from .spectral import MemoryKernel, Shape, SpectralDensity, check_size, load_tabulated_profile
 from .trajectories import (MAX_RATE_DT, AtomState, DriveConfig, make_drive_config,
                            run_ensemble, simulate_trajectory)
-from .verify import DEFAULT_SEED, SUITES, run_suite
+from .verify import DEFAULT_SEED, TOL_CLOSED, TOL_DECAY, TOL_KK, TOL_SCALING, run_suite
 from .volterra import (analytic_lorentzian_a, interval_amplitude, null_conditioned_power,
                        null_result_survival, solve_decay)
-
-EXPERIMENTS = ("decay", "null_decay", "gamma_curve", "scaling_check",
-               "trajectory", "ensemble", "kk_check")
-
-#: pinned tolerances of the check experiments
-TOL_DECAY = 1e-3
-TOL_SCALING = 0.02
-TOL_CLOSED = 1e-6
-TOL_KK = 1e-8
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (carries a line-numbered message)."""
@@ -167,10 +158,14 @@ def _tau_and_x(cfg: RunConfig, density: SpectralDensity) -> tuple[float, float]:
         if value is not None and not value > 0:
             raise ConfigError(f"key {key!r} must be positive, got {value}")
     if cfg.tau is not None:
-        return cfg.tau, cfg.tau * density.lam
-    if cfg.x is not None:
-        return cfg.x / density.lam, cfg.x
-    raise ConfigError(f"experiment '{cfg.experiment}' requires key 'x' or 'tau'")
+        tau, x = cfg.tau, cfg.tau * density.lam
+    elif cfg.x is not None:
+        tau, x = cfg.x / density.lam, cfg.x
+    else:
+        raise ConfigError(f"experiment '{cfg.experiment}' requires key 'x' or 'tau'")
+    if not (0 < tau < math.inf and 0 < x < math.inf):
+        raise ConfigError(f"tau = {tau:g} and x = lambda*tau = {x:g} must be positive and finite")
+    return tau, x
 
 
 def _gamma_of_x(density: SpectralDensity, kernel: MemoryKernel, x: float) -> complex:
@@ -178,10 +173,6 @@ def _gamma_of_x(density: SpectralDensity, kernel: MemoryKernel, x: float) -> com
         return complex(gamma_closed_form(density, x))
     except ValueError:
         return gamma_numeric(kernel, x)
-
-
-def _reference_rate(density, kernel, x, times):
-    return np.exp(-_gamma_of_x(density, kernel, x).real * times)
 
 
 # -- experiment implementations; each returns (exit_code, summary) ----------
@@ -208,9 +199,9 @@ def _exp_null_decay(cfg: RunConfig, out: str):
     kernel = MemoryKernel(density)
     tau, x = _tau_and_x(cfg, density)
     t_max = cfg.t_max if cfg.t_max is not None else 10.0 / density.gamma
-    n = cfg.n if cfg.n is not None else int(round(t_max / tau))
+    n = cfg.n if cfg.n is not None else int(round(check_size(t_max / tau, "t_max/tau")))
     times, p_e = null_result_survival(kernel, tau, n)
-    ref = _reference_rate(density, kernel, x, times)
+    ref = np.exp(-_gamma_of_x(density, kernel, x).real * times)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("t,p_e,p_e_scaling\n")
         for t, p, r in zip(times, p_e, ref):
@@ -234,6 +225,7 @@ def _max_rel_dev(values, reference, grid) -> float:
 def _exp_gamma_curve(cfg: RunConfig, out: str, kk_only: bool = False):
     if cfg.x_points < 1:
         raise ConfigError(f"key 'x_points' must be >= 1, got {cfg.x_points}")
+    check_size(cfg.x_points, "x_points")
     density = _density(cfg)
     kernel = MemoryKernel(density)
     grid = np.linspace(cfg.x_min, cfg.x_max, cfg.x_points)
@@ -274,11 +266,12 @@ def _exp_scaling_check(cfg: RunConfig, out: str):
         raise ConfigError("lambda_alt must exceed lambda for a scaling check")
     tau_a, x = _tau_and_x(cfg, base)
     t_max = cfg.t_max if cfg.t_max is not None else 10.0 / base.gamma
-    n_a = cfg.n if cfg.n is not None else int(round(t_max / tau_a))
+    n_a = (check_size(cfg.n, "n") if cfg.n is not None
+           else int(round(check_size(t_max / tau_a, "t_max/tau"))))
 
     dens_b = base.with_width(lam_b)
     tau_b = x / lam_b
-    n_b = int(np.ceil(n_a * tau_a / tau_b))
+    n_b = math.ceil(check_size(n_a * tau_a / tau_b, "t_max/tau at lambda_alt"))
     t_a, p_a = null_result_survival(MemoryKernel(base), tau_a, n_a)
     t_b, p_b = null_result_survival(MemoryKernel(dens_b), tau_b, n_b)
     p_b_common = np.interp(t_a, t_b, p_b)
@@ -340,6 +333,18 @@ def _exp_ensemble(cfg: RunConfig, out: str):
                f"sup_dev_vs_lindblad = {dev:.3e} -> {out}, {lindblad_out}")
 
 
+#: experiment name -> implementation, in the order the help lists them
+EXPERIMENTS = {
+    "decay": _exp_decay,
+    "null_decay": _exp_null_decay,
+    "gamma_curve": _exp_gamma_curve,
+    "scaling_check": _exp_scaling_check,
+    "trajectory": _exp_trajectory,
+    "ensemble": _exp_ensemble,
+    "kk_check": partial(_exp_gamma_curve, kk_only=True),
+}
+
+
 @click.group()
 def main():
     """Frequent-measurement decay and quantum-trajectory experiments."""
@@ -364,20 +369,7 @@ def run(config, seed, out, dump_requested):
             click.echo(dump_config(cfg), nl=False)
             sys.exit(0)
         target = cfg.out if cfg.out is not None else f"{cfg.experiment}.csv"
-        if cfg.experiment == "decay":
-            status, summary = _exp_decay(cfg, target)
-        elif cfg.experiment == "null_decay":
-            status, summary = _exp_null_decay(cfg, target)
-        elif cfg.experiment == "gamma_curve":
-            status, summary = _exp_gamma_curve(cfg, target)
-        elif cfg.experiment == "kk_check":
-            status, summary = _exp_gamma_curve(cfg, target, kk_only=True)
-        elif cfg.experiment == "scaling_check":
-            status, summary = _exp_scaling_check(cfg, target)
-        elif cfg.experiment == "trajectory":
-            status, summary = _exp_trajectory(cfg, target)
-        else:
-            status, summary = _exp_ensemble(cfg, target)
+        status, summary = EXPERIMENTS[cfg.experiment](cfg, target)
     except (ConfigError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
@@ -391,11 +383,11 @@ def run(config, seed, out, dump_requested):
               help="Master seed for stochastic suites.")
 def verify(suite, seed):
     """Run a named figure-verification suite (one PASS/FAIL line per check)."""
-    if suite not in SUITES:
-        click.echo(f"error: unknown suite {suite!r}; choose from "
-                   f"{', '.join(sorted(SUITES))}", err=True)
+    try:
+        results = run_suite(suite, seed=seed)
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    results = run_suite(suite, seed=seed)
     failed = False
     for result in results:
         click.echo(result.line())

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import check_size
+
 __all__ = ["DensityMatrix2", "lindblad_rhs", "solve_master", "write_master_csv"]
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -152,7 +154,7 @@ def solve_master(rho0: DensityMatrix2, omega: float, gamma_eff: float,
             f"dt = {dt} too coarse: dt*max(omega, gamma_eff) = "
             f"{dt * max(abs(omega), gamma_eff):.3g} > 0.05")
 
-    n = int(round(t_max / dt))
+    n = int(round(check_size(t_max / dt, "t_max/dt")))
     eg = 0.5 * (rho0.eg + np.conj(rho0.ge))   # the Hermitian part of rho0
     v = np.empty((4, n + 1))
     v[:, 0] = (rho0.ee.real, rho0.gg.real, eg.real, eg.imag)

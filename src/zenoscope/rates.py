@@ -84,8 +84,7 @@ MAX_PANELS = 2 ** 20
 
 
 def _panel_count(x: float, panels_per_unit: int) -> int:
-    n = int(math.ceil(panels_per_unit * x))
-    n = min(max(n, 32), MAX_PANELS)
+    n = max(math.ceil(min(panels_per_unit * x, MAX_PANELS)), 32)
     if n % 2:
         n += 1
     return n
@@ -206,7 +205,7 @@ def gamma_lorentzian(x, c: float = 0.0, gamma: float = 1.0):
     xs = np.asarray(x, dtype=float)
     kappa = 1.0 - 1j * c
     safe = np.where(xs > 0, xs, 1.0)
-    val = gamma * (1.0 / kappa - (1.0 - np.exp(-kappa * safe)) / (kappa ** 2 * safe))
+    val = gamma * (1.0 / kappa - (1.0 - np.exp(-kappa * safe)) / (kappa * kappa * safe))
     out = np.where(xs > 0, val, 0.0 + 0.0j)
     return complex(out) if np.isscalar(x) else out
 

@@ -55,6 +55,20 @@ __all__ = [
 ]
 
 
+#: size budget: the most steps or grid points one solver, sampler or
+#: experiment allocates; larger requests are rejected before allocation
+MAX_POINTS = 10 ** 7
+
+
+def check_size(count, what: str):
+    """``count`` itself, or ``ValueError`` if it is NaN or beyond ``+-MAX_POINTS``."""
+    if not abs(count) <= MAX_POINTS:
+        shown = count if isinstance(count, int) else f"{count:.4g}"
+        raise ValueError(f"{what} = {shown} does not fit the size budget of "
+                         f"{MAX_POINTS:.0e} points")
+    return count
+
+
 class Shape(enum.Enum):
     """Supported spectral-density shapes."""
 
@@ -179,11 +193,7 @@ class MemoryKernel:
     only support quadrature.  Compact-support profiles (rectangular,
     tabulated) are integrated by a composite Simpson rule with ``n_panels``
     panels over their exact support; infinite-support profiles by adaptive
-    Fourier quadrature over the whole frequency axis.  ``window`` (in units
-    of ``lam``) optionally truncates the latter to ``|omega_tilde| <= window``
-    -- the slowly decaying Lorentzian tails make any fixed cutoff lose
-    several per cent of the kernel, so the untruncated default is what meets
-    the analytic kernels to high accuracy.
+    Fourier quadrature over the whole frequency axis.
 
     The Simpson sum of a compact-support profile is evaluated point by point
     for arbitrary ``x`` arrays (:func:`scaled_kernel_g`, the reference), and
@@ -195,7 +205,6 @@ class MemoryKernel:
 
     density: SpectralDensity
     mode: KernelMode = None  # type: ignore[assignment]
-    window: float | None = None
     n_panels: int = 8192
 
     def __post_init__(self):
@@ -207,8 +216,6 @@ class MemoryKernel:
             object.__setattr__(self, "mode", KernelMode(self.mode))
         if self.mode is KernelMode.ANALYTIC and self.density.shape is Shape.TABULATED:
             raise ValueError("tabulated densities have no analytic kernel; use quadrature mode")
-        if self.window is not None and not self.window > 0:
-            raise ValueError(f"window must be positive, got {self.window}")
         if self.n_panels < 2:
             raise ValueError(f"n_panels must be >= 2, got {self.n_panels}")
         if self.n_panels % 2:
@@ -319,11 +326,10 @@ def _g_quadrature_scalar(kernel: MemoryKernel, x: float) -> complex:
     # Infinite support (all even profiles): adaptive Fourier quadrature of
     # 2 * integral d_tilde(w) cos(w x) dw over the positive half-axis.
     f = lambda w: float(_profile(density, w))
-    upper = np.inf if kernel.window is None else kernel.window
     if x == 0.0:
-        val, _ = quad(f, 0.0, upper, limit=200)
+        val, _ = quad(f, 0.0, np.inf, limit=200)
     else:
-        val, _ = quad(f, 0.0, upper, weight="cos", wvar=x, limlst=200, limit=200)
+        val, _ = quad(f, 0.0, np.inf, weight="cos", wvar=x, limlst=200, limit=200)
     return complex(-1j * d0 * 2.0 * val * np.exp(1j * c * x))
 
 
@@ -332,15 +338,16 @@ def scaled_kernel_g(kernel: MemoryKernel, x):
 
     Independent of ``kernel.density.lam`` by construction: only ``gamma``,
     ``c``, ``b``, and the dimensionless profile enter.  Accepts scalars or
-    arrays of ``x >= 0``.
+    arrays of any shape of finite ``x >= 0``.
     """
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0):
-        raise ValueError("x must be nonnegative")
+    bad = ~(np.isfinite(xs) & (xs >= 0))
+    if bad.any():
+        raise ValueError(f"x must be finite and nonnegative, got {xs[bad][0]}")
     if kernel.mode is KernelMode.ANALYTIC:
         out = _g_analytic(kernel.density, xs)
     else:
-        out = np.asarray([_g_quadrature_scalar(kernel, float(xi)) for xi in np.atleast_1d(xs)],
+        out = np.asarray([_g_quadrature_scalar(kernel, xi) for xi in xs.ravel().tolist()],
                          dtype=complex).reshape(xs.shape)
     return complex(out) if np.isscalar(x) else out
 

@@ -21,7 +21,8 @@ starts at step ``k0`` ends at the first ``k`` with ``eps[k] < p1[k - k0]``,
 found by one vectorised comparison, so a trajectory costs a few numpy calls
 per click instead of one Python step per time step, and its records are
 bit-identical to the stepwise loop.  ``mc_step`` and ``_advance`` remain the
-stepwise reference.
+stepwise reference and the only null-result update; a no-click outcome that
+leaves no state (``a_bar * alpha = beta = 0``) raises ``ValueError``.
 
 Reproducibility: every trajectory consumes one uniform variate per step
 from a counter-based Philox4x64-10 generator (Salmon et al., SC'11) keyed
@@ -54,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .rates import gamma_eff as _gamma_eff_of
-from .spectral import MemoryKernel
+from .spectral import MemoryKernel, check_size
 from .volterra import AtomState, interval_amplitude, null_conditioned_power
 
 __all__ = [
@@ -64,7 +65,6 @@ __all__ = [
     "mc_step",
     "simulate_trajectory",
     "run_ensemble",
-    "ensemble_average",
     "make_drive_config",
     "a_bar_from_memory",
     "child_seed",
@@ -97,6 +97,7 @@ class DriveConfig:
             raise ValueError(f"dt_step must be positive, got {self.dt_step}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        check_size(self.n_steps, "n_steps")
         if self.gamma_eff < 0:
             raise ValueError(f"gamma_eff must be nonnegative, got {self.gamma_eff}")
         if self.gamma_eff * self.dt_step > MAX_RATE_DT + 1e-12:
@@ -239,7 +240,11 @@ def _advance(alpha, beta, eps, a_bar, geff_dt, cw, sw):
         jumped = True
     else:
         alpha = a_bar * alpha
-        inv = 1.0 / math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+        try:
+            inv = 1.0 / math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+        except ZeroDivisionError:
+            raise ValueError("the null result has probability zero: a_bar * alpha "
+                             "and beta both vanish") from None
         alpha *= inv
         beta *= inv
         jumped = False
@@ -398,6 +403,7 @@ def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    check_size(n_traj * (cfg.n_steps + 1), "n_traj*(n_steps+1)")
     start, after_click = _paths((initial.alpha, initial.beta), cfg, a_bar_dt)
     p_e = np.empty((n_traj, cfg.n_steps + 1))
     counts = np.empty(n_traj, dtype=np.int64)
@@ -419,12 +425,6 @@ def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
                           jump_counts=counts, master_seed=master_seed)
 
 
-def ensemble_average(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
-                     n_traj: int, master_seed: int) -> np.ndarray:
-    """Mean excited-state occupation over a seeded ensemble."""
-    return run_ensemble(initial, cfg, a_bar_dt, n_traj, master_seed).p_e_mean
-
-
 def make_drive_config(gamma_x: complex, omega: float, t_max: float,
                       tau: float | None = None) -> tuple[DriveConfig, complex]:
     """Build a step layout from the effective rate ``gamma(x)`` of the model.
@@ -437,6 +437,8 @@ def make_drive_config(gamma_x: complex, omega: float, t_max: float,
     """
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
+    if not np.isfinite(gamma_x):
+        raise ValueError(f"gamma(x) must be finite, got {gamma_x}")
     bounds = [t_max]
     if gamma_x.real > 0:
         bounds.append(MAX_RATE_DT / gamma_x.real)
@@ -448,8 +450,10 @@ def make_drive_config(gamma_x: complex, omega: float, t_max: float,
             raise ValueError(f"tau must be positive, got {tau}")
         if tau > dt:
             raise ValueError(f"tau = {tau} exceeds the admissible step {dt:.3g}")
+        if dt / tau == math.inf:
+            raise ValueError(f"tau = {tau} is too small to divide the step {dt:.3g}")
         dt = math.floor(dt / tau) * tau
-    n_steps = max(1, int(round(t_max / dt)))
+    n_steps = max(1, int(round(check_size(t_max / dt, "t_max/dt_step"))))
     a_bar = complex(np.exp(-0.5 * gamma_x * dt))
     cfg = DriveConfig(omega=omega, gamma_eff=_gamma_eff_of(a_bar, dt),
                       dt_step=dt, n_steps=n_steps)

@@ -33,6 +33,15 @@ __all__ = [
 
 DEFAULT_SEED = 20260811
 
+#: pinned tolerances of the checks below; the CLI's check experiments use
+#: the first four
+TOL_DECAY = 1e-3
+TOL_SCALING = 0.02
+TOL_CLOSED = 1e-6
+TOL_KK = 1e-8
+TOL_ENSEMBLE = 0.03
+MIN_ZENO_SEPARATION = 3.0
+
 #: widths (units of Gamma) compared in the decay-accuracy figure
 DECAY_WIDTHS = (1.0, 5.0, 10.0, 100.0)
 #: scaling variables probed by the conditioned-decay figures
@@ -76,7 +85,7 @@ def check_decay_accuracy() -> CheckResult:
         series = solve_decay(kernel, t_max=5.0)
         exact = analytic_lorentzian_a(series.times, gamma=1.0, lam=lam)
         worst = max(worst, float(np.max(np.abs(series.abs2 - np.abs(exact) ** 2))))
-    return CheckResult("fig1a/decay-vs-analytic", worst, 1e-3, "<",
+    return CheckResult("fig1a/decay-vs-analytic", worst, TOL_DECAY, "<",
                        detail=f"widths={DECAY_WIDTHS}")
 
 
@@ -91,7 +100,7 @@ def check_conditioned_decay_lorentzian() -> CheckResult:
         times, p_e = null_result_survival(kernel, tau, n)
         ref = np.exp(-gamma_lorentzian(x).real * times)
         worst = max(worst, float(np.max(np.abs(p_e - ref))))
-    return CheckResult("fig1b/conditioned-decay-vs-scaling-law", worst, 0.02, "<",
+    return CheckResult("fig1b/conditioned-decay-vs-scaling-law", worst, TOL_SCALING, "<",
                        detail=f"lam=5, x={X_VALUES}")
 
 
@@ -109,7 +118,7 @@ def check_scaling_collapse() -> CheckResult:
             _, p_a = null_result_survival(ka, tau_a, n_a)
             _, p_b = null_result_survival(kb, tau_a / ratio, n_a * ratio)
             worst = max(worst, float(np.max(np.abs(p_a - p_b[::ratio]))))
-    return CheckResult("fig2/width-scaling-collapse", worst, 0.02, "<",
+    return CheckResult("fig2/width-scaling-collapse", worst, TOL_SCALING, "<",
                        detail=f"lam={lam_a} vs {lam_b}, x={X_VALUES}")
 
 
@@ -121,7 +130,7 @@ def check_closed_forms() -> CheckResult:
         closed = rate_curve(kernel, RATE_GRID, RateSource.CLOSED_FORM).values
         numeric = rate_curve(kernel, RATE_GRID, RateSource.DOUBLE_INTEGRAL).values
         worst = max(worst, float(np.max(np.abs(numeric - closed) / np.abs(closed))))
-    return CheckResult("rates/closed-vs-double-integral", worst, 1e-6, "<",
+    return CheckResult("rates/closed-vs-double-integral", worst, TOL_CLOSED, "<",
                        detail=f"x in [{RATE_GRID[0]}, {RATE_GRID[-1]}], 4 shapes")
 
 
@@ -133,7 +142,7 @@ def check_kk_equivalence() -> CheckResult:
         double = rate_curve(kernel, RATE_GRID, RateSource.DOUBLE_INTEGRAL).values
         single = rate_curve(kernel, RATE_GRID, RateSource.KK_INTEGRAL).values
         worst = max(worst, float(np.max(np.abs(double - single) / np.abs(double))))
-    return CheckResult("appendix-a/double-vs-single-integral", worst, 1e-8, "<",
+    return CheckResult("appendix-a/double-vs-single-integral", worst, TOL_KK, "<",
                        detail=f"x in [{RATE_GRID[0]}, {RATE_GRID[-1]}], 4 shapes")
 
 
@@ -152,7 +161,7 @@ def check_ensemble_vs_lindblad(seed: int = DEFAULT_SEED, n_traj: int = 5000) -> 
     reference = solve_master(DensityMatrix2.excited(), omega=cfg.omega,
                              gamma_eff=cfg.gamma_eff, t_max=cfg.t_max, dt=cfg.dt_step)
     dev = float(np.max(np.abs(result.p_e_mean - reference)))
-    return CheckResult("fig4d/ensemble-vs-lindblad", dev, 0.03, "<",
+    return CheckResult("fig4d/ensemble-vs-lindblad", dev, TOL_ENSEMBLE, "<",
                        detail=f"rectangular, x=0.2, omega=1, n_traj={n_traj}, seed={seed}")
 
 
@@ -168,7 +177,8 @@ def check_zeno_jump_ordering(seed: int = DEFAULT_SEED, n_traj: int = 5000) -> Ch
         gap = m_hi - m_lo
         separations.append(gap / np.hypot(se_lo, se_hi))
     counts = ", ".join(f"{m:.4g}" for m, _ in stats)
-    return CheckResult("fig4abc/zeno-jump-ordering", float(min(separations)), 3.0, ">=",
+    return CheckResult("fig4abc/zeno-jump-ordering", float(min(separations)),
+                       MIN_ZENO_SEPARATION, ">=",
                        detail=f"mean counts (x=0.02, 0.2, 2): {counts}, seed={seed}")
 
 
@@ -185,7 +195,7 @@ SUITES = {
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run one named verification suite and return its check results."""
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
     checks, seeded = SUITES[name]
     kwargs = {"seed": seed} if seeded else {}
     return [check(**kwargs) for check in checks]

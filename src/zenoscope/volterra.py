@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import MemoryKernel, kernel_value, uniform_kernel_g
+from .spectral import MemoryKernel, check_size, kernel_value, uniform_kernel_g
 
 __all__ = [
     "AtomState",
@@ -30,7 +30,6 @@ __all__ = [
     "analytic_lorentzian_a",
     "interval_amplitude",
     "null_conditioned_power",
-    "conditioned_state",
     "null_result_survival",
 ]
 
@@ -147,7 +146,7 @@ def solve_decay(kernel: MemoryKernel, t_max: float, dt: float | None = None,
     if scheme not in ("trapezoid", "paper"):
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    n = int(round(t_max / dt))
+    n = int(round(check_size(t_max / dt, "t_max/dt")))
     if explicit_dt and abs(n * dt - t_max) > 1e-9 * t_max:
         raise ValueError(f"dt={dt} does not divide t_max={t_max}: the grid would end "
                          f"at t={n * dt:.12g}")
@@ -233,21 +232,6 @@ def null_conditioned_power(a_tau: complex, n: int) -> complex:
     return mod * complex(math.cos(phase), math.sin(phase))
 
 
-def conditioned_state(alpha0: complex, beta0: complex, a_bar: complex) -> AtomState:
-    """Normalised atom state after null-result conditioning of the excited amplitude."""
-    n0 = abs(alpha0) ** 2 + abs(beta0) ** 2
-    if n0 == 0:
-        raise ValueError("alpha0 and beta0 cannot both vanish")
-    if abs(n0 - 1.0) > 1e-9:
-        raise ValueError(f"initial norm^2 = {n0!r} differs from 1 beyond 1e-9")
-    alpha = a_bar * alpha0
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta0) ** 2)
-    if norm == 0:
-        raise ValueError("the null result has probability zero: a_bar * alpha0 and "
-                         "beta0 both vanish")
-    return AtomState(alpha / norm, beta0 / norm)
-
-
 def null_result_survival(kernel: MemoryKernel, tau: float, n_intervals: int,
                          steps_per_interval: int = 400):
     """Survival probability of ``|e>`` under repeated null measurements.
@@ -265,6 +249,7 @@ def null_result_survival(kernel: MemoryKernel, tau: float, n_intervals: int,
         raise ValueError(f"tau must be positive, got {tau}")
     if n_intervals < 0:
         raise ValueError(f"n_intervals must be nonnegative, got {n_intervals}")
+    check_size(n_intervals, "n_intervals")
     a_tau = interval_amplitude(kernel, tau, steps_per_interval)
     times = tau * np.arange(n_intervals + 1)
     p_e = np.array([abs(null_conditioned_power(a_tau, k)) ** 2

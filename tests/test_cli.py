@@ -1,14 +1,19 @@
 """Config parsing, experiment dispatch, exit codes, and the verify suites."""
 
+import tempfile
+import traceback
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zenoscope import (AtomState, MemoryKernel, SpectralDensity, a_bar_from_memory, child_seed,
                        cli, gamma_lorentzian, make_drive_config, simulate_trajectory, volterra)
-from zenoscope.cli import ConfigError, dump_config, main, parse_config
+from zenoscope.cli import EXPERIMENTS, ConfigError, dump_config, main, parse_config
 
 
 @pytest.fixture
@@ -140,6 +145,51 @@ class TestRunCommand:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert message in result.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("body, message", [
+        # unchecked, these end in a traceback or an opaque numpy message while
+        # asking for hundreds of GiB or more
+        ("experiment = null_decay\nshape = lorentzian\nlambda = 5\nx = 1e-9\n",
+         "t_max/tau = 5e+10"),
+        ("experiment = decay\nshape = lorentzian\nlambda = 5\nt_max = 1e9\n",
+         "t_max/dt = 5e+11"),
+        ("experiment = gamma_curve\nshape = rectangular\nlambda = 1\n"
+         "x_points = 1000000000000\n", "x_points = 1000000000000"),
+        ("experiment = trajectory\nshape = rectangular\nlambda = 1\nx = 2\n"
+         "omega = 1e300\n", "t_max/dt_step = 2e+302"),
+        ("experiment = scaling_check\nshape = gaussian\nlambda = 5\nlambda_alt = 1e300\n"
+         "x = 0.2\n", "t_max/tau at lambda_alt = 5e+301"),
+    ])
+    def test_size_budget_exits_1(self, runner, tmp_path, body, message):
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, ["run", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {message} does not fit the size budget of 1e+07 points\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body", [
+        # unchecked, each of these ends in an OverflowError or ZeroDivisionError traceback
+        "experiment = gamma_curve\nshape = lorentzian\nlambda = 1\nc = -1e300\nx_points = 5\n",
+        "experiment = gamma_curve\nshape = gaussian\nlambda = 1\nx_min = 1e308\nx_points = 5\n",
+        "experiment = null_decay\nshape = lorentzian\nlambda = 5\nx = 5e-324\n",
+        "experiment = trajectory\nshape = gaussian\nlambda = 1.25\nx = 5e-324\nt_max = 1\n"
+        "a_bar_mode = memory\n",
+        "experiment = trajectory\nshape = rectangular\nlambda = 5\ntau = 1e-300\n"
+        "gamma = 1e308\nt_max = 1e10\n",
+        "experiment = scaling_check\nshape = lorentzian\nlambda = 2\nt_max = -0.5\n"
+        "tau = 5e-324\n",
+        f"experiment = scaling_check\nshape = gaussian\nlambda = 5\nx = 0.2\nn = {10 ** 400}\n",
+    ])
+    def test_extreme_values_exit_1(self, runner, tmp_path, body):
+        cfg = write_config(tmp_path, body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "out.csv")])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
     def test_missing_file_exits_1(self, runner, tmp_path):
         result = runner.invoke(main, ["run", str(tmp_path / "nope.cfg")])
@@ -300,3 +350,68 @@ class TestVerifyCommand:
         assert result.exit_code == 0, result.output
         assert "PASS" in result.output
         assert "FAIL" not in result.output
+
+
+#: small finite values of every config key, which keep any one run short
+VALID_VALUES = {
+    "experiment": st.sampled_from(list(EXPERIMENTS)),
+    "shape": st.sampled_from(["lorentzian", "gaussian", "rectangular", "double_lorentzian"]),
+    "gamma": st.floats(0.5, 2.0),
+    "lambda": st.floats(0.5, 5.0),
+    "lambda_alt": st.floats(5.0, 20.0),
+    "omega0": st.floats(-1.0, 1.0),
+    "c": st.floats(-1.0, 1.0),
+    "b": st.floats(0.0, 2.0),
+    "dt": st.floats(0.001, 0.1),
+    "t_max": st.floats(0.1, 2.0),
+    "x": st.floats(0.05, 2.0),
+    "tau": st.floats(0.01, 0.5),
+    "n": st.integers(0, 50),
+    "dt_step": st.floats(0.01, 0.1),
+    "omega": st.floats(-2.0, 2.0),
+    "n_traj": st.integers(1, 20),
+    "seed": st.integers(0, 1000),
+    "a_bar_mode": st.sampled_from(["scaling", "memory"]),
+    "x_min": st.floats(0.0, 1.0),
+    "x_max": st.floats(1.0, 4.0),
+    "x_points": st.integers(1, 20),
+}
+ADVERSARIAL_VALUES = st.sampled_from([
+    "inf", "-inf", "nan", "-1", "0", "-0.5", "1e300", "-1e300", "1e308", "1e-300", "5e-324",
+    str(2 ** 64), str(10 ** 30), str(10 ** 400), "", "wide"])
+KEYS = st.sampled_from(sorted(VALID_VALUES) + ["table", "width"])
+
+
+@st.composite
+def config_texts(draw):
+    """A runnable base config followed by lines that may break it."""
+    lines = [f"experiment = {draw(VALID_VALUES['experiment'])}",
+             f"shape = {draw(VALID_VALUES['shape'])}"]
+    for key in ("lambda", "t_max", "x", "n_traj"):
+        lines.append(f"{key} = {draw(VALID_VALUES[key])}")
+    for _ in range(draw(st.integers(0, 4))):
+        key = draw(KEYS)
+        kind = draw(st.sampled_from(["valid", "adversarial", "no_equals"]))
+        if kind == "no_equals":
+            lines.append(key)
+        elif kind == "valid" and key in VALID_VALUES:
+            lines.append(f"{key} = {draw(VALID_VALUES[key])}")
+        else:
+            lines.append(f"{key} = {draw(ADVERSARIAL_VALUES)}")
+    return "\n".join(lines) + "\n"
+
+
+@given(config_texts())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_configs_exit_cleanly(text):
+    # every accepted or rejected config ends in exit 0, 1 or 2 without a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = CliRunner().invoke(main, ["run", str(cfg), "--out", str(Path(tmp) / "o.csv")])
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        "".join(traceback.format_exception(*result.exc_info)))
+    assert result.exit_code in (0, 1, 2), result.output
+    assert "Traceback" not in result.output + result.stderr

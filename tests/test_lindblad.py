@@ -209,6 +209,11 @@ class TestSolveMaster:
             solve_master(DensityMatrix2.excited(), omega=0.0, gamma_eff=0.1,
                          t_max=-1.0, dt=0.01)
 
+    def test_rejects_step_count_over_the_size_budget(self):
+        # unchecked, t_max / dt = inf and round() raises OverflowError
+        with pytest.raises(ValueError, match="t_max/dt = inf .*size budget"):
+            solve_master(DensityMatrix2.excited(), 0.0, 0.0, t_max=1e300, dt=1e-300)
+
     @pytest.mark.parametrize("name", ["omega", "gamma_eff", "t_max", "dt"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite(self, name, value):

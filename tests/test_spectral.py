@@ -238,6 +238,24 @@ class TestScaledKernel:
                 MemoryKernel(named_density(Shape.LORENTZIAN, lam=lam_b), mode="quadrature"), x)
             assert np.max(np.abs(ga - gb)) < 1e-12 * GAMMA
 
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    def test_any_array_shape(self, mode):
+        k = MemoryKernel(named_density(Shape.RECTANGULAR), mode=mode)
+        xs = np.array([[0.0, 0.7, 3.0], [5.5, 0.2, 12.0]])
+        out = scaled_kernel_g(k, xs)
+        assert out.shape == (2, 3)
+        for idx in np.ndindex(xs.shape):
+            assert out[idx] == scaled_kernel_g(k, float(xs[idx]))
+
+    @pytest.mark.parametrize("mode", list(KernelMode))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_rejects_non_finite_and_negative_x(self, mode, bad):
+        k = MemoryKernel(named_density(Shape.RECTANGULAR), mode=mode)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            scaled_kernel_g(k, bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            scaled_kernel_g(k, np.array([0.5, bad]))
+
     def test_scalar_matches_array(self):
         k = MemoryKernel(named_density(Shape.GAUSSIAN, c=0.2))
         xs = np.array([0.0, 0.7, 3.0])

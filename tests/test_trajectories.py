@@ -16,7 +16,6 @@ from zenoscope import (
     SpectralDensity,
     a_bar_from_memory,
     child_seed,
-    ensemble_average,
     gamma_eff,
     gamma_rectangular,
     make_drive_config,
@@ -179,6 +178,20 @@ class TestMcStep:
             DriveConfig(omega=0.0, gamma_eff=1.0, dt_step=0.1, n_steps=1)
         with pytest.raises(ValueError, match="omega"):
             DriveConfig(omega=1.0, gamma_eff=0.0, dt_step=0.1, n_steps=1)
+
+    def test_impossible_null_result_rejected(self):
+        # a_bar = 0 empties the excited state and the no-click branch has no state left
+        cfg = self.make_cfg()
+        with pytest.raises(ValueError, match="probability zero"):
+            mc_step(AtomState.excited(), cfg, 0.0, epsilon=0.99)
+        with pytest.raises(ValueError, match="probability zero"):
+            simulate_trajectory(AtomState.excited(), cfg, 0.0, seed=1)
+        with pytest.raises(ValueError, match="probability zero"):
+            run_ensemble(AtomState.excited(), cfg, 0.0, 3, master_seed=1)
+
+    def test_step_count_over_the_size_budget_rejected(self):
+        with pytest.raises(ValueError, match="n_steps = 1000000000 .*size budget"):
+            DriveConfig(omega=0.0, gamma_eff=0.4, dt_step=0.1, n_steps=10 ** 9)
 
     def test_saturated_click_probability_rejected(self):
         with pytest.raises(ValueError, match="p1"):
@@ -409,7 +422,7 @@ class TestEnsembleBitPin:
 class TestEnsemble:
     def test_single_trajectory_reduction(self):
         cfg, a_bar = detection_config(t_max=1.0)
-        mean = ensemble_average(AtomState.excited(), cfg, a_bar, 1, master_seed=42)
+        mean = run_ensemble(AtomState.excited(), cfg, a_bar, 1, master_seed=42).p_e_mean
         record = simulate_trajectory(AtomState.excited(), cfg, a_bar, child_seed(42, 0))
         np.testing.assert_array_equal(mean, record.p_e)
 
@@ -450,6 +463,11 @@ class TestEnsemble:
             result = run_ensemble(AtomState.excited(), cfg, a_bar, 400, master_seed=17)
             means.append(result.jump_count_mean)
         assert means[0] < means[1] < means[2]
+
+    def test_rejects_ensemble_over_the_size_budget(self):
+        cfg, a_bar = detection_config()   # 200 steps
+        with pytest.raises(ValueError, match=r"n_traj\*\(n_steps\+1\) = 201000000 .*budget"):
+            run_ensemble(AtomState.excited(), cfg, a_bar, 10 ** 6, master_seed=1)
 
     def test_rejects_empty_ensemble(self):
         cfg, a_bar = detection_config(t_max=1.0)
@@ -493,6 +511,21 @@ class TestDriveConfigFactory:
             make_drive_config(0.3 + 0j, omega=1.0, t_max=10.0, tau=1.0)
         with pytest.raises(ValueError):
             make_drive_config(0.3 + 0j, omega=1.0, t_max=0.0)
+
+    def test_interval_too_small_to_divide_the_step_rejected(self):
+        # unchecked, floor(dt / tau) of an infinite ratio raises OverflowError
+        with pytest.raises(ValueError, match="too small"):
+            make_drive_config(0.3 + 0j, omega=0.0, t_max=1.0, tau=5e-324)
+
+    def test_rejects_infinite_rate(self):
+        # unchecked, the step 0.05 / inf = 0 ends in ZeroDivisionError
+        with pytest.raises(ValueError, match="gamma"):
+            make_drive_config(complex(math.inf, 0.0), omega=0.0, t_max=1.0)
+
+    def test_rejects_infinite_t_max(self):
+        # unchecked, round(t_max / dt) raises OverflowError
+        with pytest.raises(ValueError, match="t_max/dt_step = inf .*size budget"):
+            make_drive_config(1.0 + 0j, 0.0, math.inf)
 
     def test_memory_contraction_matches_scaling_form_for_wide_band(self):
         lam, x = 100.0, 0.2

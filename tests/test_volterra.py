@@ -9,15 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenoscope import (
+    AtomState,
+    DriveConfig,
     KernelMode,
     MemoryKernel,
     Shape,
     SpectralDensity,
     analytic_lorentzian_a,
-    conditioned_state,
     default_time_step,
     gamma_lorentzian,
     kernel_value,
+    mc_step,
     null_conditioned_power,
     null_result_survival,
     solve_decay,
@@ -186,6 +188,15 @@ class TestSolveDecay:
             series = solve_decay(kernel, t_max=t_max, dt=dt)
             assert series.times[-1] == pytest.approx(t_max, rel=1e-12)
 
+    def test_rejects_infinite_t_max(self):
+        # unchecked, round(t_max / dt) raises OverflowError
+        with pytest.raises(ValueError, match="size budget"):
+            solve_decay(lorentzian_kernel(lam=1.0), t_max=math.inf)
+
+    def test_rejects_grid_over_the_size_budget(self):
+        with pytest.raises(ValueError, match=r"t_max/dt = 5e\+11 .*size budget"):
+            solve_decay(lorentzian_kernel(lam=1.0), t_max=1e9)
+
     def test_default_step_keeps_rounding_to_the_nearest_step(self):
         # the default step does not divide 1.003, and the grid ends within half a step
         kernel = lorentzian_kernel(lam=5.0)
@@ -314,31 +325,41 @@ class TestNullConditionedPower:
         assert devs[-1] < 1e-3
 
 
+def null_result(alpha, beta, a_bar):
+    """State after one no-click ``mc_step`` with the drive and the click switched off."""
+    cfg = DriveConfig(omega=0.0, gamma_eff=0.0, dt_step=1.0, n_steps=1)
+    state, jumped = mc_step(AtomState(alpha, beta), cfg, a_bar, epsilon=0.5)
+    assert not jumped
+    return state
+
+
 class TestConditionedState:
+    """Null-result conditioning of the excited amplitude, through ``mc_step``."""
+
     def test_ground_state_unaffected(self):
-        state = conditioned_state(0.0j, 1.0 + 0.0j, a_bar=0.3 + 0.1j)
+        state = null_result(0.0j, 1.0 + 0.0j, a_bar=0.3 + 0.1j)
         assert state.alpha == 0.0j
         assert state.beta == pytest.approx(1.0)
 
     def test_identity_contraction(self):
         s = 1.0 / math.sqrt(2.0)
-        state = conditioned_state(s, s, a_bar=1.0)
+        state = null_result(s, s, a_bar=1.0)
         assert state.alpha == pytest.approx(s)
         assert state.beta == pytest.approx(s)
 
     def test_partial_contraction(self):
         s = 1.0 / math.sqrt(2.0)
-        state = conditioned_state(s, s, a_bar=0.6)
+        state = null_result(s, s, a_bar=0.6)
         assert state.alpha == pytest.approx(0.514495755428, rel=1e-9)
         assert state.beta == pytest.approx(0.857492925713, rel=1e-9)
 
     def test_rejects_invalid_inputs(self):
         with pytest.raises(ValueError):
-            conditioned_state(0.0j, 0.0j, 0.5)
+            null_result(0.0j, 0.0j, 0.5)
         with pytest.raises(ValueError):
-            conditioned_state(1.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            conditioned_state(1.0, 0.0, 0.0)
+            null_result(1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="probability zero"):
+            null_result(1.0, 0.0, 0.0)
 
     @given(st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0),
            st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))
@@ -350,9 +371,9 @@ class TestConditionedState:
         if abs(a_bar * alpha) ** 2 + beta ** 2 == 0.0:
             # no state survives a null result: fully excited and a_bar = 0
             with pytest.raises(ValueError):
-                conditioned_state(complex(alpha), complex(beta), complex(a_bar))
+                null_result(complex(alpha), complex(beta), complex(a_bar))
             return
-        state = conditioned_state(complex(alpha), complex(beta), complex(a_bar))
+        state = null_result(complex(alpha), complex(beta), complex(a_bar))
         assert abs(state.alpha) ** 2 + abs(state.beta) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -362,6 +383,14 @@ class TestNullResultSurvival:
         times, p_e = null_result_survival(kernel, tau=0.04, n_intervals=10)
         assert p_e[0] == 1.0
         assert times[-1] == pytest.approx(0.4)
+
+    def test_rejects_interval_count_over_the_size_budget(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a(tau) solved before the size check")
+
+        monkeypatch.setattr(volterra, "interval_amplitude", no_solve)
+        with pytest.raises(ValueError, match="n_intervals = 10000000000 .*size budget"):
+            null_result_survival(lorentzian_kernel(lam=5.0), tau=0.04, n_intervals=10 ** 10)
 
     def test_monotone_decay_without_detuning(self):
         kernel = lorentzian_kernel(lam=5.0)

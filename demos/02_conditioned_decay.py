@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from zenoscope import (MemoryKernel, SpectralDensity, gamma_lorentzian,
-                       null_result_survival)
+                       null_result_survival, write_csv)
 
 OUT = Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -36,10 +36,7 @@ for x in (2.0, 0.2, 0.02):
     dev = np.max(np.abs(p_e - law))
 
     path = OUT / f"conditioned_decay_x_{x:g}.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,p_e,p_e_scaling\n")
-        for t, p, r in zip(times, p_e, law):
-            fh.write(f"{t:.12g},{p:.12g},{r:.12g}\n")
+    write_csv(path, {"t": times, "p_e": p_e, "p_e_scaling": law})
     print(f"{x:6g} {tau:8g} {gamma_lorentzian(x).real:12.5f} "
           f"{p_e[-1]:10.5f} {dev:16.3e}   -> {path.name}")
 

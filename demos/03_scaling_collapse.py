@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from zenoscope import MemoryKernel, Shape, SpectralDensity, null_result_survival
+from zenoscope import MemoryKernel, Shape, SpectralDensity, null_result_survival, write_csv
 
 OUT = Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -37,10 +37,7 @@ for shape in SHAPES:
         dev = np.max(np.abs(p_a - p_b))
 
         path = OUT / f"collapse_{shape.value}_x_{x:g}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,p_e_narrow,p_e_wide\n")
-            for t, pa, pb in zip(times, p_a, p_b):
-                fh.write(f"{t:.12g},{pa:.12g},{pb:.12g}\n")
+        write_csv(path, {"t": times, "p_e_narrow": p_a, "p_e_wide": p_b})
         print(f"{shape.value:>18} {x:6g} {dev:18.3e}   -> {path.name}")
 
 print("\nThe curves agree to the percent level even though bandwidth and")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from zenoscope import (MemoryKernel, RateSource, Shape, SpectralDensity,
-                       rate_curve)
+                       rate_curve, write_csv)
 
 OUT = Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -36,11 +36,8 @@ for shape in SHAPES:
     dev_ds = np.max(np.abs(double.values - single.values) / np.abs(double.values))
 
     path = OUT / f"rates_{shape.value}.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,re_closed,re_double,re_single\n")
-        for i, x in enumerate(GRID):
-            fh.write(f"{x:.12g},{closed.values[i].real:.12g},"
-                     f"{double.values[i].real:.12g},{single.values[i].real:.12g}\n")
+    write_csv(path, {"x": GRID, "re_closed": closed.values.real,
+                     "re_double": double.values.real, "re_single": single.values.real})
     print(f"{shape.value:>18} {dev_cd:17.3e} {dev_ds:17.3e}   -> {path.name}")
 
 print("\nSample of the curve (rectangular):")

@@ -17,7 +17,7 @@ import numpy as np
 
 from zenoscope import (AtomState, DensityMatrix2, SpectralDensity,
                        gamma_closed_form, make_drive_config, run_ensemble,
-                       simulate_trajectory, solve_master, write_master_csv)
+                       simulate_trajectory, solve_master, write_csv)
 
 OUT = Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -41,7 +41,7 @@ reference = solve_master(DensityMatrix2.excited(), OMEGA, cfg.gamma_eff,
                          cfg.t_max, cfg.dt_step)
 
 ensemble.to_csv(OUT / "ensemble_x_0.2.csv")
-write_master_csv(OUT / "lindblad_x_0.2.csv", ensemble.times, reference)
+write_csv(OUT / "lindblad_x_0.2.csv", {"t": ensemble.times, "p_e": reference})
 
 deviation = np.max(np.abs(ensemble.p_e_mean - reference))
 print(f"  mean clicks per trajectory: {ensemble.jump_count_mean:.3f} "

@@ -14,7 +14,7 @@ reservoir and observed by frequent photon detection:
 * :mod:`zenoscope.cli` -- the ``zenoscope`` command-line front end.
 """
 
-from .lindblad import DensityMatrix2, lindblad_rhs, solve_master, write_master_csv
+from .lindblad import DensityMatrix2, lindblad_rhs, solve_master
 from .rates import (
     RateCurve,
     RateSource,
@@ -38,17 +38,18 @@ from .spectral import (
     scaled_kernel_g,
     sdf_value,
     uniform_kernel_g,
+    write_csv,
 )
 from .trajectories import (
     AtomState,
     DriveConfig,
     EnsembleResult,
     TrajectoryRecord,
-    a_bar_from_memory,
     child_seed,
     make_drive_config,
     make_rng,
     mc_step,
+    memory_drive_config,
     run_ensemble,
     simulate_trajectory,
 )

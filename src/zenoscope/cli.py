@@ -15,20 +15,21 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+import typing
 from dataclasses import dataclass
 from functools import partial
 
 import click
 import numpy as np
 
-from .lindblad import DensityMatrix2, solve_master, write_master_csv
+from .lindblad import DensityMatrix2, solve_master
 from .rates import RateSource, gamma_closed_form, gamma_numeric, rate_curve
-from .spectral import MemoryKernel, Shape, SpectralDensity, check_size, load_tabulated_profile
-from .trajectories import (MAX_RATE_DT, AtomState, DriveConfig, make_drive_config,
-                           run_ensemble, simulate_trajectory)
+from .spectral import (MemoryKernel, Shape, SpectralDensity, check_size, load_tabulated_profile,
+                       write_csv)
+from .trajectories import (AtomState, make_drive_config, memory_drive_config, run_ensemble,
+                           simulate_trajectory)
 from .verify import DEFAULT_SEED, TOL_CLOSED, TOL_DECAY, TOL_KK, TOL_SCALING, run_suite
-from .volterra import (analytic_lorentzian_a, interval_amplitude, null_conditioned_power,
-                       null_result_survival, solve_decay)
+from .volterra import analytic_lorentzian_a, null_result_survival, solve_decay
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (carries a line-numbered message)."""
@@ -52,7 +53,6 @@ class RunConfig:
     x: float | None = None
     tau: float | None = None
     n: int | None = None
-    dt_step: float | None = None
     omega: float = 0.0
     n_traj: int = 5000
     seed: int = 0
@@ -63,32 +63,10 @@ class RunConfig:
     out: str | None = None
 
 
-# config key -> (dataclass field, parser)
-_KEYS = {
-    "experiment": ("experiment", str),
-    "shape": ("shape", str),
-    "gamma": ("gamma", float),
-    "lambda": ("lam", float),
-    "lambda_alt": ("lambda_alt", float),
-    "omega0": ("omega0", float),
-    "c": ("c", float),
-    "b": ("b", float),
-    "table": ("table", str),
-    "dt": ("dt", float),
-    "t_max": ("t_max", float),
-    "x": ("x", float),
-    "tau": ("tau", float),
-    "n": ("n", int),
-    "dt_step": ("dt_step", float),
-    "omega": ("omega", float),
-    "n_traj": ("n_traj", int),
-    "seed": ("seed", int),
-    "a_bar_mode": ("a_bar_mode", str),
-    "x_min": ("x_min", float),
-    "x_max": ("x_max", float),
-    "x_points": ("x_points", int),
-    "out": ("out", str),
-}
+# config key -> (dataclass field, parser): every field is its own key except ``lam``,
+# and the parser of a field typed ``T`` or ``T | None`` is ``T``
+_KEYS = {"lambda" if name == "lam" else name: (name, (typing.get_args(hint) or (hint,))[0])
+         for name, hint in typing.get_type_hints(RunConfig).items()}
 _FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
 
 
@@ -202,10 +180,7 @@ def _exp_null_decay(cfg: RunConfig, out: str):
     n = cfg.n if cfg.n is not None else int(round(check_size(t_max / tau, "t_max/tau")))
     times, p_e = null_result_survival(kernel, tau, n)
     ref = np.exp(-_gamma_of_x(density, kernel, x).real * times)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("t,p_e,p_e_scaling\n")
-        for t, p, r in zip(times, p_e, ref):
-            fh.write(f"{t:.12g},{p:.12g},{r:.12g}\n")
+    write_csv(out, {"t": times, "p_e": p_e, "p_e_scaling": ref})
     dev = float(np.max(np.abs(p_e - ref)))
     status = 0 if dev < TOL_SCALING else 2
     return status, (f"null_decay: x = {x:g}, max_dev(P_e) = {dev:.3e} "
@@ -237,14 +212,12 @@ def _exp_gamma_curve(cfg: RunConfig, out: str, kk_only: bool = False):
         closed = None
 
     g = density.gamma
-    columns = [("re_numeric", numeric.real / g), ("im_numeric", numeric.imag / g),
-               ("re_kk", kk.real / g), ("im_kk", kk.imag / g)]
+    columns = {"x": grid}
     if closed is not None:
-        columns = [("re_closed", closed.real / g), ("im_closed", closed.imag / g)] + columns
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("x," + ",".join(name for name, _ in columns) + "\n")
-        for i, x in enumerate(grid):
-            fh.write(f"{x:.12g}," + ",".join(f"{col[i]:.12g}" for _, col in columns) + "\n")
+        columns.update(re_closed=closed.real / g, im_closed=closed.imag / g)
+    columns.update(re_numeric=numeric.real / g, im_numeric=numeric.imag / g,
+                   re_kk=kk.real / g, im_kk=kk.imag / g)
+    write_csv(out, columns)
 
     dev_kk = _max_rel_dev(kk, numeric, grid)
     status = 0 if dev_kk < TOL_KK else 2
@@ -275,10 +248,7 @@ def _exp_scaling_check(cfg: RunConfig, out: str):
     t_a, p_a = null_result_survival(MemoryKernel(base), tau_a, n_a)
     t_b, p_b = null_result_survival(MemoryKernel(dens_b), tau_b, n_b)
     p_b_common = np.interp(t_a, t_b, p_b)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("t,p_e_lambda,p_e_lambda_alt\n")
-        for t, pa, pb in zip(t_a, p_a, p_b_common):
-            fh.write(f"{t:.12g},{pa:.12g},{pb:.12g}\n")
+    write_csv(out, {"t": t_a, "p_e_lambda": p_a, "p_e_lambda_alt": p_b_common})
     dev = float(np.max(np.abs(p_a - p_b_common)))
     status = 0 if dev < TOL_SCALING else 2
     return status, (f"scaling_check: x = {x:g}, lambda = {lam_a:g} vs {lam_b:g}, "
@@ -294,18 +264,7 @@ def _detection_setup(cfg: RunConfig):
     if cfg.a_bar_mode == "scaling":
         drive, a_bar = make_drive_config(gx, omega=cfg.omega, t_max=t_max)
     elif cfg.a_bar_mode == "memory":
-        drive, _ = make_drive_config(gx, omega=cfg.omega, t_max=t_max, tau=tau)
-        n_per = max(1, int(round(drive.dt_step / tau)))
-        a_tau = interval_amplitude(kernel, tau)
-        a_bar = null_conditioned_power(a_tau, n_per)
-        # the memory-resolved contraction can sit slightly above the scaling
-        # estimate; shrink the step until the one-photon criterion holds
-        while n_per > 1 and 1.0 - abs(a_bar) ** 2 > MAX_RATE_DT:
-            n_per -= 1
-            a_bar = null_conditioned_power(a_tau, n_per)
-        dt = n_per * tau
-        drive = DriveConfig(omega=cfg.omega, gamma_eff=(1.0 - abs(a_bar) ** 2) / dt,
-                            dt_step=dt, n_steps=max(1, int(round(t_max / dt))))
+        drive, a_bar = memory_drive_config(kernel, gx, omega=cfg.omega, t_max=t_max, tau=tau)
     else:
         raise ConfigError(f"a_bar_mode must be 'scaling' or 'memory', got {cfg.a_bar_mode!r}")
     return drive, a_bar, x
@@ -326,7 +285,7 @@ def _exp_ensemble(cfg: RunConfig, out: str):
     lindblad_out = out.rsplit(".", 1)[0] + "_lindblad.csv"
     p_ref = solve_master(DensityMatrix2.excited(), drive.omega, drive.gamma_eff,
                          drive.t_max, drive.dt_step)
-    write_master_csv(lindblad_out, result.times, p_ref)
+    write_csv(lindblad_out, {"t": result.times, "p_e": p_ref})
     dev = float(np.max(np.abs(result.p_e_mean - p_ref)))
     return 0, (f"ensemble: x = {x:g}, n_traj = {cfg.n_traj}, "
                f"mean_jumps = {result.jump_count_mean:.4g} +- {result.jump_count_stderr:.2g}, "

@@ -34,7 +34,7 @@ import numpy as np
 
 from .spectral import check_size
 
-__all__ = ["DensityMatrix2", "lindblad_rhs", "solve_master", "write_master_csv"]
+__all__ = ["DensityMatrix2", "lindblad_rhs", "solve_master"]
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -133,7 +133,7 @@ def solve_master(rho0: DensityMatrix2, omega: float, gamma_eff: float,
         Drive and emission rates of the generator.
     t_max, dt : float
         Time horizon and fixed step; ``dt * max(omega, gamma_eff)`` must not
-        exceed 0.05.
+        exceed 0.05, and the grid must land on ``t_max`` to ``1e-9 t_max``.
     full_output : bool
         When true, also return the full state history as an
         ``(n_steps + 1, 2, 2)`` array, Hermitian bit for bit.
@@ -149,12 +149,17 @@ def solve_master(rho0: DensityMatrix2, omega: float, gamma_eff: float,
             raise ValueError(f"{name} must be finite, got {value}")
     if t_max <= 0 or dt <= 0:
         raise ValueError(f"t_max and dt must be positive, got {t_max}, {dt}")
+    if gamma_eff < 0:
+        raise ValueError(f"gamma_eff must be nonnegative, got {gamma_eff}")
     if dt * max(abs(omega), gamma_eff) > 0.05 + 1e-12:
         raise ValueError(
             f"dt = {dt} too coarse: dt*max(omega, gamma_eff) = "
             f"{dt * max(abs(omega), gamma_eff):.3g} > 0.05")
 
     n = int(round(check_size(t_max / dt, "t_max/dt")))
+    if abs(n * dt - t_max) > 1e-9 * t_max:
+        raise ValueError(f"dt={dt} does not divide t_max={t_max}: the grid would end "
+                         f"at t={n * dt:.12g}")
     eg = 0.5 * (rho0.eg + np.conj(rho0.ge))   # the Hermitian part of rho0
     v = np.empty((4, n + 1))
     v[:, 0] = (rho0.ee.real, rho0.gg.real, eg.real, eg.imag)
@@ -176,10 +181,3 @@ def solve_master(rho0: DensityMatrix2, omega: float, gamma_eff: float,
     history.imag[:, 1, 0] = -v[3]
     return p_e, history
 
-
-def write_master_csv(path, times, p_e):
-    """CSV export of an ensemble-level occupation curve (header ``t,p_e``)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,p_e\n")
-        for t, p in zip(times, p_e):
-            fh.write(f"{t:.12g},{p:.12g}\n")

@@ -54,7 +54,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.special import erf, sici
 
 from .spectral import (MemoryKernel, Shape, SpectralDensity, scaled_kernel_g,
-                       uniform_kernel_g)
+                       uniform_kernel_g, write_csv)
 
 __all__ = [
     "RateSource",
@@ -261,10 +261,10 @@ def gamma_closed_form(density: SpectralDensity, x):
 
 def gamma_eff(a_bar_dt: complex, dt_total: float) -> float:
     """Effective emission rate ``[1 - |a_bar(dt)|^2] / dt`` of one detection step."""
-    if dt_total <= 0:
+    if not dt_total > 0:
         raise ValueError(f"dt_total must be positive, got {dt_total}")
     mod2 = abs(a_bar_dt) ** 2
-    if mod2 > 1.0 + 2e-9:
+    if not mod2 <= 1.0 + 2e-9:
         raise ValueError(f"|a_bar|^2 = {mod2!r} exceeds 1 beyond tolerance")
     return (1.0 - mod2) / dt_total
 
@@ -289,10 +289,9 @@ class RateCurve:
 
     def to_csv(self, path):
         g = self.model.gamma
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,re_gamma_over_Gamma,im_gamma_over_Gamma,source\n")
-            for x, v in zip(self.x_grid, self.values):
-                fh.write(f"{x:.12g},{v.real/g:.12g},{v.imag/g:.12g},{self.source.value}\n")
+        write_csv(path, {"x": self.x_grid, "re_gamma_over_Gamma": self.values.real / g,
+                         "im_gamma_over_Gamma": self.values.imag / g,
+                         "source": [self.source.value] * len(self.x_grid)})
 
 
 def rate_curve(kernel: MemoryKernel, x_grid,

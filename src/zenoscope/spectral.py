@@ -52,6 +52,7 @@ __all__ = [
     "scaled_kernel_g",
     "uniform_kernel_g",
     "load_tabulated_profile",
+    "write_csv",
 ]
 
 
@@ -262,6 +263,17 @@ def load_tabulated_profile(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def write_csv(path, columns) -> None:
+    """Write ``columns`` (header name -> equal-length column) as one CSV file.
+
+    Every export format goes through here.  Numbers print as ``.12g``; strings as they are.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values(), strict=True):
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in row) + "\n")
+
+
 def _profile(density: SpectralDensity, w):
     """Dimensionless profile ``d_tilde(w)`` with ``w = (omega_r - omega0)/lam``."""
     w = np.asarray(w, dtype=float)
@@ -383,10 +395,11 @@ def uniform_kernel_g(kernel: MemoryKernel, x_max: float, n: int) -> np.ndarray:
     the point-by-point sum to round-off.  Every other kernel returns
     ``scaled_kernel_g(kernel, np.linspace(0, x_max, n + 1))``.
     """
-    if n < 1:
+    if not 1 <= n:
         raise ValueError(f"n must be >= 1, got {n}")
-    if x_max < 0:
-        raise ValueError("x must be nonnegative")
+    check_size(n, "n")
+    if not 0 <= x_max < math.inf:
+        raise ValueError(f"x_max must be finite and nonnegative, got {x_max}")
     xs = np.linspace(0.0, x_max, n + 1)
     support = kernel.compact_support
     if support is None:

@@ -8,7 +8,10 @@ amplitude by ``a_bar(dt_step)`` and the state is renormalised.  A resonant
 Rabi drive ``omega * sigma_x`` is applied after the measurement update of
 each step.  The no-click contraction and the click probability are linked
 by ``gamma_eff = [1 - |a_bar|^2]/dt_step``, which makes the two outcomes
-exactly exhaust the step probability.
+exactly exhaust the step probability.  The contraction takes the scaling
+form ``exp(-gamma(x) dt_step / 2)`` (:func:`make_drive_config`) or, where no
+closed result is available, the numerically solved ``a(tau)**n`` over ``n``
+whole detection intervals (:func:`memory_drive_config`).
 
 Sampling follows the waiting-time formulation (Dalibard, Castin & Molmer,
 PRL 68, 580 (1992); Plenio & Knight, RMP 70, 101 (1998)).  Between clicks
@@ -55,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .rates import gamma_eff as _gamma_eff_of
-from .spectral import MemoryKernel, check_size
+from .spectral import MemoryKernel, check_size, write_csv
 from .volterra import AtomState, interval_amplitude, null_conditioned_power
 
 __all__ = [
@@ -66,7 +69,7 @@ __all__ = [
     "simulate_trajectory",
     "run_ensemble",
     "make_drive_config",
-    "a_bar_from_memory",
+    "memory_drive_config",
     "child_seed",
     "make_rng",
 ]
@@ -138,13 +141,9 @@ class TrajectoryRecord:
         return (int(idx[0]) + 1) * self.dt_step
 
     def to_csv(self, path):
-        # row k = state at t_k; the jump flag of row k marks a click during
-        # the step that ended at t_k (row 0 therefore carries 0)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,p_e,jump\n")
-            fh.write(f"0,{self.p_e[0]:.12g},0\n")
-            for k in range(1, len(self.p_e)):
-                fh.write(f"{k * self.dt_step:.12g},{self.p_e[k]:.12g},{int(self.jumps[k-1])}\n")
+        # the jump flag of row k marks a click in the step that ended at t_k; row 0 has none
+        write_csv(path, {"t": self.times, "p_e": self.p_e,
+                         "jump": np.concatenate(([0], self.jumps))})
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -251,6 +250,13 @@ def _advance(alpha, beta, eps, a_bar, geff_dt, cw, sw):
     return cw * alpha - 1j * sw * beta, -1j * sw * alpha + cw * beta, jumped
 
 
+def _check_contraction(a_bar_dt) -> complex:
+    """``a_bar_dt`` as a complex number; NaN and ``|a_bar_dt| > 1`` are rejected."""
+    if not abs(a_bar_dt) <= 1.0 + 1e-9:
+        raise ValueError(f"|a_bar_dt| = {abs(a_bar_dt)!r} exceeds 1 beyond tolerance")
+    return complex(a_bar_dt)
+
+
 def mc_step(state: AtomState, cfg: DriveConfig, a_bar_dt: complex,
             epsilon: float) -> tuple[AtomState, bool]:
     """Single Monte-Carlo update with injected randomness ``epsilon in [0, 1)``.
@@ -262,7 +268,7 @@ def mc_step(state: AtomState, cfg: DriveConfig, a_bar_dt: complex,
     cw = math.cos(cfg.omega * cfg.dt_step)
     sw = math.sin(cfg.omega * cfg.dt_step)
     alpha, beta, jumped = _advance(complex(state.alpha), complex(state.beta),
-                                   epsilon, complex(a_bar_dt),
+                                   epsilon, _check_contraction(a_bar_dt),
                                    cfg.gamma_eff * cfg.dt_step, cw, sw)
     return AtomState(alpha, beta), jumped
 
@@ -296,9 +302,7 @@ def _no_click_path(alpha: complex, beta: complex, n: int, a_bar, geff_dt, cw, sw
 def _paths(initial_amps: tuple[complex, complex], cfg: DriveConfig,
            a_bar_dt: complex) -> tuple[_Path, _Path]:
     """No-click paths from the initial state and from the post-click state."""
-    if abs(a_bar_dt) > 1.0 + 1e-9:
-        raise ValueError(f"|a_bar_dt| = {abs(a_bar_dt)!r} exceeds 1 beyond tolerance")
-    a_bar = complex(a_bar_dt)
+    a_bar = _check_contraction(a_bar_dt)
     cw = math.cos(cfg.omega * cfg.dt_step)
     sw = math.sin(cfg.omega * cfg.dt_step)
     geff_dt = cfg.gamma_eff * cfg.dt_step
@@ -378,10 +382,8 @@ class EnsembleResult:
         return float(np.std(self.jump_counts, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,p_e_mean,p_e_stderr\n")
-            for t, m, s in zip(self.times, self.p_e_mean, self.p_e_stderr):
-                fh.write(f"{t:.12g},{m:.12g},{s:.12g}\n")
+        write_csv(path, {"t": self.times, "p_e_mean": self.p_e_mean,
+                         "p_e_stderr": self.p_e_stderr})
 
 
 def _fill_rows(start: _Path, after_click: _Path, seeds, p_e: np.ndarray,
@@ -425,17 +427,9 @@ def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
                           jump_counts=counts, master_seed=master_seed)
 
 
-def make_drive_config(gamma_x: complex, omega: float, t_max: float,
-                      tau: float | None = None) -> tuple[DriveConfig, complex]:
-    """Build a step layout from the effective rate ``gamma(x)`` of the model.
-
-    The step obeys ``dt_step = min(0.05/Re gamma(x), 0.05/omega)`` (and is
-    additionally floored to an integer multiple of ``tau`` when a detection
-    interval is supplied, as required by memory-resolved contractions).
-    Returns the config together with the scaling-form contraction
-    ``a_bar(dt_step) = exp(-gamma(x) dt_step / 2)``.
-    """
-    if t_max <= 0:
+def _step_bound(gamma_x: complex, omega: float, t_max: float) -> float:
+    """``min(t_max, 0.05/Re gamma(x), 0.05/|omega|)``, the largest admissible step."""
+    if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     if not np.isfinite(gamma_x):
         raise ValueError(f"gamma(x) must be finite, got {gamma_x}")
@@ -444,31 +438,47 @@ def make_drive_config(gamma_x: complex, omega: float, t_max: float,
         bounds.append(MAX_RATE_DT / gamma_x.real)
     if omega != 0:
         bounds.append(MAX_RATE_DT / abs(omega))
-    dt = min(bounds)
-    if tau is not None:
-        if tau <= 0:
-            raise ValueError(f"tau must be positive, got {tau}")
-        if tau > dt:
-            raise ValueError(f"tau = {tau} exceeds the admissible step {dt:.3g}")
-        if dt / tau == math.inf:
-            raise ValueError(f"tau = {tau} is too small to divide the step {dt:.3g}")
-        dt = math.floor(dt / tau) * tau
+    return min(bounds)
+
+
+def _layout(omega, a_bar, dt, t_max) -> tuple[DriveConfig, complex]:
+    """Steps of ``dt`` to ``t_max`` whose clicks exhaust the contraction ``a_bar``."""
     n_steps = max(1, int(round(check_size(t_max / dt, "t_max/dt_step"))))
-    a_bar = complex(np.exp(-0.5 * gamma_x * dt))
-    cfg = DriveConfig(omega=omega, gamma_eff=_gamma_eff_of(a_bar, dt),
-                      dt_step=dt, n_steps=n_steps)
-    return cfg, a_bar
+    return DriveConfig(omega=omega, gamma_eff=_gamma_eff_of(a_bar, dt), dt_step=dt,
+                       n_steps=n_steps), a_bar
 
 
-def a_bar_from_memory(kernel: MemoryKernel, tau: float, n_intervals: int,
-                      steps_per_interval: int = 400) -> complex:
-    """Memory-resolved contraction over ``dt = n_intervals * tau``.
+def make_drive_config(gamma_x: complex, omega: float, t_max: float) -> tuple[DriveConfig, complex]:
+    """Step layout with the scaling-form contraction of the rate ``gamma(x)``.
 
-    Solves the full Volterra dynamics across one detection interval and
-    raises ``a(tau)`` to the number of intervals per step; preferred over the
-    scaling form when the bandwidth is narrow and the step not short.
+    The step is ``dt_step = min(0.05/Re gamma(x), 0.05/omega, t_max)``; returns
+    the config and ``a_bar(dt_step) = exp(-gamma(x) dt_step / 2)``.
     """
-    if n_intervals < 1:
-        raise ValueError(f"n_intervals must be >= 1, got {n_intervals}")
-    return null_conditioned_power(interval_amplitude(kernel, tau, steps_per_interval),
-                                  n_intervals)
+    dt = _step_bound(gamma_x, omega, t_max)
+    return _layout(omega, complex(np.exp(-0.5 * gamma_x * dt)), dt, t_max)
+
+
+def memory_drive_config(kernel: MemoryKernel, gamma_x: complex, omega: float, t_max: float,
+                        tau: float) -> tuple[DriveConfig, complex]:
+    """Step layout with the memory-resolved contraction ``a(tau)**n``.
+
+    The step of :func:`make_drive_config` is floored to ``n`` whole detection
+    intervals ``tau``, and ``a(tau)`` is solved once with the full memory
+    (:func:`~zenoscope.volterra.interval_amplitude`).  That contraction can
+    sit slightly above the scaling form, so ``n`` shrinks until
+    ``1 - |a(tau)**n|**2 <= MAX_RATE_DT``.  Returns the config and ``a(tau)**n``.
+    """
+    dt = _step_bound(gamma_x, omega, t_max)
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    if tau > dt:
+        raise ValueError(f"tau = {tau} exceeds the admissible step {dt:.3g}")
+    if dt / tau == math.inf:
+        raise ValueError(f"tau = {tau} is too small to divide the step {dt:.3g}")
+    n = math.floor(dt / tau)
+    a_tau = interval_amplitude(kernel, tau)
+    a_bar = null_conditioned_power(a_tau, n)
+    while n > 1 and 1.0 - abs(a_bar) ** 2 > MAX_RATE_DT:
+        n -= 1
+        a_bar = null_conditioned_power(a_tau, n)
+    return _layout(omega, a_bar, n * tau, t_max)

@@ -1,5 +1,6 @@
 """Config parsing, experiment dispatch, exit codes, and the verify suites."""
 
+import math
 import tempfile
 import traceback
 import warnings
@@ -11,9 +12,10 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zenoscope import (AtomState, MemoryKernel, SpectralDensity, a_bar_from_memory, child_seed,
-                       cli, gamma_lorentzian, make_drive_config, simulate_trajectory, volterra)
+from zenoscope import (AtomState, child_seed, cli, gamma_lorentzian, make_drive_config,
+                       null_conditioned_power, simulate_trajectory, trajectories)
 from zenoscope.cli import EXPERIMENTS, ConfigError, dump_config, main, parse_config
+from zenoscope.trajectories import MAX_RATE_DT
 
 
 @pytest.fixture
@@ -44,6 +46,11 @@ class TestConfigParsing:
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 3"):
             parse_config("experiment = decay\nshape = lorentzian\nwidth = 5\n")
+
+    def test_dt_step_is_not_a_key(self):
+        # the step follows from the rates, omega and tau; a dt_step key was never read
+        with pytest.raises(ConfigError, match="line 3: unknown key 'dt_step'"):
+            parse_config("experiment = trajectory\nshape = rectangular\ndt_step = 0.1\n")
 
     def test_bad_value_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -262,34 +269,24 @@ class TestRunCommand:
         assert result.exit_code == 0, result.output
 
     def test_memory_mode_solves_the_interval_once(self, monkeypatch):
-        # a lowered one-photon cap makes the step-shrinking loop take several passes
-        cap = 0.0485
-        monkeypatch.setattr(cli, "MAX_RATE_DT", cap)
-        lam, x = 0.3, 0.01
-        kernel = MemoryKernel(SpectralDensity.lorentzian(1.0, lam))
-        tau = x / lam
-        # the reference re-solves a(tau) on every pass
-        drive, _ = make_drive_config(gamma_lorentzian(x), omega=0.0, t_max=20.0, tau=tau)
-        n_per = int(round(drive.dt_step / tau))
-        a_bar = a_bar_from_memory(kernel, tau, n_per)
-        passes = 1
-        while n_per > 1 and 1.0 - abs(a_bar) ** 2 > cap:
-            n_per -= 1
-            a_bar = a_bar_from_memory(kernel, tau, n_per)
-            passes += 1
-        assert passes > 2
-
+        # a stronger contraction per interval makes the step-shrinking loop take many passes
         calls = []
-        solve = volterra.solve_decay
-        monkeypatch.setattr(volterra, "solve_decay",
-                            lambda *args, **kw: calls.append(args) or solve(*args, **kw))
+        monkeypatch.setattr(trajectories, "interval_amplitude",
+                            lambda kernel, tau: calls.append(tau) or 0.99 + 0j)
+        lam, x = 0.3, 0.01
+        tau = x / lam
         cfg = parse_config(f"experiment = trajectory\nshape = lorentzian\nlambda = {lam}\n"
                            f"x = {x}\nomega = 0\nt_max = 20\na_bar_mode = memory\n")
-        new_drive, new_a_bar, _ = cli._detection_setup(cfg)
+        drive, a_bar, _ = cli._detection_setup(cfg)
         assert len(calls) == 1
-        assert new_a_bar == a_bar
-        assert new_drive.dt_step == n_per * tau
-        assert new_drive.gamma_eff == (1.0 - abs(a_bar) ** 2) / (n_per * tau)
+        n = round(drive.dt_step / tau)
+        unshrunk = math.floor(make_drive_config(gamma_lorentzian(x), 0.0, 20.0)[0].dt_step / tau)
+        assert n < unshrunk - 1
+        assert 1.0 - abs(a_bar) ** 2 <= MAX_RATE_DT
+        assert 1.0 - abs(null_conditioned_power(0.99, n + 1)) ** 2 > MAX_RATE_DT
+        assert a_bar == null_conditioned_power(0.99, n)
+        assert drive.dt_step == n * tau
+        assert drive.gamma_eff == (1.0 - abs(a_bar) ** 2) / (n * tau)
 
     def test_ensemble_rows_follow_child_seeds(self, runner, tmp_path):
         body = ("experiment = ensemble\nshape = rectangular\nlambda = 1\n"
@@ -367,7 +364,6 @@ VALID_VALUES = {
     "x": st.floats(0.05, 2.0),
     "tau": st.floats(0.01, 0.5),
     "n": st.integers(0, 50),
-    "dt_step": st.floats(0.01, 0.1),
     "omega": st.floats(-2.0, 2.0),
     "n_traj": st.integers(1, 20),
     "seed": st.integers(0, 1000),

@@ -209,6 +209,16 @@ class TestSolveMaster:
             solve_master(DensityMatrix2.excited(), omega=0.0, gamma_eff=0.1,
                          t_max=-1.0, dt=0.01)
 
+    @pytest.mark.parametrize("t_max, dt, gamma_eff, message", [
+        (1.0, 0.4, 0.1, "grid would end at t=0.8"),
+        (0.1, 0.4, 0.1, "grid would end at t=0"),
+        (1.0, 0.01, -1.0, "gamma_eff must be nonnegative"),
+    ])
+    def test_rejects_what_it_cannot_return(self, t_max, dt, gamma_eff, message):
+        # unchecked, these returned a grid ending at 0.8, a single point, and P_e(1) = 2.718
+        with pytest.raises(ValueError, match=message):
+            solve_master(DensityMatrix2.excited(), 0.0, gamma_eff, t_max=t_max, dt=dt)
+
     def test_rejects_step_count_over_the_size_budget(self):
         # unchecked, t_max / dt = inf and round() raises OverflowError
         with pytest.raises(ValueError, match="t_max/dt = inf .*size budget"):

@@ -56,3 +56,36 @@ def test_all_lists_only_defined_names(module):
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
     for names in exported:
         assert sorted(set(names) - top_level_names(tree)) == []
+
+
+def test_only_spectral_opens_files_for_writing():
+    # every export goes through spectral.write_csv, the one place the CSV format is spelled out
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    trees = dict(MODULES, **{f"demos/{path.name}": ast.parse(path.read_text())
+                             for path in sorted(demos.glob("*.py"))})
+    writers = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if any(isinstance(m, ast.Constant) and set(m.value) & set("wax+") for m in modes):
+                writers.append(name)
+    assert writers == ["spectral"]
+
+
+def test_cli_reads_every_config_field():
+    # a config key whose field no experiment reads is parsed and then silently ignored
+    tree = MODULES["cli"]
+    config = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    fields = {node.target.id for node in config.body if isinstance(node, ast.AnnAssign)}
+    read = {node.attr
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef)
+            and func.name not in ("parse_config", "dump_config")
+            for node in ast.walk(func)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+    assert sorted(fields - read) == []

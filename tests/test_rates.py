@@ -267,6 +267,16 @@ class TestGammaEff:
         with pytest.raises(ValueError):
             gamma_eff(1.0 + 1e-4j, 0.1)
 
+    @pytest.mark.parametrize("a_bar, dt, message", [
+        (math.nan, 0.1, "exceeds 1"),
+        (complex(math.nan, 0.0), 0.1, "exceeds 1"),
+        (0.5, math.nan, "dt_total must be positive"),
+    ])
+    def test_rejects_nan(self, a_bar, dt, message):
+        # unchecked, each of these returned a NaN rate
+        with pytest.raises(ValueError, match=message):
+            gamma_eff(a_bar, dt)
+
 
 class TestRateCurve:
     def test_sources_agree_on_grid(self):

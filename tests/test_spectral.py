@@ -11,15 +11,21 @@ import pytest
 
 import zenoscope
 from zenoscope import (
+    DecaySeries,
+    EnsembleResult,
     KernelMode,
     MemoryKernel,
+    RateCurve,
+    RateSource,
     Shape,
     SpectralDensity,
+    TrajectoryRecord,
     kernel_value,
     load_tabulated_profile,
     scaled_kernel_g,
     sdf_value,
     uniform_kernel_g,
+    write_csv,
 )
 
 GAMMA = 1.3
@@ -328,6 +334,55 @@ class TestUniformKernelG:
             uniform_kernel_g(kernel, 1.0, 0)
         with pytest.raises(ValueError):
             uniform_kernel_g(kernel, -1.0, 8)
+
+    @pytest.mark.parametrize("x_max, n, message", [
+        (math.nan, 8, "x_max must be finite"),
+        (math.inf, 8, "x_max must be finite"),
+        (1.0, 10 ** 12, "n = 1000000000000 .*size budget"),
+    ])
+    def test_rejects_non_finite_or_oversized_grids(self, x_max, n, message):
+        # unchecked, NaN returned NaN samples, inf warned, and n = 10**12 asked for 7 TiB
+        kernel = MemoryKernel(named_density(Shape.RECTANGULAR), mode=KernelMode.QUADRATURE)
+        with pytest.raises(ValueError, match=message):
+            uniform_kernel_g(kernel, x_max, n)
+
+
+#: hand-built export objects and the exact files the per-module writers produced
+EXPORTS = {
+    "decay": (
+        DecaySeries(dt=0.1, values=np.array([1 + 0j, complex(0.6, -0.0), complex(1 / 3, -2 / 7),
+                                             complex(-1e-13, 0.25)]),
+                    kernel=MemoryKernel(SpectralDensity.lorentzian(1.0, 5.0))),
+        "t,re_a,im_a,abs2_a\n0,1,0,1\n0.1,0.6,-0,0.36\n"
+        "0.2,0.333333333333,-0.285714285714,0.192743764172\n0.3,-1e-13,0.25,0.0625\n"),
+    "trajectory": (
+        TrajectoryRecord(dt_step=0.1, p_e=np.array([1.0, 0.7, 0.0, 1 / 3]),
+                         jumps=np.array([False, True, False]), seed=7),
+        "t,p_e,jump\n0,1,0\n0.1,0.7,0\n0.2,0,1\n0.3,0.333333333333,0\n"),
+    "ensemble": (
+        EnsembleResult(dt_step=0.25, p_e_mean=np.array([1.0, 0.8, 2 / 3]),
+                       p_e_stderr=np.array([0.0, 0.01, 1 / 30]), jump_counts=np.array([1, 2]),
+                       master_seed=3),
+        "t,p_e_mean,p_e_stderr\n0,1,0\n0.25,0.8,0.01\n0.5,0.666666666667,0.0333333333333\n"),
+    "rates": (
+        RateCurve(x_grid=np.array([0.0, 0.5, 2.0]),
+                  values=np.array([0j, complex(0.1, 0.02), complex(1 / 3, -1 / 7)]),
+                  source=RateSource.KK_INTEGRAL, model=SpectralDensity.gaussian(2.0, 1.0)),
+        "x,re_gamma_over_Gamma,im_gamma_over_Gamma,source\n0,0,0,kk_integral\n"
+        "0.5,0.05,0.01,kk_integral\n2,0.166666666667,-0.0714285714286,kk_integral\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_exports_are_pinned_byte_for_byte(tmp_path, name):
+    obj, expected = EXPORTS[name]
+    obj.to_csv(tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "out.csv", {"t": [0.0, 1.0], "p_e": [1.0]})
 
 
 def test_import_leaves_scipy_signal_unloaded():

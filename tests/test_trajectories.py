@@ -14,13 +14,15 @@ from zenoscope import (
     DriveConfig,
     MemoryKernel,
     SpectralDensity,
-    a_bar_from_memory,
     child_seed,
     gamma_eff,
     gamma_rectangular,
+    interval_amplitude,
     make_drive_config,
     make_rng,
     mc_step,
+    memory_drive_config,
+    null_conditioned_power,
     run_ensemble,
     simulate_trajectory,
 )
@@ -32,6 +34,10 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 def detection_config(x=0.2, omega=1.0, t_max=10.0):
     gx = gamma_rectangular(x)
     return make_drive_config(gx, omega=omega, t_max=t_max)
+
+
+def rectangular_kernel(lam=1.0):
+    return MemoryKernel(SpectralDensity.rectangular(1.0, lam))
 
 
 def ac7_config(x=0.2):
@@ -188,6 +194,17 @@ class TestMcStep:
             simulate_trajectory(AtomState.excited(), cfg, 0.0, seed=1)
         with pytest.raises(ValueError, match="probability zero"):
             run_ensemble(AtomState.excited(), cfg, 0.0, 3, master_seed=1)
+
+    @pytest.mark.parametrize("a_bar", [math.nan, complex(0.0, math.nan), math.inf, 2.0])
+    def test_rejects_nan_or_expanding_contraction(self, a_bar):
+        # unchecked, NaN gave all-NaN records and mc_step took |a_bar| = 2
+        cfg = self.make_cfg()
+        with pytest.raises(ValueError, match="exceeds 1"):
+            mc_step(AtomState.excited(), cfg, a_bar, epsilon=0.99)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            simulate_trajectory(AtomState.excited(), cfg, a_bar, seed=1)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            run_ensemble(AtomState.excited(), cfg, a_bar, 3, master_seed=1)
 
     def test_step_count_over_the_size_budget_rejected(self):
         with pytest.raises(ValueError, match="n_steps = 1000000000 .*size budget"):
@@ -502,20 +519,35 @@ class TestDriveConfigFactory:
     def test_step_snaps_to_interval_multiple(self):
         gx = gamma_rectangular(0.2)
         tau = 0.012
-        cfg, _ = make_drive_config(gx, omega=1.0, t_max=10.0, tau=tau)
+        cfg, _ = memory_drive_config(rectangular_kernel(0.2 / tau), gx, omega=1.0, t_max=10.0,
+                                     tau=tau)
         ratio = cfg.dt_step / tau
         assert ratio == pytest.approx(round(ratio))
 
     def test_interval_coarser_than_step_rejected(self):
         with pytest.raises(ValueError, match="tau"):
-            make_drive_config(0.3 + 0j, omega=1.0, t_max=10.0, tau=1.0)
+            memory_drive_config(rectangular_kernel(), 0.3 + 0j, omega=1.0, t_max=10.0, tau=1.0)
         with pytest.raises(ValueError):
             make_drive_config(0.3 + 0j, omega=1.0, t_max=0.0)
 
     def test_interval_too_small_to_divide_the_step_rejected(self):
         # unchecked, floor(dt / tau) of an infinite ratio raises OverflowError
         with pytest.raises(ValueError, match="too small"):
-            make_drive_config(0.3 + 0j, omega=0.0, t_max=1.0, tau=5e-324)
+            memory_drive_config(rectangular_kernel(), 0.3 + 0j, omega=0.0, t_max=1.0,
+                                tau=5e-324)
+
+    @pytest.mark.parametrize("t_max, tau, message", [
+        (math.nan, None, "t_max must be positive"),
+        (math.nan, 0.01, "t_max must be positive"),
+        (1.0, math.nan, "tau must be positive"),
+    ])
+    def test_rejects_nan_lengths(self, t_max, tau, message):
+        # unchecked, a NaN t_max failed the size budget and a NaN tau could not be floored
+        with pytest.raises(ValueError, match=message):
+            if tau is None:
+                make_drive_config(0.3 + 0j, 0.0, t_max)
+            else:
+                memory_drive_config(rectangular_kernel(), 0.3 + 0j, 0.0, t_max, tau)
 
     def test_rejects_infinite_rate(self):
         # unchecked, the step 0.05 / inf = 0 ends in ZeroDivisionError
@@ -530,9 +562,9 @@ class TestDriveConfigFactory:
     def test_memory_contraction_matches_scaling_form_for_wide_band(self):
         lam, x = 100.0, 0.2
         tau = x / lam
-        kernel = MemoryKernel(SpectralDensity.rectangular(1.0, lam))
+        kernel = rectangular_kernel(lam)
         gx = gamma_rectangular(x)
-        cfg, a_scaling = make_drive_config(gx, omega=1.0, t_max=10.0, tau=tau)
+        cfg, a_memory = memory_drive_config(kernel, gx, omega=1.0, t_max=10.0, tau=tau)
         n_per_step = int(round(cfg.dt_step / tau))
-        a_memory = a_bar_from_memory(kernel, tau, n_per_step)
-        assert a_memory == pytest.approx(a_scaling, rel=1e-3)
+        assert a_memory == null_conditioned_power(interval_amplitude(kernel, tau), n_per_step)
+        assert a_memory == pytest.approx(np.exp(-0.5 * gx * cfg.dt_step), rel=1e-3)

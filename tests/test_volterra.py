@@ -403,3 +403,15 @@ class TestNullResultSurvival:
             null_result_survival(kernel, tau=0.0, n_intervals=3)
         with pytest.raises(ValueError):
             null_result_survival(kernel, tau=0.1, n_intervals=-1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: null_conditioned_power(math.nan, 3), "exceeds 1"),
+    (lambda: null_conditioned_power(complex(0.5, math.nan), 3), "exceeds 1"),
+    (lambda: null_result_survival(lorentzian_kernel(lam=5.0), math.nan, 3),
+     "tau must be positive"),
+], ids=["power-nan", "power-nan-imag", "survival-nan-tau"])
+def test_rejects_nan(call, message):
+    # unchecked, the powers were NaN and a NaN tau was reported as a bad t_max
+    with pytest.raises(ValueError, match=message):
+        call()

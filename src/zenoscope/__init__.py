@@ -14,7 +14,7 @@ reservoir and observed by frequent photon detection:
 * :mod:`zenoscope.cli` -- the ``zenoscope`` command-line front end.
 """
 
-from .lindblad import DensityMatrix2, lindblad_rhs, solve_master
+from .lindblad import DensityMatrix2, solve_master
 from .rates import (
     RateCurve,
     RateSource,

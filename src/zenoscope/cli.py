@@ -24,8 +24,8 @@ import numpy as np
 
 from .lindblad import DensityMatrix2, solve_master
 from .rates import RateSource, gamma_closed_form, gamma_numeric, rate_curve
-from .spectral import (MemoryKernel, Shape, SpectralDensity, check_size, load_tabulated_profile,
-                       write_csv)
+from .spectral import (MemoryKernel, Shape, SpectralDensity, check_count, check_positive,
+                       check_size, load_tabulated_profile, write_csv)
 from .trajectories import (AtomState, make_drive_config, memory_drive_config, run_ensemble,
                            simulate_trajectory)
 from .verify import DEFAULT_SEED, TOL_CLOSED, TOL_DECAY, TOL_KK, TOL_SCALING, run_suite
@@ -123,18 +123,14 @@ def _density(cfg: RunConfig) -> SpectralDensity:
         if cfg.table is None:
             raise ConfigError("tabulated shape requires key 'table' (profile file path)")
         table = load_tabulated_profile(cfg.table)
-    try:
-        return SpectralDensity(shape, gamma=cfg.gamma, lam=cfg.lam, omega0=cfg.omega0,
-                               c=cfg.c, b=cfg.b, table=table)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return SpectralDensity(shape, gamma=cfg.gamma, lam=cfg.lam, omega0=cfg.omega0,
+                           c=cfg.c, b=cfg.b, table=table)
 
 
 def _tau_and_x(cfg: RunConfig, density: SpectralDensity) -> tuple[float, float]:
     for key in ("tau", "x"):
-        value = getattr(cfg, key)
-        if value is not None and not value > 0:
-            raise ConfigError(f"key {key!r} must be positive, got {value}")
+        if getattr(cfg, key) is not None:
+            check_positive(getattr(cfg, key), f"key {key!r}")
     if cfg.tau is not None:
         tau, x = cfg.tau, cfg.tau * density.lam
     elif cfg.x is not None:
@@ -198,9 +194,9 @@ def _max_rel_dev(values, reference, grid) -> float:
 
 
 def _exp_gamma_curve(cfg: RunConfig, out: str, kk_only: bool = False):
-    if cfg.x_points < 1:
-        raise ConfigError(f"key 'x_points' must be >= 1, got {cfg.x_points}")
-    check_size(cfg.x_points, "x_points")
+    check_size(check_count(cfg.x_points, "key 'x_points'", 1), "x_points")
+    if cfg.x_min > cfg.x_max:
+        raise ConfigError(f"key 'x_min' = {cfg.x_min:g} exceeds key 'x_max' = {cfg.x_max:g}")
     density = _density(cfg)
     kernel = MemoryKernel(density)
     grid = np.linspace(cfg.x_min, cfg.x_max, cfg.x_points)

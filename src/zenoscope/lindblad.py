@@ -27,18 +27,13 @@ which would make the trace drift with the step count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import check_size
+from .spectral import check_finite, check_grid, check_positive, check_size
 
-__all__ = ["DensityMatrix2", "lindblad_rhs", "solve_master"]
-
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-_PROJ_E = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+__all__ = ["DensityMatrix2", "solve_master"]
 
 
 @dataclass(frozen=True)
@@ -50,10 +45,9 @@ class DensityMatrix2:
     ge: complex
     gg: complex
 
-    @classmethod
-    def from_matrix(cls, m) -> "DensityMatrix2":
-        m = np.asarray(m, dtype=complex)
-        return cls(ee=m[0, 0], eg=m[0, 1], ge=m[1, 0], gg=m[1, 1])
+    def __post_init__(self):
+        for name in ("ee", "eg", "ge", "gg"):
+            check_finite(getattr(self, name), name)
 
     @classmethod
     def from_state(cls, alpha: complex, beta: complex) -> "DensityMatrix2":
@@ -81,31 +75,17 @@ class DensityMatrix2:
             raise ValueError("density matrix has a negative eigenvalue")
 
 
-def _rhs_matrix(rho: np.ndarray, omega: float, gamma_eff: float) -> np.ndarray:
-    h = omega * _SIGMA_X
-    comm = h @ rho - rho @ h
-    jump = _SIGMA_MINUS @ rho @ _SIGMA_MINUS.conj().T
-    anti = _PROJ_E @ rho + rho @ _PROJ_E
-    return -1j * comm + gamma_eff * (jump - 0.5 * anti)
-
-
-#: Hermitian matrices with unit coordinate ``rho_ee``, ``rho_gg``,
-#: ``Re rho_eg`` and ``Im rho_eg`` respectively
-_REAL_BASIS = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]],
-                        [[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0j], [-1.0j, 0.0]]])
-
-
 def _real_generator(omega: float, gamma_eff: float) -> np.ndarray:
     """Generator as a real 4x4 matrix on ``(rho_ee, rho_gg, Re rho_eg, Im rho_eg)``.
 
-    Column ``k`` holds the coordinates of the generator applied to the basis
-    matrix ``k``.  The generator is traceless, so the ``gg`` row is the
-    negated ``ee`` row and every power of the map keeps the trace to
-    round-off.
+    The generator is traceless, so the ``gg`` row is the negated ``ee`` row and
+    every power of the map keeps the trace to round-off.
     """
-    images = _rhs_matrix(_REAL_BASIS, omega, gamma_eff)
-    return np.stack([images[:, 0, 0].real, images[:, 1, 1].real,
-                     images[:, 0, 1].real, images[:, 0, 1].imag])
+    w, g = omega, gamma_eff
+    return np.array([[-g, 0.0, 0.0, -2.0 * w],
+                     [g, 0.0, 0.0, 2.0 * w],
+                     [0.0, 0.0, -0.5 * g, 0.0],
+                     [w, -w, 0.0, -0.5 * g]])
 
 
 def _rk4_increment_matrix(omega: float, gamma_eff: float, dt: float) -> np.ndarray:
@@ -114,11 +94,6 @@ def _rk4_increment_matrix(omega: float, gamma_eff: float, dt: float) -> np.ndarr
     a2 = a @ a
     a3 = a2 @ a
     return a + a2 / 2.0 + a3 / 6.0 + (a3 @ a) / 24.0
-
-
-def lindblad_rhs(rho: DensityMatrix2, omega: float, gamma_eff: float) -> DensityMatrix2:
-    """Generator applied to ``rho``; traceless by construction."""
-    return DensityMatrix2.from_matrix(_rhs_matrix(rho.matrix, omega, gamma_eff))
 
 
 def solve_master(rho0: DensityMatrix2, omega: float, gamma_eff: float,
@@ -143,12 +118,10 @@ def solve_master(rho0: DensityMatrix2, omega: float, gamma_eff: float,
     ndarray
         ``P_e(k dt) = rho_ee`` on the grid (and the history if requested).
     """
-    for name, value in (("omega", omega), ("gamma_eff", gamma_eff),
-                        ("t_max", t_max), ("dt", dt)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if t_max <= 0 or dt <= 0:
-        raise ValueError(f"t_max and dt must be positive, got {t_max}, {dt}")
+    check_finite(omega, "omega")
+    check_finite(gamma_eff, "gamma_eff")
+    check_positive(check_finite(t_max, "t_max"), "t_max")
+    check_positive(check_finite(dt, "dt"), "dt")
     if gamma_eff < 0:
         raise ValueError(f"gamma_eff must be nonnegative, got {gamma_eff}")
     if dt * max(abs(omega), gamma_eff) > 0.05 + 1e-12:
@@ -156,10 +129,7 @@ def solve_master(rho0: DensityMatrix2, omega: float, gamma_eff: float,
             f"dt = {dt} too coarse: dt*max(omega, gamma_eff) = "
             f"{dt * max(abs(omega), gamma_eff):.3g} > 0.05")
 
-    n = int(round(check_size(t_max / dt, "t_max/dt")))
-    if abs(n * dt - t_max) > 1e-9 * t_max:
-        raise ValueError(f"dt={dt} does not divide t_max={t_max}: the grid would end "
-                         f"at t={n * dt:.12g}")
+    n = check_grid(int(round(check_size(t_max / dt, "t_max/dt"))), dt, t_max)
     eg = 0.5 * (rho0.eg + np.conj(rho0.ge))   # the Hermitian part of rho0
     v = np.empty((4, n + 1))
     v[:, 0] = (rho0.ee.real, rho0.gg.real, eg.real, eg.imag)

@@ -50,11 +50,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import cumulative_simpson
 from scipy.special import erf, sici
 
-from .spectral import (MemoryKernel, Shape, SpectralDensity, scaled_kernel_g,
-                       uniform_kernel_g, write_csv)
+from .spectral import (MemoryKernel, Shape, SpectralDensity, check_contraction, check_finite,
+                       check_points, check_positive, scaled_kernel_g, uniform_kernel_g, write_csv)
 
 __all__ = [
     "RateSource",
@@ -144,10 +145,8 @@ def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource,
     Negative, infinite and NaN entries raise ``ValueError`` before anything
     is sampled; ``x = 0`` gives exactly ``0j``.
     """
-    xs = np.asarray(xs, dtype=float)
-    bad = ~(np.isfinite(xs) & (xs >= 0))
-    if bad.any():
-        raise ValueError(f"x must be finite and nonnegative, got {xs[bad][0]}")
+    xs = check_points(xs, "x")
+    check_finite(check_positive(panels_per_unit, "panels_per_unit"), "panels_per_unit")
     route = _ROUTES.get(source)
     if route is None:
         raise ValueError(f"no numeric route for source {source!r}")
@@ -199,42 +198,61 @@ def kk_rate(kernel: MemoryKernel, x: float,
 
 # -- closed forms (c = 0 except for the Lorentzian; b = 1 for the double peak)
 
+#: below this ``|kappa| x`` (``kappa = 1`` but for the Lorentzian) the closed forms cancel
+X_SERIES = 0.01
+
+# Taylor coefficients, lowest order first: of [1 - (1 - e^{-z})/z] in z, and of
+# gamma_G, gamma_R and gamma_DL = 1 - Im e^{(i - 1) x}/x in x, for gamma = 1
+_LORENTZIAN_SERIES = [0.0] + [(-1) ** (k + 1) / math.factorial(k + 1) for k in range(1, 11)]
+_GAUSSIAN_SERIES = [(-1) ** (k // 2) * math.sqrt(2.0 / math.pi) / (2 ** (k // 2) * k * (k + 1)
+                    * math.factorial(k // 2)) if k % 2 else 0.0 for k in range(12)]
+_RECTANGULAR_SERIES = [(-1) ** (k // 2) / (math.pi * 4 ** (k // 2) * k * (k + 1)
+                       * math.factorial(k)) if k % 2 else 0.0 for k in range(10)]
+_DOUBLE_LORENTZIAN_SERIES = [0.0] + [-((1j - 1) ** (k + 1)).imag / math.factorial(k + 1)
+                                     for k in range(1, 12)]
+
+
+def _closed_form(x, gamma, series, direct, kappa=1.0):
+    """``direct(x)`` at ``|kappa| x >= X_SERIES``, and ``gamma/kappa`` times the Taylor
+    ``series`` in ``kappa x`` below, as complex; each branch sees only its own points."""
+    xs = check_points(x, "x")
+    check_finite(check_positive(gamma, "gamma"), "gamma")
+    small = xs < X_SERIES / abs(kappa)
+    out = np.where(small, gamma / kappa * polyval(kappa * np.where(small, xs, 0.0), series),
+                   direct(np.where(small, 1.0, xs))) + 0.0j
+    return complex(out) if np.isscalar(x) else out
+
 
 def gamma_lorentzian(x, c: float = 0.0, gamma: float = 1.0):
-    """``gamma [1/kappa - (1 - e^{-kappa x}) / (kappa^2 x)]`` with ``kappa = 1 - ic``."""
-    xs = np.asarray(x, dtype=float)
-    kappa = 1.0 - 1j * c
-    safe = np.where(xs > 0, xs, 1.0)
-    val = gamma * (1.0 / kappa - (1.0 - np.exp(-kappa * safe)) / (kappa * kappa * safe))
-    out = np.where(xs > 0, val, 0.0 + 0.0j)
-    return complex(out) if np.isscalar(x) else out
+    """``gamma [1/kappa - (1 - e^{-kappa x}) / (kappa^2 x)]`` with ``kappa = 1 - ic``.
+
+    Summed as ``(gamma/kappa) [1 - (1 - e^{-z})/z]``, ``z = kappa x``, so that
+    no ``kappa^2`` overflows.
+    """
+    kappa = 1.0 - 1j * check_finite(c, "c")
+    # past |c x| = 1e300 the phase of e^{-z} is round-off, and its term below 1e-300
+    z = lambda x: x - 1j * (c * np.minimum(x, 1e300 / max(abs(c), 1.0)))
+    return _closed_form(x, gamma, _LORENTZIAN_SERIES,
+                        lambda x: gamma / kappa * (1.0 - (1.0 - np.exp(-z(x))) / z(x)), kappa)
 
 
 def gamma_gaussian(x, gamma: float = 1.0):
     """``gamma [erf(x/sqrt 2) + 2/(sqrt(2 pi) x) (e^{-x^2/2} - 1)]`` (zero at x = 0)."""
-    xs = np.asarray(x, dtype=float)
-    safe = np.where(xs > 0, xs, 1.0)
-    val = gamma * (erf(safe / math.sqrt(2.0))
-                   + 2.0 / (math.sqrt(2.0 * math.pi) * safe) * (np.exp(-0.5 * safe ** 2) - 1.0))
-    out = np.where(xs > 0, val, 0.0) + 0.0j
-    return complex(out) if np.isscalar(x) else out
+    return _closed_form(x, gamma, _GAUSSIAN_SERIES, lambda x: gamma * (
+        erf(x / math.sqrt(2.0))
+        + 2.0 / (math.sqrt(2.0 * math.pi) * x) * (np.exp(-0.5 * x ** 2) - 1.0)))
 
 
 def gamma_rectangular(x, gamma: float = 1.0):
     """``(2 gamma/pi) [Si(x/2) + (2/x) cos(x/2) - 2/x]`` (zero at x = 0)."""
-    xs = np.asarray(x, dtype=float)
-    safe = np.where(xs > 0, xs, 1.0)
-    si, _ = sici(0.5 * safe)
-    val = 2.0 * gamma / math.pi * (si + 2.0 / safe * (np.cos(0.5 * safe) - 1.0))
-    out = np.where(xs > 0, val, 0.0) + 0.0j
-    return complex(out) if np.isscalar(x) else out
+    return _closed_form(x, gamma, _RECTANGULAR_SERIES, lambda x: 2.0 * gamma / math.pi * (
+        sici(0.5 * x)[0] + 2.0 / x * (np.cos(0.5 * x) - 1.0)))
 
 
 def gamma_double_lorentzian(x, gamma: float = 1.0):
     """``gamma (1 - e^{-x} sin(x)/x)``; symmetric peaks split by the peak width."""
-    xs = np.asarray(x, dtype=float)
-    out = gamma * (1.0 - np.exp(-xs) * np.sinc(xs / math.pi)) + 0.0j
-    return complex(out) if np.isscalar(x) else out
+    return _closed_form(x, gamma, _DOUBLE_LORENTZIAN_SERIES,
+                        lambda x: gamma * (1.0 - np.exp(-x) * np.sinc(x / math.pi)))
 
 
 def gamma_closed_form(density: SpectralDensity, x):
@@ -261,11 +279,8 @@ def gamma_closed_form(density: SpectralDensity, x):
 
 def gamma_eff(a_bar_dt: complex, dt_total: float) -> float:
     """Effective emission rate ``[1 - |a_bar(dt)|^2] / dt`` of one detection step."""
-    if not dt_total > 0:
-        raise ValueError(f"dt_total must be positive, got {dt_total}")
-    mod2 = abs(a_bar_dt) ** 2
-    if not mod2 <= 1.0 + 2e-9:
-        raise ValueError(f"|a_bar|^2 = {mod2!r} exceeds 1 beyond tolerance")
+    check_finite(check_positive(dt_total, "dt_total"), "dt_total")
+    mod2 = abs(check_contraction(a_bar_dt, "a_bar_dt")) ** 2
     return (1.0 - mod2) / dt_total
 
 
@@ -281,8 +296,7 @@ class RateCurve:
     def validate(self):
         if np.any(np.diff(self.x_grid) <= 0):
             raise ValueError("x_grid must be strictly increasing")
-        if np.any(self.x_grid < 0):
-            raise ValueError("x_grid must be nonnegative")
+        check_points(self.x_grid, "x_grid")
         floor = -1e-9 * self.model.gamma
         if np.any(self.values.real < floor):
             raise ValueError("Re gamma(x) dips below the decay floor")
@@ -302,7 +316,7 @@ def rate_curve(kernel: MemoryKernel, x_grid,
     The numeric routes sample ``g`` once for the whole grid (see
     :func:`_numeric_rates`).
     """
-    xs = np.asarray(x_grid, dtype=float)
+    xs = check_points(x_grid, "x_grid")
     if source is RateSource.CLOSED_FORM:
         values = np.asarray(gamma_closed_form(kernel.density, xs), dtype=complex)
     else:

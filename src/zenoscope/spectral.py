@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,8 @@ __all__ = [
 ]
 
 
+# -- the input rules, each written once; every public entry point checks its arguments here
+
 #: size budget: the most steps or grid points one solver, sampler or
 #: experiment allocates; larger requests are rejected before allocation
 MAX_POINTS = 10 ** 7
@@ -68,6 +71,52 @@ def check_size(count, what: str):
         raise ValueError(f"{what} = {shown} does not fit the size budget of "
                          f"{MAX_POINTS:.0e} points")
     return count
+
+
+def check_finite(value, name: str):
+    """``value`` itself, or ``ValueError`` if it (or an entry of it) is NaN or infinite."""
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {np.asarray(value)[~finite].flat[0]}")
+    return value
+
+
+def check_positive(value, name: str):
+    """``value`` itself, or ``ValueError`` unless ``value > 0``."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
+def check_count(n, name: str, minimum: int):
+    """``n`` itself, or ``ValueError`` unless it is an integer ``>= minimum``."""
+    if not (isinstance(n, numbers.Integral) and n >= minimum):
+        raise ValueError(f"{name} must be >= {minimum} and an integer, got {n!r}")
+    return n
+
+
+def check_points(x, name: str) -> np.ndarray:
+    """``x`` as a float array, or ``ValueError`` unless every entry is finite and ``>= 0``."""
+    xs = np.asarray(x, dtype=float)
+    bad = ~(np.isfinite(xs) & (xs >= 0))
+    if bad.any():
+        raise ValueError(f"{name} must be finite and nonnegative, got {xs[bad][0]}")
+    return xs
+
+
+def check_contraction(a, name: str) -> complex:
+    """``a`` as a complex number, or ``ValueError`` unless ``|a| <= 1 + 1e-9``."""
+    if not abs(a) <= 1.0 + 1e-9:
+        raise ValueError(f"|{name}| = {abs(a)!r} exceeds 1 beyond tolerance")
+    return complex(a)
+
+
+def check_grid(n: int, dt: float, t_max: float) -> int:
+    """``n``, or ``ValueError`` if ``n`` steps of ``dt`` miss ``t_max`` by over ``1e-9 t_max``."""
+    if not abs(n * dt - t_max) <= 1e-9 * t_max:
+        raise ValueError(f"dt={dt} does not divide t_max={t_max}: the grid would end "
+                         f"at t={n * dt:.12g}")
+    return n
 
 
 class Shape(enum.Enum):
@@ -119,25 +168,21 @@ class SpectralDensity:
     table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for name in ("gamma", "lam", "omega0", "c", "b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.b < 0:
-            raise ValueError(f"b must be nonnegative, got {self.b}")
+        for name in ("gamma", "lam", "omega0", "c"):
+            check_finite(getattr(self, name), name)
+        check_positive(self.gamma, "gamma")
+        check_positive(self.lam, "lam")
+        check_points(self.b, "b")
         if self.shape is Shape.TABULATED:
             if self.table is None:
                 raise ValueError("tabulated shape requires a profile table")
             tab = np.atleast_2d(np.asarray(self.table, dtype=float))
             if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
                 raise ValueError("profile table must contain >= 2 rows of (omega_tilde, d_tilde)")
+            check_finite(tab[:, 0], "profile table abscissae")
             if not np.all(np.diff(tab[:, 0]) > 0):
                 raise ValueError("profile table abscissae must be strictly increasing")
-            if np.any(tab[:, 1] < 0):
-                raise ValueError("profile table values must be nonnegative")
+            check_points(tab[:, 1], "profile table values")
             object.__setattr__(self, "table", tab)
         elif self.table is not None:
             raise ValueError(f"table is only meaningful for the tabulated shape, not {self.shape}")
@@ -213,12 +258,11 @@ class MemoryKernel:
             mode = (KernelMode.QUADRATURE if self.density.shape is Shape.TABULATED
                     else KernelMode.ANALYTIC)
             object.__setattr__(self, "mode", mode)
-        elif isinstance(self.mode, str):
+        else:
             object.__setattr__(self, "mode", KernelMode(self.mode))
         if self.mode is KernelMode.ANALYTIC and self.density.shape is Shape.TABULATED:
             raise ValueError("tabulated densities have no analytic kernel; use quadrature mode")
-        if self.n_panels < 2:
-            raise ValueError(f"n_panels must be >= 2, got {self.n_panels}")
+        check_size(check_count(self.n_panels, "n_panels", 2), "n_panels")
         if self.n_panels % 2:
             object.__setattr__(self, "n_panels", self.n_panels + 1)
 
@@ -258,8 +302,6 @@ def load_tabulated_profile(path) -> np.ndarray:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected two comma-separated values")
             rows.append((float(parts[0]), float(parts[1])))
-    if len(rows) < 2:
-        raise ValueError("profile file must contain at least two samples")
     return np.asarray(rows, dtype=float)
 
 
@@ -293,7 +335,7 @@ def _profile(density: SpectralDensity, w):
 
 def sdf_value(density: SpectralDensity, omega_r):
     """Spectral density ``D(omega_r)``; accepts scalars or arrays."""
-    w = (np.asarray(omega_r, dtype=float) - density.omega0) / density.lam
+    w = (check_finite(np.asarray(omega_r, dtype=float), "omega_r") - density.omega0) / density.lam
     out = density.d0 * _profile(density, w)
     return float(out) if np.isscalar(omega_r) else out
 
@@ -352,10 +394,7 @@ def scaled_kernel_g(kernel: MemoryKernel, x):
     ``c``, ``b``, and the dimensionless profile enter.  Accepts scalars or
     arrays of any shape of finite ``x >= 0``.
     """
-    xs = np.asarray(x, dtype=float)
-    bad = ~(np.isfinite(xs) & (xs >= 0))
-    if bad.any():
-        raise ValueError(f"x must be finite and nonnegative, got {xs[bad][0]}")
+    xs = check_points(x, "x")
     if kernel.mode is KernelMode.ANALYTIC:
         out = _g_analytic(kernel.density, xs)
     else:
@@ -395,11 +434,8 @@ def uniform_kernel_g(kernel: MemoryKernel, x_max: float, n: int) -> np.ndarray:
     the point-by-point sum to round-off.  Every other kernel returns
     ``scaled_kernel_g(kernel, np.linspace(0, x_max, n + 1))``.
     """
-    if not 1 <= n:
-        raise ValueError(f"n must be >= 1, got {n}")
-    check_size(n, "n")
-    if not 0 <= x_max < math.inf:
-        raise ValueError(f"x_max must be finite and nonnegative, got {x_max}")
+    check_size(check_count(n, "n", 1), "n")
+    check_points(x_max, "x_max")
     xs = np.linspace(0.0, x_max, n + 1)
     support = kernel.compact_support
     if support is None:
@@ -412,9 +448,7 @@ def uniform_kernel_g(kernel: MemoryKernel, x_max: float, n: int) -> np.ndarray:
 
 def kernel_value(kernel: MemoryKernel, u):
     """Memory kernel ``F(u) = lam * g(lam*u)`` for times ``u >= 0``."""
-    us = np.asarray(u, dtype=float)
-    if np.any(us < 0):
-        raise ValueError("u must be nonnegative")
+    us = check_points(u, "u")
     lam = kernel.density.lam
     out = lam * scaled_kernel_g(kernel, lam * us)
     return complex(out) if np.isscalar(u) else out

@@ -58,7 +58,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .rates import gamma_eff as _gamma_eff_of
-from .spectral import MemoryKernel, check_size, write_csv
+from .spectral import (MemoryKernel, check_contraction, check_count, check_finite, check_points,
+                       check_positive, check_size, write_csv)
 from .volterra import AtomState, interval_amplitude, null_conditioned_power
 
 __all__ = [
@@ -93,16 +94,10 @@ class DriveConfig:
     n_steps: int
 
     def __post_init__(self):
-        for name in ("omega", "gamma_eff", "dt_step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.dt_step <= 0:
-            raise ValueError(f"dt_step must be positive, got {self.dt_step}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        check_size(self.n_steps, "n_steps")
-        if self.gamma_eff < 0:
-            raise ValueError(f"gamma_eff must be nonnegative, got {self.gamma_eff}")
+        check_finite(self.omega, "omega")
+        check_points(self.gamma_eff, "gamma_eff")
+        check_positive(check_finite(self.dt_step, "dt_step"), "dt_step")
+        check_size(check_count(self.n_steps, "n_steps", 1), "n_steps")
         if self.gamma_eff * self.dt_step > MAX_RATE_DT + 1e-12:
             raise ValueError(
                 f"gamma_eff*dt_step = {self.gamma_eff * self.dt_step:.3g} violates the "
@@ -152,6 +147,7 @@ def make_rng(seed: int) -> np.random.Generator:
     Ensembles draw the same streams without building one generator per
     trajectory (``_seeded_uniforms``).
     """
+    check_count(seed, "seed", 0)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
@@ -250,13 +246,6 @@ def _advance(alpha, beta, eps, a_bar, geff_dt, cw, sw):
     return cw * alpha - 1j * sw * beta, -1j * sw * alpha + cw * beta, jumped
 
 
-def _check_contraction(a_bar_dt) -> complex:
-    """``a_bar_dt`` as a complex number; NaN and ``|a_bar_dt| > 1`` are rejected."""
-    if not abs(a_bar_dt) <= 1.0 + 1e-9:
-        raise ValueError(f"|a_bar_dt| = {abs(a_bar_dt)!r} exceeds 1 beyond tolerance")
-    return complex(a_bar_dt)
-
-
 def mc_step(state: AtomState, cfg: DriveConfig, a_bar_dt: complex,
             epsilon: float) -> tuple[AtomState, bool]:
     """Single Monte-Carlo update with injected randomness ``epsilon in [0, 1)``.
@@ -268,7 +257,7 @@ def mc_step(state: AtomState, cfg: DriveConfig, a_bar_dt: complex,
     cw = math.cos(cfg.omega * cfg.dt_step)
     sw = math.sin(cfg.omega * cfg.dt_step)
     alpha, beta, jumped = _advance(complex(state.alpha), complex(state.beta),
-                                   epsilon, _check_contraction(a_bar_dt),
+                                   epsilon, check_contraction(a_bar_dt, "a_bar_dt"),
                                    cfg.gamma_eff * cfg.dt_step, cw, sw)
     return AtomState(alpha, beta), jumped
 
@@ -302,7 +291,7 @@ def _no_click_path(alpha: complex, beta: complex, n: int, a_bar, geff_dt, cw, sw
 def _paths(initial_amps: tuple[complex, complex], cfg: DriveConfig,
            a_bar_dt: complex) -> tuple[_Path, _Path]:
     """No-click paths from the initial state and from the post-click state."""
-    a_bar = _check_contraction(a_bar_dt)
+    a_bar = check_contraction(a_bar_dt, "a_bar_dt")
     cw = math.cos(cfg.omega * cfg.dt_step)
     sw = math.sin(cfg.omega * cfg.dt_step)
     geff_dt = cfg.gamma_eff * cfg.dt_step
@@ -403,8 +392,9 @@ def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
     fills contiguous blocks of rows in that many threads; each row depends
     on its seed alone, so the result is the same for every ``n_jobs``.
     """
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    check_count(n_traj, "n_traj", 1)
+    check_count(master_seed, "master_seed", 0)
+    check_count(n_jobs, "n_jobs", 1)
     check_size(n_traj * (cfg.n_steps + 1), "n_traj*(n_steps+1)")
     start, after_click = _paths((initial.alpha, initial.beta), cfg, a_bar_dt)
     p_e = np.empty((n_traj, cfg.n_steps + 1))
@@ -429,10 +419,9 @@ def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
 
 def _step_bound(gamma_x: complex, omega: float, t_max: float) -> float:
     """``min(t_max, 0.05/Re gamma(x), 0.05/|omega|)``, the largest admissible step."""
-    if not t_max > 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
-    if not np.isfinite(gamma_x):
-        raise ValueError(f"gamma(x) must be finite, got {gamma_x}")
+    check_positive(t_max, "t_max")
+    check_finite(gamma_x, "gamma_x")
+    check_finite(omega, "omega")
     bounds = [t_max]
     if gamma_x.real > 0:
         bounds.append(MAX_RATE_DT / gamma_x.real)
@@ -469,8 +458,7 @@ def memory_drive_config(kernel: MemoryKernel, gamma_x: complex, omega: float, t_
     ``1 - |a(tau)**n|**2 <= MAX_RATE_DT``.  Returns the config and ``a(tau)**n``.
     """
     dt = _step_bound(gamma_x, omega, t_max)
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    check_positive(tau, "tau")
     if tau > dt:
         raise ValueError(f"tau = {tau} exceeds the admissible step {dt:.3g}")
     if dt / tau == math.inf:

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import MemoryKernel, check_size, kernel_value, uniform_kernel_g, write_csv
+from .spectral import (MemoryKernel, check_contraction, check_count, check_finite, check_grid,
+                       check_points, check_positive, check_size, kernel_value, uniform_kernel_g,
+                       write_csv)
 
 __all__ = [
     "AtomState",
@@ -45,11 +47,11 @@ class AtomState:
     beta: complex
 
     def __post_init__(self):
-        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
-            raise ValueError(f"state amplitudes must be finite, got {self.alpha!r}, {self.beta!r}")
+        check_finite(self.alpha, "alpha")
+        check_finite(self.beta, "beta")
         n2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(n2 - 1.0) > 1e-9:
-            raise ValueError(f"state norm^2 = {n2!r} differs from 1 beyond 1e-9")
+            raise ValueError(f"|alpha|^2 + |beta|^2 = {n2!r} differs from 1 beyond 1e-9")
 
     @property
     def p_excited(self) -> float:
@@ -134,8 +136,7 @@ def solve_decay(kernel: MemoryKernel, t_max: float, dt: float | None = None,
     explicit_dt = dt is not None
     if dt is None:
         dt = default_time_step(kernel)
-    if not t_max > 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    check_positive(t_max, "t_max")
     if not 0 < dt <= t_max:
         raise ValueError(f"dt must satisfy 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
     lam = kernel.density.lam
@@ -146,9 +147,8 @@ def solve_decay(kernel: MemoryKernel, t_max: float, dt: float | None = None,
         raise ValueError(f"unknown scheme {scheme!r}")
 
     n = int(round(check_size(t_max / dt, "t_max/dt")))
-    if explicit_dt and abs(n * dt - t_max) > 1e-9 * t_max:
-        raise ValueError(f"dt={dt} does not divide t_max={t_max}: the grid would end "
-                         f"at t={n * dt:.12g}")
+    if explicit_dt:
+        check_grid(n, dt, t_max)
     if kernel.compact_support is None:
         k = kernel_value(kernel, dt * np.arange(n + 1))
     else:
@@ -184,10 +184,10 @@ def analytic_lorentzian_a(t, gamma: float, lam: float, energy_offset: float = 0.
     at ``lam = 2 gamma``, ``E = 0``) is evaluated by its limit
     ``(1 + A t) e^{-A t}``.  Accepts scalar or array ``t >= 0``.
     """
-    ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0):
-        raise ValueError("t must be nonnegative")
-    z = lam - 1j * energy_offset
+    ts = check_points(t, "t")
+    for name, value in (("gamma", gamma), ("lam", lam)):
+        check_finite(check_positive(value, name), name)
+    z = lam - 1j * check_finite(energy_offset, "energy_offset")
     root = np.sqrt(z * z - 2.0 * gamma * lam + 0j)
     a_plus = 0.5 * (z + root)
     a_minus = 0.5 * (z - root)
@@ -206,8 +206,9 @@ def interval_amplitude(kernel: MemoryKernel, tau: float,
     steps; every null result restarts this evolution, so ``n`` intervals
     contract the amplitude by ``a(tau)**n`` (:func:`null_conditioned_power`).
     """
-    series = solve_decay(kernel, t_max=tau, dt=tau / steps_per_interval)
-    return complex(series.values[-1])
+    check_finite(check_positive(tau, "tau"), "tau")
+    n = check_count(steps_per_interval, "steps_per_interval", 1)
+    return complex(solve_decay(kernel, t_max=tau, dt=tau / n).values[-1])
 
 
 def null_conditioned_power(a_tau: complex, n: int) -> complex:
@@ -216,10 +217,11 @@ def null_conditioned_power(a_tau: complex, n: int) -> complex:
     Evaluated through the log-modulus and accumulated phase so that powers up
     to ``n ~ 1e6`` neither under- nor overflow prematurely.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if not abs(a_tau) <= 1.0 + 1e-9:
-        raise ValueError(f"|a_tau| = {abs(a_tau)!r} exceeds 1 beyond tolerance")
+    return _power(check_contraction(a_tau, "a_tau"), check_count(n, "n", 0))
+
+
+def _power(a_tau: complex, n: int) -> complex:
+    """:func:`null_conditioned_power` of checked arguments."""
     if n == 0:
         return 1.0 + 0.0j
     r = abs(a_tau)
@@ -244,13 +246,8 @@ def null_result_survival(kernel: MemoryKernel, tau: float, n_intervals: int,
     conditioned powers amplify any relative error of ``a(tau)`` by ``n``, so
     the interval is resolved much more finely than a plain decay run.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if n_intervals < 0:
-        raise ValueError(f"n_intervals must be nonnegative, got {n_intervals}")
-    check_size(n_intervals, "n_intervals")
-    a_tau = interval_amplitude(kernel, tau, steps_per_interval)
+    check_size(check_count(n_intervals, "n_intervals", 0), "n_intervals")
+    a_tau = check_contraction(interval_amplitude(kernel, tau, steps_per_interval), "a_tau")
     times = tau * np.arange(n_intervals + 1)
-    p_e = np.array([abs(null_conditioned_power(a_tau, k)) ** 2
-                    for k in range(n_intervals + 1)])
+    p_e = np.array([abs(_power(a_tau, k)) ** 2 for k in range(n_intervals + 1)])
     return times, p_e

@@ -326,6 +326,35 @@ class TestRunCommand:
         first = out.read_text().splitlines()[1].split(",")
         assert first[0] == "0" and all(float(v) == 0.0 for v in first[1:])
 
+    @pytest.mark.parametrize("x_min, x_max, message", [
+        (1e308, None, "error: key 'x_min' = 1e+308 exceeds key 'x_max' = 20\n"),
+        (5.0, 1.0, "error: key 'x_min' = 5 exceeds key 'x_max' = 1\n"),
+    ], ids=["x_min-1e308", "x_min-above-x_max"])
+    @pytest.mark.parametrize("experiment", ["gamma_curve", "kk_check"])
+    def test_reversed_x_range_exits_1_before_sampling(self, runner, tmp_path, experiment,
+                                                      x_min, x_max, message):
+        # unchecked, both curves were sampled (with three RuntimeWarnings at x_min = 1e308)
+        # before "x_grid must be strictly increasing", which names neither key
+        body = f"experiment = {experiment}\nshape = gaussian\nlambda = 1\nx_min = {x_min}\n"
+        if x_max is not None:
+            body += f"x_max = {x_max}\n"
+        cfg = write_config(tmp_path, body + "x_points = 5\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 1
+        assert result.stderr == message
+        assert [str(w.message) for w in caught] == []
+
+    def test_trajectory_at_tiny_x_exits_0(self, runner, tmp_path):
+        # the Gaussian closed form cancelled to -8.8e-10 at x = 1e-8, and the run
+        # failed with "|a_bar|^2 = 1.000000008794525 exceeds 1"
+        cfg = write_config(tmp_path, "experiment = trajectory\nshape = gaussian\nlambda = 1\n"
+                                     "x = 1e-8\nomega = 0\n")
+        result = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 0, result.output + result.stderr
+        assert result.stderr == ""
+
     def test_dump_config_round_trip(self, runner, tmp_path):
         body = ("experiment = ensemble\nshape = rectangular\nlambda = 2.5\n"
                 "x = 0.2\nomega = 1\nn_traj = 17\nseed = 4\n")

@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, null_space
 
-from zenoscope import DensityMatrix2, lindblad_rhs, solve_master
+from zenoscope import DensityMatrix2, solve_master
 from zenoscope.lindblad import _real_generator
-
-
-def random_density(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    return DensityMatrix2.from_matrix(rho / np.trace(rho))
 
 
 def liouvillian_by_components(omega, gamma):
@@ -56,35 +50,26 @@ class TestDensityMatrix2:
             DensityMatrix2(-0.2, 0.0, 0.0, 1.2).validate()
 
 
-class TestLindbladRhs:
-    def test_pure_decay_rate(self):
-        rhs = lindblad_rhs(DensityMatrix2.excited(), omega=0.0, gamma_eff=0.7)
-        assert rhs.ee == pytest.approx(-0.7)
-        assert rhs.gg == pytest.approx(0.7)
-
-    def test_traceless_for_random_states(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            rho = random_density(rng)
-            rhs = lindblad_rhs(rho, omega=1.3, gamma_eff=0.5)
-            assert abs(rhs.trace) < 1e-12
-
-    def test_matches_component_equations(self):
-        rng = np.random.default_rng(5)
-        gen = liouvillian_by_components(omega=0.9, gamma=0.4)
-        for _ in range(10):
-            rho = random_density(rng)
-            vec = np.array([rho.ee, rho.eg, rho.ge, rho.gg])
-            rhs = lindblad_rhs(rho, omega=0.9, gamma_eff=0.4)
-            expected = gen @ vec
-            np.testing.assert_allclose(
-                [rhs.ee, rhs.eg, rhs.ge, rhs.gg], expected, atol=1e-13)
+def components_to_real(omega, gamma):
+    """``liouvillian_by_components`` in the real coordinates of ``_real_generator``."""
+    # (ee, gg, Re eg, Im eg) = T (ee, eg, ge, gg), and back through T^-1
+    t = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0], [0, -0.5j, 0.5j, 0]])
+    return t @ liouvillian_by_components(omega, gamma) @ np.linalg.inv(t)
 
 
 class TestRealGenerator:
     def test_gg_row_is_the_negated_ee_row(self):
         gen = _real_generator(omega=-1.7, gamma_eff=0.3)
         assert np.array_equal(gen[1], -gen[0])
+
+    def test_matches_component_equations(self):
+        rng = np.random.default_rng(5)
+        pairs = [(0.0, 0.7), (0.9, 0.4), (-1.3, 0.0)] + [tuple(p) for p in rng.normal(size=(10, 2))]
+        for omega, gamma in pairs:
+            expected = components_to_real(omega, gamma)
+            assert np.max(np.abs(expected.imag)) < 1e-15
+            np.testing.assert_allclose(_real_generator(omega, gamma), expected.real,
+                                       rtol=0, atol=1e-14)
 
 
 class TestSolveMaster:
@@ -182,9 +167,11 @@ class TestSolveMaster:
     @pytest.mark.parametrize("omega, gamma, t_max, dt", [
         (1.0, 0.3, 20.0, 0.05), (0.0, 0.6, 10.0, 0.01), (-0.7, 0.0, 5.0, 0.02)])
     def test_tabulated_step_matches_stagewise_rk4(self, omega, gamma, t_max, dt):
-        # reference: the four RK4 stages evaluated through lindblad_rhs every step
+        # reference: the four RK4 stages evaluated from the component equations every step
+        gen = liouvillian_by_components(omega, gamma)
+
         def rhs(m):
-            return lindblad_rhs(DensityMatrix2.from_matrix(m), omega, gamma).matrix
+            return (gen @ m.ravel()).reshape(2, 2)
 
         rho = DensityMatrix2.from_state(0.6, 0.8j).matrix
         expected = [rho[0, 0].real]

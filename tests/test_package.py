@@ -89,3 +89,19 @@ def test_cli_reads_every_config_field():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
     assert sorted(fields - read) == []
+
+
+def test_only_spectral_checks_finiteness():
+    # the input rules live beside check_size in spectral; parse_config's line-numbered
+    # message is the config file's own boundary
+    calls = []
+    for name, tree in MODULES.items():
+        if name == "spectral":
+            continue
+        exempt = {id(node) for func in tree.body
+                  if isinstance(func, ast.FunctionDef) and func.name == "parse_config"
+                  for node in ast.walk(func)}
+        calls += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in exempt
+                  and "isfinite" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+    assert calls == []

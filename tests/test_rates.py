@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -32,6 +33,26 @@ CLOSED_FORMS = {
     Shape.RECTANGULAR: gamma_rectangular,
     Shape.DOUBLE_LORENTZIAN: gamma_double_lorentzian,
 }
+
+
+def reference_rate(shape, x, c=0.0):
+    """The closed form of ``shape`` at ``gamma = 1`` in 650-digit arithmetic.
+
+    Every form cancels to about ``x`` (Gaussian, rectangular: ``x^2``) of its
+    terms, which costs at most 600 of the 650 digits on ``x >= 1e-300``.
+    """
+    with mp.workdps(650):
+        x = mp.mpf(x)
+        if shape is Shape.LORENTZIAN:
+            kappa = mp.mpc(1, -c)
+            value = 1 / kappa - (1 - mp.exp(-kappa * x)) / (kappa ** 2 * x)
+        elif shape is Shape.GAUSSIAN:
+            value = mp.erf(x / mp.sqrt(2)) + 2 / (mp.sqrt(2 * mp.pi) * x) * (mp.exp(-x * x / 2) - 1)
+        elif shape is Shape.RECTANGULAR:
+            value = 2 / mp.pi * (mp.si(x / 2) + 2 / x * (mp.cos(x / 2) - 1))
+        else:
+            value = 1 - mp.exp(-x) * mp.sin(x) / x
+        return complex(value)
 
 
 def kernel_for(shape, lam=1.0, gamma=1.0, **kw):
@@ -80,6 +101,24 @@ class TestClosedForms:
         # the documented 5% window for the Lorentzian onset, Re gamma ~ x/2
         for x in (0.01, 0.05):
             assert gamma_lorentzian(x).real == pytest.approx(x / 2, rel=0.05)
+
+    @pytest.mark.parametrize("shape, c", [(Shape.LORENTZIAN, c) for c in (0.0, 0.7, 1e160, 1e300)]
+                             + [(shape, 0.0) for shape in ALL_NAMED[1:]])
+    def test_match_high_precision_reference(self, shape, c):
+        # the plain forms cancel: 5.9e-9 relative at x = 1e-4, order one at 1e-8,
+        # NaN for a Lorentzian with |c| > 1e154; the Taylor branch holds below 0.01
+        xs = np.concatenate([np.geomspace(1e-300, 20.0, 61), np.geomspace(1e-3, 0.1, 21)])
+        kw = {"c": c} if shape is Shape.LORENTZIAN else {}
+        got = CLOSED_FORMS[shape](xs, **kw)
+        ref = np.array([reference_rate(shape, x, c) for x in xs])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-11
+
+    def test_lorentzian_stays_finite_for_any_finite_detuning(self):
+        # kappa^2 overflowed: gamma_lorentzian(1.0, c=1e160) was nan+nanj
+        for c in (1e160, -1e300, 1e308):
+            values = gamma_lorentzian(np.array([1e-300, 1e-3, 1.0, 20.0]), c=c)
+            assert np.all(np.isfinite(values))
+            assert values[-1] == pytest.approx(1.0 / (1.0 - 1j * c), rel=1e-12)
 
     def test_monotone_zeno_onset(self):
         x = np.linspace(0.01, 1.0, 60)

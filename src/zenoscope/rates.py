@@ -16,25 +16,31 @@ mutual equalities as well as the width-independence of the numeric routes.
 
 Both numeric routes take a whole curve in one pass (:func:`_numeric_rates`).
 ``g`` is sampled once, on the uniform grid of ``PANELS_PER_UNIT`` panels per
-unit out to the largest ``x``, through
+unit of ``max(1, |c|) x`` out to the largest ``x`` (so that the phase
+``e^{icx}`` of ``g`` is resolved; a grid over ``MAX_PANELS`` panels is
+rejected), through
 :func:`~zenoscope.spectral.uniform_kernel_g`.  For compact-support
 quadrature kernels (rectangular, tabulated) that is one chirp-z transform
 of the Simpson sum instead of one Simpson sum per grid point; it agrees
-with the point-by-point sum of :func:`~zenoscope.spectral.scaled_kernel_g`
-to at most 1.5e-15 Gamma.  Every rate is then read off cumulative Simpson
-sums of those samples: the inner integral ``I`` of ``g`` and the outer
-integral of ``I`` on the double route, the moments ``G0 = int g`` and
-``G1 = int x' g`` on the single-integral route, ``(2i/x)(x G0 - G1)``.
+with the point-by-point sums to at most 1.5e-15 Gamma.  Every rate is then
+read off cumulative Simpson sums of those samples: the inner integral ``I``
+of ``g`` and the outer integral of ``I`` on the double route, the moments
+``G0 = int g`` and ``G1 = int x' g`` on the single-integral route,
+``(2i/x)(x G0 - G1)``.
 
 The remainder rule: each ``x`` is read at the last even node ``t_m <= x``,
 where the cumulative sums are the composite Simpson rule, and every
 integral is closed from ``t_m`` to ``x`` (``d = x - t_m < 2h``) by a
 two-panel Simpson rule on ``[t_m, x]``.  It takes exact samples of ``g``
-at ``t_m + d/4``, ``t_m + d/2`` and ``x`` from one vectorised
-:func:`~zenoscope.spectral.scaled_kernel_g` call; the inner integral at the
-midpoint ``t_m + d/2`` takes its own two-panel rule.  An ``x`` on an even
-node takes no extra samples, so :func:`gamma_numeric` and :func:`kk_rate`,
-the one-point case, integrate on exactly the grid of ``x`` itself.
+at ``t_m + d/4``, ``t_m + d/2`` and ``x`` from one
+:func:`~zenoscope.spectral.scaled_kernel_g` call, which evaluates them
+together: Taylor-corrected chirp-z transforms for a compact-support
+quadrature kernel once the batch is large enough (a one-point rate's three
+samples take the point-by-point Simpson sums), double-exponential sums for
+an infinite-support one.  The inner integral at the midpoint ``t_m + d/2``
+takes its own two-panel rule.  An ``x`` on an even node takes no extra
+samples, so :func:`gamma_numeric` and :func:`kk_rate`, the one-point case,
+integrate on exactly the grid of ``x`` itself.
 
 Measured agreement (named shapes at ``lam = 1``, 200 points on
 ``[0.01, 20]``): the curves meet the closed forms to 8.3e-13 relative and
@@ -78,14 +84,23 @@ class RateSource(enum.Enum):
     KK_INTEGRAL = "kk_integral"
 
 
-#: Simpson panels per unit of x for the rate integrals
+#: Simpson panels per unit of x (per unit of |c| x once |c| > 1) for the rate integrals
 PANELS_PER_UNIT = 2048
-#: cap on the total number of quadrature points
+#: most panels one rate grid may take; a grid that needs more is rejected
 MAX_PANELS = 2 ** 20
 
 
-def _panel_count(x: float, panels_per_unit: int) -> int:
-    n = max(math.ceil(min(panels_per_unit * x, MAX_PANELS)), 32)
+def _panel_count(x: float, panels_per_unit: int, c: float = 0.0) -> int:
+    """Even panel count for ``[0, x]``: ``panels_per_unit`` per unit of ``max(1, |c|) x``.
+
+    The phase ``e^{icx}`` of ``g`` turns ``|c|`` times per unit of ``x``, so
+    the panels scale with it; ``ValueError`` if more than ``MAX_PANELS`` are needed.
+    """
+    need = panels_per_unit * x * max(1.0, abs(c))
+    if not need <= MAX_PANELS:
+        raise ValueError(f"x = {x:.6g} at detuning c = {c:.6g} needs {need:.4g} Simpson panels, "
+                         f"more than the {MAX_PANELS} a rate grid may take")
+    n = max(math.ceil(need), 32)
     if n % 2:
         n += 1
     return n
@@ -138,10 +153,11 @@ def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource,
                    panels_per_unit: int = PANELS_PER_UNIT) -> np.ndarray:
     """``gamma`` at every ``x`` of ``xs`` from one sampling of ``g``.
 
-    ``g`` is sampled once on the uniform grid of ``_panel_count(X)`` panels
-    over ``[0, X]``, ``X = max(xs)``, and each rate is read off cumulative
-    Simpson sums of those samples at the last even node ``t_m <= x``, closed
-    to ``x`` by the two-panel remainder rule of the module docstring.
+    ``g`` is sampled once on the uniform grid of ``_panel_count(X, c)``
+    panels over ``[0, X]``, ``X = max(xs)``, and each rate is read off
+    cumulative Simpson sums of those samples at the last even node
+    ``t_m <= x``, closed to ``x`` by the two-panel remainder rule of the
+    module docstring.
     Negative, infinite and NaN entries raise ``ValueError`` before anything
     is sampled; ``x = 0`` gives exactly ``0j``.
     """
@@ -156,7 +172,7 @@ def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource,
         return out
     x = xs[positive]
     x_max = float(x.max())
-    n = _panel_count(x_max, panels_per_unit)
+    n = _panel_count(x_max, panels_per_unit, kernel.density.c)
     grid = np.linspace(0.0, x_max, n + 1)
     m = np.searchsorted(grid, x, side="right") - 1
     m -= m % 2

@@ -24,12 +24,36 @@ frequently interrupted decay, so ``g`` is the primary object here and the
 physical kernel is recovered as ``F(u) = lam * g(lam*u)``.
 
 Closed forms exist for the four named shapes; arbitrary tabulated profiles
-are handled by numerical Fourier quadrature.  On a uniform ``x`` grid,
-:func:`uniform_kernel_g` evaluates the composite Simpson sum of a
-compact-support profile at every grid point at once as one chirp-z
-transform (Rabiner, Schafer & Rader, IEEE Trans. Audio Electroacoust. 17,
-1969) in Bluestein's FFT form (Bluestein, IEEE Trans. Audio Electroacoust.
-18, 1970).
+are handled by numerical Fourier quadrature, which takes every ``x`` of a
+call together, by one method per support type:
+
+* Compact support (rectangular, tabulated): the composite Simpson sum over
+  the support.  On a uniform ``x`` grid, :func:`uniform_kernel_g` takes it
+  at every grid point as one chirp-z transform (Rabiner, Schafer & Rader,
+  IEEE Trans. Audio Electroacoust. 17, 1969) in Bluestein's FFT form
+  (Bluestein, IEEE Trans. Audio Electroacoust. 18, 1970).  For arbitrary
+  ``x``, :func:`scaled_kernel_g` corrects the transform on a fine grid by a
+  Taylor series in the offset of each ``x`` from its grid point (Anderson &
+  Dahleh, SIAM J. Sci. Comput. 17, 1996): ``P + 1`` transforms, with ``P``
+  from the remainder bound ``TAYLOR_TOL``.  Small batches, whose
+  point-by-point sums cost less, take those sums.
+* Infinite support (Lorentzian, Gaussian, double-Lorentzian; all even):
+  ``2 int_0^inf d_tilde(w) cos(w x) dw`` by the double-exponential rule for
+  Fourier integrals of Ooura & Mori (J. Comput. Appl. Math. 112, 1999), as
+  ``(points x nodes)`` array sums, with ``x = 0`` by an exp-sinh rule.
+  The sums at steps ``h`` and ``h/2`` give an error estimate for each
+  ``x``; only the points that miss ``DE_TOL`` are refined, and a point that
+  does not converge raises ``ValueError``.
+
+Measured on a 2-CPU KVM guest (one BLAS thread), for 200 points on
+``[0, 20]``: 3-9 ms for a rectangular or 8001-row tabulated profile against
+60-120 ms for the point-by-point sums, and 2-8 ms for an infinite-support
+profile against 140-540 ms for QUADPACK.  The chirp-z batches meet the
+point-by-point Simpson sums to 4e-16 ``Gamma``; the double-exponential
+sums meet the closed-form kernels to 2e-15 ``Gamma`` for ``x`` in
+``{0} U [1e-300, 50]`` (``b = 1.4`` for the double peak).  The per-point
+sums (``_simpson_g``) and QUADPACK (``_quad_g``) stay in the module as the
+reference paths of the tests.
 """
 
 from __future__ import annotations
@@ -238,15 +262,17 @@ class MemoryKernel:
     and numerical Fourier quadrature of the profile.  Tabulated densities
     only support quadrature.  Compact-support profiles (rectangular,
     tabulated) are integrated by a composite Simpson rule with ``n_panels``
-    panels over their exact support; infinite-support profiles by adaptive
-    Fourier quadrature over the whole frequency axis.
+    panels over their exact support; infinite-support profiles by the
+    double-exponential Fourier rule over the positive half-axis.
 
-    The Simpson sum of a compact-support profile is evaluated point by point
-    for arbitrary ``x`` arrays (:func:`scaled_kernel_g`, the reference), and
-    for every point of a uniform grid at once by a chirp-z transform
-    (:func:`uniform_kernel_g`), which the rate integrals and the Volterra
-    solver use; the two agree to round-off (at most 1.5e-15 Gamma measured on
-    rectangular and tabulated profiles, grids of up to 40961 points to x = 20).
+    The Simpson sum of a compact-support profile is taken for every point of
+    a uniform grid at once by one chirp-z transform (:func:`uniform_kernel_g`,
+    which the rate integrals and the Volterra solver use), and for arbitrary
+    ``x`` arrays by Taylor-corrected chirp-z transforms
+    (:func:`scaled_kernel_g`).  Both agree with the point-by-point sum to
+    round-off: at most 1.5e-15 Gamma on grids of up to 40961 points to
+    x = 20, and 4e-16 Gamma on 200 arbitrary points to x = 20, measured on
+    rectangular and tabulated profiles.
     """
 
     density: SpectralDensity
@@ -365,26 +391,226 @@ def _simpson_rule(lo: float, hi: float, n_panels: int):
     return nodes, (hi - lo) / n_panels, weights
 
 
-def _g_quadrature_scalar(kernel: MemoryKernel, x: float) -> complex:
+def _simpson_g(kernel: MemoryKernel, x: float) -> complex:
+    """``g(x)`` of a compact-support kernel by the composite Simpson sum at one ``x``.
+
+    The small-batch path of :func:`scaled_kernel_g` and the reference for its
+    chirp-z paths.
+    """
     density = kernel.density
-    d0, c = density.d0, density.c
-    support = kernel.compact_support
+    nodes, h, weights = _simpson_rule(*kernel.compact_support, kernel.n_panels)
+    integrand = _profile(density, nodes) * np.exp(-1j * (nodes - density.c) * x)
+    integral = (h / 3.0) * np.dot(weights, integrand)
+    return complex(-1j * density.d0 * integral)
 
-    if support is not None:
-        # Compact support: composite Simpson over the exact support.
-        nodes, h, weights = _simpson_rule(*support, kernel.n_panels)
-        integrand = _profile(density, nodes) * np.exp(-1j * (nodes - c) * x)
-        integral = (h / 3.0) * np.dot(weights, integrand)
-        return complex(-1j * d0 * integral)
 
-    # Infinite support (all even profiles): adaptive Fourier quadrature of
-    # 2 * integral d_tilde(w) cos(w x) dw over the positive half-axis.
+def _quad_g(kernel: MemoryKernel, x: float) -> complex:
+    """``g(x)`` of an infinite-support kernel by adaptive QUADPACK quadrature at one ``x``.
+
+    ``2 int_0^inf d_tilde(w) cos(w x) dw`` over the positive half-axis (every
+    such profile is even); the reference for the double-exponential rule.
+    """
+    density = kernel.density
     f = lambda w: float(_profile(density, w))
     if x == 0.0:
         val, _ = quad(f, 0.0, np.inf, limit=200)
     else:
         val, _ = quad(f, 0.0, np.inf, weight="cos", wvar=x, limlst=200, limit=200)
-    return complex(-1j * d0 * 2.0 * val * np.exp(1j * c * x))
+    return complex(-1j * density.d0 * 2.0 * val * np.exp(1j * density.c * x))
+
+
+def _chirp_z(n: int, m: int, theta: float):
+    """The map ``a -> sum_k a[k] exp(-i theta j k)``, ``j = 0..m-1``, for length-``n`` ``a``.
+
+    Bluestein's algorithm: with ``jk = (j^2 + k^2 - (j - k)^2)/2`` the sum is
+    a chirp times the linear convolution of ``a`` times a chirp with the
+    conjugate chirp, done by zero-padded FFTs.  The FFT of the conjugate
+    chirp is taken once, here, and shared by every call of the returned map.
+    """
+    size = fft.next_fast_len(n + m - 1)
+    k = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(-0.5j * theta * (k * k))
+    filt = np.zeros(size, dtype=complex)
+    filt[:m] = chirp[:m].conj()
+    filt[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    filt = fft.fft(filt)
+
+    def transform(a: np.ndarray) -> np.ndarray:
+        conv = fft.ifft(fft.fft(a * chirp[:n], size) * filt)
+        return chirp[:m] * conv[:m]
+
+    return transform
+
+
+#: bound on the Taylor remainder ``(u_max dx/2)^(P+1)/(P+1)!`` of the chirp-z path
+TAYLOR_TOL = 1e-17
+
+
+def _taylor_layout(half: float, n: int, span: float) -> tuple[float, int, float]:
+    """Grid step ``dx``, Taylor order ``P`` and estimated cost ``2 (P + 1)(n + m)``.
+
+    Each order costs one forward and one inverse FFT of length ``n + m``,
+    with ``m = span/dx + 2`` grid points.  ``dx = 2 t/half`` for the
+    ``t = u_max dx/2`` in ``2^-2 .. 2^-10`` that costs least; ``P`` is the
+    least order whose remainder bound ``t^(P+1)/(P+1)!`` is at most
+    ``TAYLOR_TOL``.
+    """
+    best = (0.0, 0, math.inf)
+    for e in range(2, 11):
+        t = 2.0 ** -e
+        order = 0
+        while t ** (order + 1) / math.factorial(order + 1) > TAYLOR_TOL:
+            order += 1
+        cost = 2.0 * (order + 1) * (n + span * half / (2.0 * t) + 2.0)
+        if cost < best[2]:
+            best = (2.0 * t / half, order, cost)
+    return best
+
+
+def _compact_g(kernel: MemoryKernel, xs: np.ndarray) -> np.ndarray:
+    """``g`` at every ``x`` of the 1-D ``xs`` from the Simpson sum of a compact-support kernel.
+
+    With ``u_k`` the node offsets from the centre ``w_c`` of the support and
+    ``x = j dx + delta``, ``|delta| <= dx/2``, the sum of
+    ``s_k exp(-i (w_k - c) x)`` is ``exp(-i (w_c - c) x)`` times
+    ``sum_p (-i delta)^p/p! sum_k s_k u_k^p exp(-i u_k j dx)``: one chirp-z
+    transform per Taylor order ``p <= P`` on the grid ``j dx`` (Anderson &
+    Dahleh, SIAM J. Sci. Comput. 17, 1996).  Batches whose point-by-point
+    sums cost less, ``points (n_panels + 1) <= 2 (P + 1)(n_panels + m)``,
+    take :func:`_simpson_g` at each point instead.
+    """
+    lo, hi = kernel.compact_support
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    n = kernel.n_panels + 1
+    span = float(xs.max() - xs.min()) if xs.size else 0.0
+    dx, order, cost = _taylor_layout(half, n, span)
+    if xs.size * n <= cost:
+        return np.array([_simpson_g(kernel, x) for x in xs.tolist()], dtype=complex)
+    density = kernel.density
+    nodes, h, weights = _simpson_rule(lo, hi, kernel.n_panels)
+    j = np.rint(xs / dx)
+    j_lo = j.min()
+    cell = (j - j_lo).astype(np.intp)
+    transform = _chirp_z(n, int(cell.max()) + 1, h * dx)
+    u = nodes - centre
+    # the grid starts at x_lo = j_lo dx: its phase exp(-i k h x_lo) moves onto the nodes
+    term = weights * _profile(density, nodes) * np.exp(-1j * (h * np.arange(n)) * (j_lo * dx))
+    sums = []
+    for _ in range(order + 1):
+        sums.append(transform(term)[cell])
+        term = term * u
+    z = -1j * (xs - j * dx)
+    acc = sums[order]
+    for p in range(order - 1, -1, -1):
+        acc = sums[p] + acc * z / (p + 1)
+    phase = np.exp(-1j * ((centre - density.c) * xs + u[0] * (j * dx)))
+    return -1j * density.d0 * (h / 3.0) * phase * acc
+
+
+# Double-exponential quadrature of the even infinite-support profiles:
+# I(x) = int_0^inf d_tilde(w) cos(w x) dw, with g(x) = -2i D0 I(x) exp(i c x).
+
+#: first step of the double-exponential rules; each refinement halves it
+DE_STEP = 0.025
+#: refinements before an unconverged ``x`` is rejected
+DE_HALVINGS = 6
+#: a sum is accepted once it differs from the sum at twice its step by at most
+#: ``DE_TOL I(0)``; the error of a DE sum roughly squares when its step halves
+DE_TOL = 1e-13
+#: ``K`` of the Ooura-Mori map ``phi(t) = t/(1 - exp(-K sinh t))``
+DE_K = 6.0
+#: below this ``x``, ``I(x) = I(0)`` to round-off: ``|I(x) - I(0)| <= pi x (1 + b^2 x)``
+DE_FLAT_X = 1e-16
+#: largest temporary ``(points x nodes)`` float array of a DE sum, in bytes: one
+#: that stays in cache, which also keeps the sums' peak memory small
+DE_CHUNK_BYTES = 2 ** 17
+
+
+def _exp_sinh_rule(h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``w_n`` and weights of the exp-sinh rule ``w = exp(pi/2 sinh t)`` on ``(0, inf)``."""
+    t = h * np.arange(-math.ceil(4.5 / h), math.ceil(4.5 / h) + 1)
+    w = np.exp(0.5 * math.pi * np.sinh(t))
+    return w, h * 0.5 * math.pi * np.cosh(t) * w
+
+
+def _fourier_rule(h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ooura-Mori nodes ``A_n`` and weights ``B_n``: ``I(x) ~ sum_n f(A_n/x) B_n / x``.
+
+    ``w = M phi(t)/x`` with ``M h = pi`` and ``t_n = (n - 1/2) h``, where
+    ``cos(M phi(t_n)) = (-1)^n sin(M t_n e/(1 - e))``, ``e = exp(-K sinh t_n)``,
+    vanishes double-exponentially for large ``t_n``.  Nodes whose weight
+    under- or overflows to zero are dropped.
+    """
+    big_m = math.pi / h
+    n = np.arange(math.floor(-5.5 / h), math.ceil(5.5 / h) + 1)
+    t = (n - 0.5) * h
+    s, c = DE_K * np.sinh(t), DE_K * np.cosh(t)
+    phi, slope, cosine = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    left = t < 0
+    # t < 0: q = exp(K sinh t) <= 1, phi = -t q/(1 - q)
+    tl, q, one_q = t[left], np.exp(s[left]), -np.expm1(s[left])
+    phi[left] = -tl * q / one_q
+    slope[left] = -q * (one_q + tl * c[left]) / one_q ** 2
+    cosine[left] = np.cos(big_m * phi[left])
+    # t > 0: e = exp(-K sinh t) <= 1, phi = t/(1 - e)
+    tr, e, one_e = t[~left], np.exp(-s[~left]), -np.expm1(-s[~left])
+    phi[~left] = tr / one_e
+    slope[~left] = (one_e - tr * c[~left] * e) / one_e ** 2
+    cosine[~left] = np.where(n[~left] % 2, -1.0, 1.0) * np.sin(big_m * tr * e / one_e)
+    weight = math.pi * slope * cosine
+    keep = weight != 0.0
+    return big_m * phi[keep], weight[keep]
+
+
+def _de_sums(density: SpectralDensity, xs: np.ndarray, nodes, weights) -> np.ndarray:
+    """``sum_n d_tilde(nodes_n/x) weights_n / x`` at every ``x``, a chunk of rows at a time.
+
+    Each row is summed on its own, so every value depends on its own ``x`` alone.
+    """
+    out = np.empty(xs.size)
+    rows = max(1, DE_CHUNK_BYTES // (8 * nodes.size))
+    for i in range(0, xs.size, rows):
+        values = _profile(density, nodes / xs[i:i + rows, None])
+        values *= weights
+        out[i:i + rows] = values.sum(axis=1)
+    return out / xs
+
+
+def _de_integral(density: SpectralDensity, xs: np.ndarray, rule, scale=None) -> np.ndarray:
+    """The sums of ``rule`` at every ``x``, each refined until two successive steps agree.
+
+    A point is done once its sums at ``h`` and ``h/2`` differ by at most
+    ``DE_TOL * scale`` (``scale`` defaults to the sum itself), and the
+    ``h/2`` sum is returned.  ``ValueError`` if a point is not done after
+    ``DE_HALVINGS`` halvings.
+    """
+    out = np.empty(xs.size)
+    todo = np.arange(xs.size)
+    coarse = _de_sums(density, xs, *rule(DE_STEP))
+    for level in range(1, DE_HALVINGS + 1):
+        fine = _de_sums(density, xs[todo], *rule(DE_STEP / 2 ** level))
+        done = np.abs(fine - coarse) <= DE_TOL * (np.abs(fine) if scale is None else scale)
+        out[todo[done]] = fine[done]
+        todo, coarse = todo[~done], fine[~done]
+        if not todo.size:
+            return out
+    raise ValueError(f"the double-exponential rule for the {density.shape.value} kernel did not "
+                     f"converge at x = {xs[todo[0]]:.6g} (step {DE_STEP / 2 ** DE_HALVINGS:.3g})")
+
+
+def _fourier_g(kernel: MemoryKernel, xs: np.ndarray) -> np.ndarray:
+    """``g`` at every ``x`` of the 1-D ``xs`` for an even infinite-support profile.
+
+    ``I(0)`` by the exp-sinh rule, which also serves below ``DE_FLAT_X``;
+    every other ``x`` by the Ooura-Mori rule (J. Comput. Appl. Math. 112, 1999).
+    """
+    density = kernel.density
+    i_zero = _de_integral(density, np.ones(1), _exp_sinh_rule)[0]
+    values = np.full(xs.shape, i_zero)
+    wide = xs >= DE_FLAT_X
+    if wide.any():
+        values[wide] = _de_integral(density, xs[wide], _fourier_rule, i_zero)
+    return -2j * density.d0 * values * np.exp(1j * density.c * xs)
 
 
 def scaled_kernel_g(kernel: MemoryKernel, x):
@@ -392,33 +618,17 @@ def scaled_kernel_g(kernel: MemoryKernel, x):
 
     Independent of ``kernel.density.lam`` by construction: only ``gamma``,
     ``c``, ``b``, and the dimensionless profile enter.  Accepts scalars or
-    arrays of any shape of finite ``x >= 0``.
+    arrays of any shape of finite ``x >= 0``; a quadrature-mode kernel
+    evaluates all of them together (see :class:`MemoryKernel`).
     """
     xs = check_points(x, "x")
     if kernel.mode is KernelMode.ANALYTIC:
         out = _g_analytic(kernel.density, xs)
+    elif kernel.compact_support is not None:
+        out = _compact_g(kernel, xs.ravel()).reshape(xs.shape)
     else:
-        out = np.asarray([_g_quadrature_scalar(kernel, xi) for xi in xs.ravel().tolist()],
-                         dtype=complex).reshape(xs.shape)
+        out = _fourier_g(kernel, xs.ravel()).reshape(xs.shape)
     return complex(out) if np.isscalar(x) else out
-
-
-def _chirp_z(a: np.ndarray, m: int, theta: float) -> np.ndarray:
-    """``sum_k a[k] exp(-i theta j k)`` for ``j = 0..m-1`` by Bluestein's algorithm.
-
-    With ``jk = (j^2 + k^2 - (j - k)^2)/2`` the sum is a chirp times the
-    linear convolution of ``a`` times a chirp with the conjugate chirp,
-    done by zero-padded FFTs.
-    """
-    n = a.size
-    size = fft.next_fast_len(n + m - 1)
-    k = np.arange(max(n, m), dtype=float)
-    chirp = np.exp(-0.5j * theta * (k * k))
-    filt = np.zeros(size, dtype=complex)
-    filt[:m] = chirp[:m].conj()
-    filt[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    conv = fft.ifft(fft.fft(a * chirp[:n], size) * fft.fft(filt))
-    return chirp[:m] * conv[:m]
 
 
 def uniform_kernel_g(kernel: MemoryKernel, x_max: float, n: int) -> np.ndarray:
@@ -442,7 +652,7 @@ def uniform_kernel_g(kernel: MemoryKernel, x_max: float, n: int) -> np.ndarray:
         return scaled_kernel_g(kernel, xs)
     density = kernel.density
     nodes, h, weights = _simpson_rule(*support, kernel.n_panels)
-    sums = _chirp_z(weights * _profile(density, nodes), n + 1, h * (x_max / n))
+    sums = _chirp_z(nodes.size, n + 1, h * (x_max / n))(weights * _profile(density, nodes))
     return -1j * density.d0 * (h / 3.0) * np.exp(-1j * (support[0] - density.c) * xs) * sums
 
 

@@ -418,10 +418,16 @@ def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
 
 
 def _step_bound(gamma_x: complex, omega: float, t_max: float) -> float:
-    """``min(t_max, 0.05/Re gamma(x), 0.05/|omega|)``, the largest admissible step."""
+    """``min(t_max, 0.05/Re gamma(x), 0.05/|omega|)``, the largest admissible step.
+
+    ``ValueError`` if ``Re gamma(x) < 0``: a rate that grows the excited state
+    has no step layout.
+    """
     check_positive(t_max, "t_max")
     check_finite(gamma_x, "gamma_x")
     check_finite(omega, "omega")
+    if gamma_x.real < 0:
+        raise ValueError(f"gamma_x must have a nonnegative real part, got {gamma_x}")
     bounds = [t_max]
     if gamma_x.real > 0:
         bounds.append(MAX_RATE_DT / gamma_x.real)

@@ -185,6 +185,24 @@ class TestNumericRoutes:
                     a, b = gamma_numeric(k5, x), gamma_numeric(k100, x)
                     assert abs(a - b) <= 1e-10 * abs(a)
 
+    @pytest.mark.parametrize("c, xs", [(100.0, [0.3, 1.0]), (-1e3, [0.02, 0.05])])
+    @pytest.mark.parametrize("source", [RateSource.DOUBLE_INTEGRAL, RateSource.KK_INTEGRAL],
+                             ids=lambda s: s.value)
+    def test_detuned_grid_resolves_the_phase(self, source, c, xs):
+        # at 2048 panels per unit whatever c, the phase e^{icx} aliased:
+        # gamma_numeric gave -3.58e-4j at x = 1, c = 1e4, against +1.00e-4j,
+        # and misses by 3e-4 relative at c = -1e3, x = 0.02
+        k = kernel_for(Shape.LORENTZIAN, c=c)
+        np.testing.assert_allclose(rate_curve(k, xs, source, validate=False).values,
+                                   gamma_lorentzian(np.array(xs), c=c), rtol=1e-6, atol=0)
+
+    def test_grid_over_the_panel_cap_is_rejected(self):
+        k = kernel_for(Shape.LORENTZIAN, c=1e3)
+        for route in (gamma_numeric, kk_rate):
+            with pytest.raises(ValueError, match="x = 1 at detuning c = 1000 needs"):
+                route(k, 1.0)
+        assert rates._panel_count(1.0, rates.PANELS_PER_UNIT, c=-0.9) == rates.PANELS_PER_UNIT
+
     def test_rate_vanishes_towards_zero(self):
         for shape in ALL_NAMED:
             k = kernel_for(shape)

@@ -4,12 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 import zenoscope
+from zenoscope import spectral
 from zenoscope import (
     DecaySeries,
     EnsembleResult,
@@ -281,18 +284,117 @@ def compact_kernel(profile, c):
     return MemoryKernel(density, mode=KernelMode.QUADRATURE)
 
 
+def per_point_sums(kernel, xs):
+    """The Simpson sum of a compact-support kernel taken one ``x`` at a time."""
+    return np.array([spectral._simpson_g(kernel, x) for x in np.ravel(xs)]).reshape(np.shape(xs))
+
+
+def no_per_point_sums(kernel, x):
+    raise AssertionError("a large batch took the per-point Simpson sum")
+
+
+class TestCompactBatches:
+    """Taylor-corrected chirp-z batches of arbitrary ``x`` against the per-point Simpson sum."""
+
+    @pytest.mark.parametrize("layout", ["sorted", "unsorted", "repeated"])
+    @pytest.mark.parametrize("c", [0.0, 0.3, -0.7])
+    @pytest.mark.parametrize("profile", ["rectangular", "tabulated"])
+    def test_matches_per_point_sum(self, profile, c, layout, monkeypatch):
+        kernel = compact_kernel(profile, c)
+        rng = np.random.default_rng(11)
+        xs = {"sorted": np.linspace(0.0, 20.0, 60),
+              "unsorted": rng.uniform(0.0, 20.0, 60),
+              "repeated": np.repeat(rng.uniform(0.0, 20.0, 20), 3)}[layout].reshape(6, 10)
+        reference = per_point_sums(kernel, xs)
+        monkeypatch.setattr(spectral, "_simpson_g", no_per_point_sums)
+        fast = scaled_kernel_g(kernel, xs)
+        assert fast.shape == (6, 10)
+        assert np.max(np.abs(fast - reference)) <= 2e-15 * GAMMA
+        for x in np.unique(xs):
+            assert np.all(fast[xs == x] == fast[xs == x][0])
+
+    def test_narrow_band_far_from_zero(self, monkeypatch):
+        kernel = compact_kernel("tabulated", 0.3)
+        xs = np.linspace(41.0, 41.5, 40)
+        reference = per_point_sums(kernel, xs)
+        monkeypatch.setattr(spectral, "_simpson_g", no_per_point_sums)
+        assert np.max(np.abs(scaled_kernel_g(kernel, xs) - reference)) <= 2e-15 * GAMMA
+
+    @pytest.mark.parametrize("profile", ["rectangular", "tabulated"])
+    def test_small_batches_take_the_per_point_sum(self, profile):
+        # the three remainder samples of a one-point rate, for instance
+        kernel = compact_kernel(profile, 0.3)
+        xs = np.array([0.4, 3.0, 17.5])
+        np.testing.assert_array_equal(scaled_kernel_g(kernel, xs), per_point_sums(kernel, xs))
+
+    def test_empty_batch(self):
+        out = scaled_kernel_g(compact_kernel("rectangular", 0.0), np.zeros((0, 3)))
+        assert out.shape == (0, 3) and out.dtype == complex
+
+
+INFINITE = (Shape.LORENTZIAN, Shape.GAUSSIAN, Shape.DOUBLE_LORENTZIAN)
+
+
+def infinite_kernels(shape, c=0.45):
+    density = named_density(shape, c=c, b=1.4)
+    return MemoryKernel(density, mode=KernelMode.QUADRATURE), MemoryKernel(density)
+
+
+class TestDoubleExponential:
+    """Ooura-Mori sums of the infinite-support profiles against closed forms and QUADPACK."""
+
+    @pytest.mark.parametrize("shape", INFINITE, ids=lambda s: s.value)
+    def test_matches_analytic_kernel(self, shape):
+        quadrature, analytic = infinite_kernels(shape)
+        xs = np.concatenate([[0.0, 1e-300, 1e-17], np.geomspace(1e-16, 1e-6, 21),
+                             np.geomspace(1e-6, 50.0, 301)])
+        dev = np.abs(scaled_kernel_g(quadrature, xs) - scaled_kernel_g(analytic, xs))
+        assert np.max(dev) <= 1e-13 * GAMMA
+
+    @pytest.mark.parametrize("shape", INFINITE, ids=lambda s: s.value)
+    def test_matches_quad_oracle(self, shape):
+        # QUADPACK's cosine rule returns about 0 below x ~ 1e-4 (Lorentzian,
+        # double Lorentzian, with an IntegrationWarning) and 2e-3 (Gaussian,
+        # silently), so the oracle is read from 1e-2 on; the analytic test
+        # covers the smaller x
+        quadrature, _ = infinite_kernels(shape)
+        xs = np.concatenate([[0.0], np.geomspace(1e-2, 50.0, 15)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            oracle = np.array([spectral._quad_g(quadrature, x) for x in xs])
+        assert np.max(np.abs(scaled_kernel_g(quadrature, xs) - oracle)) <= 5e-11 * GAMMA
+
+    @pytest.mark.parametrize("shape", INFINITE, ids=lambda s: s.value)
+    def test_scalar_and_array_calls_agree(self, shape):
+        # each value depends on its own x alone, refined or not
+        quadrature, _ = infinite_kernels(shape, c=-0.7)
+        xs = np.array([50.0, 0.0, 1e-12, 2.0, 1e-6, 0.3, 1e-17, 7.5, 2.0])
+        values = scaled_kernel_g(quadrature, xs)
+        for x, value in zip(xs, values):
+            assert scaled_kernel_g(quadrature, float(x)) == value
+        np.testing.assert_array_equal(scaled_kernel_g(quadrature, xs[::-1]), values[::-1])
+        assert scaled_kernel_g(quadrature, xs.reshape(3, 3)).shape == (3, 3)
+
+    def test_unconverged_points_are_rejected(self):
+        # peaks split by 20 widths resolve only past the last halving at x = 1e-16
+        density = SpectralDensity.double_lorentzian(GAMMA, LAM, b=20.0)
+        kernel = MemoryKernel(density, mode=KernelMode.QUADRATURE)
+        with pytest.raises(ValueError, match="did not converge at x = 1e-16"):
+            scaled_kernel_g(kernel, [1.0, 1e-16])
+
+
 class TestUniformKernelG:
     """Chirp-z sampling on uniform grids against the per-point Simpson sum."""
 
     @staticmethod
     def compare(kernel, x_max, n, stride=1):
-        # the per-point loop is the reference; a stride keeps the largest
+        # the per-point sum is the reference; a stride keeps the largest
         # grids affordable while still covering the last point
         xs = np.linspace(0.0, x_max, n + 1)
         picked = np.unique(np.r_[np.arange(0, n + 1, stride), n])
         fast = uniform_kernel_g(kernel, x_max, n)
         assert fast.shape == xs.shape
-        return np.max(np.abs(fast[picked] - scaled_kernel_g(kernel, xs[picked])))
+        return np.max(np.abs(fast[picked] - per_point_sums(kernel, xs[picked])))
 
     @pytest.mark.parametrize("c", [0.0, 0.3, -0.7])
     @pytest.mark.parametrize("profile", ["rectangular", "tabulated"])

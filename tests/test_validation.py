@@ -77,9 +77,8 @@ def kk_curve(x_grid):
     return rate_curve(LORENTZIAN, [0.5, x_grid], RateSource.KK_INTEGRAL)
 
 
-# argument kinds -> the fixed bad values each is replaced with; every kind but
-# COMPLEX (amplitudes and the complex rate gamma_x, which have no sign rule)
-# also takes a drawn negative number
+# argument kinds -> the fixed bad values each is replaced with; every kind
+# also takes a drawn negative number (for COMPLEX, a negative real part)
 REAL, POSITIVE, POINTS, COMPLEX, CONTRACTION, COUNT, COUNT0 = (
     "real", "positive", "points", "complex", "contraction", "count", "count0")
 FIXED = {
@@ -191,8 +190,7 @@ def test_fixed_bad_values_are_rejected_by_name(argument):
         rejected_by_name_or_finite(call, defaults, name, value)
 
 
-@given(argument=st.sampled_from([a for a in ARGUMENTS if a[3] != COMPLEX]),
-       magnitude=st.floats(1e-3, 1.0))
+@given(argument=st.sampled_from(ARGUMENTS), magnitude=st.floats(1e-3, 1.0))
 @settings(max_examples=150, deadline=None)
 def test_negative_values_are_rejected_by_name_or_harmless(argument, magnitude):
     call, defaults, name, kind = argument
@@ -221,6 +219,9 @@ def test_negative_values_are_rejected_by_name_or_harmless(argument, magnitude):
     (lambda: run_ensemble(EXCITED, CFG, 0.99, n_traj=2.5, master_seed=0), "n_traj"),
     (lambda: null_result_survival(LORENTZIAN, 0.1, n_intervals=2.5), "n_intervals"),
     (lambda: uniform_kernel_g(RECTANGULAR, 1.0, n=2.5), "n"),
+    # |a_bar_dt| = 1.28 exceeds 1, and -1e-18 ran as no decay
+    (lambda: make_drive_config(-0.5 + 0j, 0.0, 1.0), "gamma_x"),
+    (lambda: make_drive_config(-1e-18, 0.0, 1.0), "gamma_x"),
 ], ids=[
     "closed-form-nan", "lorentzian-negative", "gaussian-nan",
     "rectangular-negative", "double-lorentzian-negative", "rate-curve-nan",
@@ -228,7 +229,8 @@ def test_negative_values_are_rejected_by_name_or_harmless(argument, magnitude):
     "solve-master-infinite-rho0", "gamma-eff-infinite-step", "power-nan-count",
     "analytic-nan-time", "drive-config-fractional-steps", "kernel-fractional-panels",
     "kernel-nan-panels", "ensemble-fractional-count", "survival-fractional-count",
-    "uniform-grid-fractional-count"])
+    "uniform-grid-fractional-count", "drive-config-negative-rate",
+    "drive-config-round-off-negative-rate"])
 def test_holes_are_closed(call, name):
     with pytest.raises(ValueError, match=name):
         call()

@@ -527,7 +527,11 @@ DE_CHUNK_BYTES = 2 ** 17
 
 
 def _exp_sinh_rule(h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes ``w_n`` and weights of the exp-sinh rule ``w = exp(pi/2 sinh t)`` on ``(0, inf)``."""
+    """Nodes ``w_n`` and weights of the exp-sinh rule ``w = exp(pi/2 sinh t)`` on ``(0, inf)``.
+
+    ``|t| <= 4.5`` spans ``w`` from ``e^-71`` to ``e^71``, beyond which the
+    terms of the three profiles are below ``1e-30`` of their sum.
+    """
     t = h * np.arange(-math.ceil(4.5 / h), math.ceil(4.5 / h) + 1)
     w = np.exp(0.5 * math.pi * np.sinh(t))
     return w, h * 0.5 * math.pi * np.cosh(t) * w
@@ -538,8 +542,9 @@ def _fourier_rule(h: float) -> tuple[np.ndarray, np.ndarray]:
 
     ``w = M phi(t)/x`` with ``M h = pi`` and ``t_n = (n - 1/2) h``, where
     ``cos(M phi(t_n)) = (-1)^n sin(M t_n e/(1 - e))``, ``e = exp(-K sinh t_n)``,
-    vanishes double-exponentially for large ``t_n``.  Nodes whose weight
-    under- or overflows to zero are dropped.
+    vanishes double-exponentially for large ``t_n``.  Past ``|t| = 5.5``,
+    ``K sinh t > 734`` and every weight underflows to zero; nodes whose
+    weight is zero are dropped.
     """
     big_m = math.pi / h
     n = np.arange(math.floor(-5.5 / h), math.ceil(5.5 / h) + 1)

@@ -44,7 +44,6 @@ class RunConfig:
     gamma: float = 1.0
     lam: float | None = None
     lambda_alt: float | None = None
-    omega0: float = 0.0
     c: float = 0.0
     b: float = 1.0
     table: str | None = None
@@ -123,8 +122,7 @@ def _density(cfg: RunConfig) -> SpectralDensity:
         if cfg.table is None:
             raise ConfigError("tabulated shape requires key 'table' (profile file path)")
         table = load_tabulated_profile(cfg.table)
-    return SpectralDensity(shape, gamma=cfg.gamma, lam=cfg.lam, omega0=cfg.omega0,
-                           c=cfg.c, b=cfg.b, table=table)
+    return SpectralDensity(shape, gamma=cfg.gamma, lam=cfg.lam, c=cfg.c, b=cfg.b, table=table)
 
 
 def _tau_and_x(cfg: RunConfig, density: SpectralDensity) -> tuple[float, float]:

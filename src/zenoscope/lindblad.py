@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import check_finite, check_grid, check_positive, check_size
+from .spectral import check_finite, check_grid, check_positive, check_size, check_step
 
 __all__ = ["DensityMatrix2", "solve_master"]
 
@@ -66,7 +66,8 @@ class DensityMatrix2:
     def trace(self) -> complex:
         return self.ee + self.gg
 
-    def validate(self, tol: float = 1e-8):
+    def validate(self):
+        tol = 1e-8
         if abs(np.conj(self.eg) - self.ge) > tol:
             raise ValueError("density matrix is not Hermitian")
         if abs(self.trace - 1.0) > tol:
@@ -108,7 +109,8 @@ def solve_master(rho0: DensityMatrix2, omega: float, gamma_eff: float,
         Drive and emission rates of the generator.
     t_max, dt : float
         Time horizon and fixed step; ``dt * max(omega, gamma_eff)`` must not
-        exceed 0.05, and the grid must land on ``t_max`` to ``1e-9 t_max``.
+        exceed ``MAX_RATE_DT`` (``check_step``), and the grid must land on
+        ``t_max`` to ``1e-9 t_max``.
     full_output : bool
         When true, also return the full state history as an
         ``(n_steps + 1, 2, 2)`` array, Hermitian bit for bit.
@@ -124,10 +126,7 @@ def solve_master(rho0: DensityMatrix2, omega: float, gamma_eff: float,
     check_positive(check_finite(dt, "dt"), "dt")
     if gamma_eff < 0:
         raise ValueError(f"gamma_eff must be nonnegative, got {gamma_eff}")
-    if dt * max(abs(omega), gamma_eff) > 0.05 + 1e-12:
-        raise ValueError(
-            f"dt = {dt} too coarse: dt*max(omega, gamma_eff) = "
-            f"{dt * max(abs(omega), gamma_eff):.3g} > 0.05")
+    check_step(dt * max(abs(omega), gamma_eff), "dt*max(omega, gamma_eff)")
 
     n = check_grid(int(round(check_size(t_max / dt, "t_max/dt"))), dt, t_max)
     eg = 0.5 * (rho0.eg + np.conj(rho0.ge))   # the Hermitian part of rho0

@@ -22,7 +22,9 @@ rejected), through
 :func:`~zenoscope.spectral.uniform_kernel_g`.  For compact-support
 quadrature kernels (rectangular, tabulated) that is one chirp-z transform
 of the Simpson sum instead of one Simpson sum per grid point; it agrees
-with the point-by-point sums to at most 1.5e-15 Gamma.  Every rate is then
+with the point-by-point sums to at most 1.5e-15 Gamma, and an ``x`` past
+the Simpson rule's alias bound ``pi/(2h)`` (12868 for the rectangle) is
+rejected.  Every rate is then
 read off cumulative Simpson sums of those samples: the inner integral ``I``
 of ``g`` and the outer integral of ``I`` on the double route, the moments
 ``G0 = int g`` and ``G1 = int x' g`` on the single-integral route,
@@ -61,7 +63,8 @@ from scipy.integrate import cumulative_simpson
 from scipy.special import erf, sici
 
 from .spectral import (MemoryKernel, Shape, SpectralDensity, check_contraction, check_finite,
-                       check_points, check_positive, scaled_kernel_g, uniform_kernel_g, write_csv)
+                       check_points, check_positive, clip_phase, scaled_kernel_g,
+                       uniform_kernel_g, write_csv)
 
 __all__ = [
     "RateSource",
@@ -90,13 +93,13 @@ PANELS_PER_UNIT = 2048
 MAX_PANELS = 2 ** 20
 
 
-def _panel_count(x: float, panels_per_unit: int, c: float = 0.0) -> int:
-    """Even panel count for ``[0, x]``: ``panels_per_unit`` per unit of ``max(1, |c|) x``.
+def _panel_count(x: float, c: float = 0.0) -> int:
+    """Even panel count for ``[0, x]``: ``PANELS_PER_UNIT`` per unit of ``max(1, |c|) x``.
 
     The phase ``e^{icx}`` of ``g`` turns ``|c|`` times per unit of ``x``, so
     the panels scale with it; ``ValueError`` if more than ``MAX_PANELS`` are needed.
     """
-    need = panels_per_unit * x * max(1.0, abs(c))
+    need = PANELS_PER_UNIT * x * max(1.0, abs(c))
     if not need <= MAX_PANELS:
         raise ValueError(f"x = {x:.6g} at detuning c = {c:.6g} needs {need:.4g} Simpson panels, "
                          f"more than the {MAX_PANELS} a rate grid may take")
@@ -149,8 +152,7 @@ _ROUTES = {
 }
 
 
-def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource,
-                   panels_per_unit: int = PANELS_PER_UNIT) -> np.ndarray:
+def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource) -> np.ndarray:
     """``gamma`` at every ``x`` of ``xs`` from one sampling of ``g``.
 
     ``g`` is sampled once on the uniform grid of ``_panel_count(X, c)``
@@ -162,7 +164,6 @@ def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource,
     is sampled; ``x = 0`` gives exactly ``0j``.
     """
     xs = check_points(xs, "x")
-    check_finite(check_positive(panels_per_unit, "panels_per_unit"), "panels_per_unit")
     route = _ROUTES.get(source)
     if route is None:
         raise ValueError(f"no numeric route for source {source!r}")
@@ -172,7 +173,7 @@ def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource,
         return out
     x = xs[positive]
     x_max = float(x.max())
-    n = _panel_count(x_max, panels_per_unit, kernel.density.c)
+    n = _panel_count(x_max, kernel.density.c)
     grid = np.linspace(0.0, x_max, n + 1)
     m = np.searchsorted(grid, x, side="right") - 1
     m -= m % 2
@@ -188,8 +189,7 @@ def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource,
     return out
 
 
-def gamma_numeric(kernel: MemoryKernel, x: float,
-                  panels_per_unit: int = PANELS_PER_UNIT) -> complex:
+def gamma_numeric(kernel: MemoryKernel, x: float) -> complex:
     """Effective rate from the nested double integral of ``g``.
 
     The inner antiderivative is accumulated with a cumulative Simpson rule
@@ -197,11 +197,10 @@ def gamma_numeric(kernel: MemoryKernel, x: float,
     genuinely a double quadrature (independent of :func:`kk_rate`).  The
     one-point case of :func:`rate_curve`: ``x`` is the last grid node.
     """
-    return complex(_numeric_rates(kernel, [x], RateSource.DOUBLE_INTEGRAL, panels_per_unit)[0])
+    return complex(_numeric_rates(kernel, [x], RateSource.DOUBLE_INTEGRAL)[0])
 
 
-def kk_rate(kernel: MemoryKernel, x: float,
-            panels_per_unit: int = PANELS_PER_UNIT) -> complex:
+def kk_rate(kernel: MemoryKernel, x: float) -> complex:
     """Effective rate from the equivalent single-integral form.
 
     ``r(x) = (2i/x) int_0^x (x - x') g(x') dx' = (2i/x) [x G0(x) - G1(x)]``
@@ -209,7 +208,7 @@ def kk_rate(kernel: MemoryKernel, x: float,
     Simpson; equals :func:`gamma_numeric` analytically (integration by
     parts).
     """
-    return complex(_numeric_rates(kernel, [x], RateSource.KK_INTEGRAL, panels_per_unit)[0])
+    return complex(_numeric_rates(kernel, [x], RateSource.KK_INTEGRAL)[0])
 
 
 # -- closed forms (c = 0 except for the Lorentzian; b = 1 for the double peak)
@@ -247,7 +246,7 @@ def gamma_lorentzian(x, c: float = 0.0, gamma: float = 1.0):
     """
     kappa = 1.0 - 1j * check_finite(c, "c")
     # past |c x| = 1e300 the phase of e^{-z} is round-off, and its term below 1e-300
-    z = lambda x: x - 1j * (c * np.minimum(x, 1e300 / max(abs(c), 1.0)))
+    z = lambda x: x - 1j * (c * clip_phase(x, c))
     return _closed_form(x, gamma, _LORENTZIAN_SERIES,
                         lambda x: gamma / kappa * (1.0 - (1.0 - np.exp(-z(x))) / z(x)), kappa)
 
@@ -325,12 +324,11 @@ class RateCurve:
 
 
 def rate_curve(kernel: MemoryKernel, x_grid,
-               source: RateSource = RateSource.DOUBLE_INTEGRAL,
-               validate: bool = True) -> RateCurve:
-    """Evaluate ``gamma(x)`` over ``x_grid`` by the requested route.
+               source: RateSource = RateSource.DOUBLE_INTEGRAL) -> RateCurve:
+    """Evaluate ``gamma(x)`` over ``x_grid`` by the requested route, validated.
 
     The numeric routes sample ``g`` once for the whole grid (see
-    :func:`_numeric_rates`).
+    :func:`_numeric_rates`); the curve is checked by :meth:`RateCurve.validate`.
     """
     xs = check_points(x_grid, "x_grid")
     if source is RateSource.CLOSED_FORM:
@@ -338,6 +336,5 @@ def rate_curve(kernel: MemoryKernel, x_grid,
     else:
         values = _numeric_rates(kernel, xs, source)
     curve = RateCurve(x_grid=xs, values=values, source=source, model=kernel.density)
-    if validate:
-        curve.validate()
+    curve.validate()
     return curve

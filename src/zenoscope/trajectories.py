@@ -58,8 +58,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .rates import gamma_eff as _gamma_eff_of
-from .spectral import (MemoryKernel, check_contraction, check_count, check_finite, check_points,
-                       check_positive, check_size, write_csv)
+from .spectral import (MAX_RATE_DT, MemoryKernel, check_contraction, check_count, check_finite,
+                       check_points, check_positive, check_size, check_step, write_csv)
 from .volterra import AtomState, interval_amplitude, null_conditioned_power
 
 __all__ = [
@@ -75,17 +75,14 @@ __all__ = [
     "make_rng",
 ]
 
-#: at-most-one-photon criterion: both rates must stay below this per step
-MAX_RATE_DT = 0.05
-
 
 @dataclass(frozen=True)
 class DriveConfig:
     """Step layout of a trajectory run.
 
-    ``gamma_eff * dt_step`` and ``omega * dt_step`` are both capped at 0.05
-    so that at most one photon is registered per step and the drive rotation
-    stays small.
+    ``gamma_eff * dt_step`` and ``omega * dt_step`` are both capped at
+    ``MAX_RATE_DT`` (``check_step``) so that at most one photon is
+    registered per step and the drive rotation stays small.
     """
 
     omega: float
@@ -98,13 +95,8 @@ class DriveConfig:
         check_points(self.gamma_eff, "gamma_eff")
         check_positive(check_finite(self.dt_step, "dt_step"), "dt_step")
         check_size(check_count(self.n_steps, "n_steps", 1), "n_steps")
-        if self.gamma_eff * self.dt_step > MAX_RATE_DT + 1e-12:
-            raise ValueError(
-                f"gamma_eff*dt_step = {self.gamma_eff * self.dt_step:.3g} violates the "
-                f"at-most-one-photon criterion (<= {MAX_RATE_DT})")
-        if abs(self.omega) * self.dt_step > MAX_RATE_DT + 1e-12:
-            raise ValueError(
-                f"omega*dt_step = {abs(self.omega) * self.dt_step:.3g} exceeds {MAX_RATE_DT}")
+        check_step(self.gamma_eff * self.dt_step, "gamma_eff*dt_step")
+        check_step(abs(self.omega) * self.dt_step, "omega*dt_step")
 
     @property
     def t_max(self) -> float:

@@ -2,8 +2,10 @@
 
 Each check returns a :class:`CheckResult` whose ``statistic`` is compared
 against a pinned tolerance; the CLI prints them as one line per check and
-the acceptance test suite asserts them.  All stochastic checks run from
-fixed master seeds and are therefore exactly reproducible.
+the acceptance test suite asserts them.  A check takes only its master
+seed; tolerances, grids and ``ENSEMBLE_TRAJ`` are module constants.  All
+stochastic checks run from fixed master seeds and are therefore exactly
+reproducible.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ TOL_SCALING = 0.02
 TOL_CLOSED = 1e-6
 TOL_KK = 1e-8
 TOL_ENSEMBLE = 0.03
+#: trajectories per ensemble of the Fig. 4 checks, which ``TOL_ENSEMBLE`` is pinned at
+ENSEMBLE_TRAJ = 5000
 MIN_ZENO_SEPARATION = 3.0
 
 #: widths (units of Gamma) compared in the decay-accuracy figure
@@ -146,31 +150,30 @@ def check_kk_equivalence() -> CheckResult:
                        detail=f"x in [{RATE_GRID[0]}, {RATE_GRID[-1]}], 4 shapes")
 
 
-def _rectangular_run(x: float, omega: float, t_max: float, n_traj: int, seed: int):
+def _rectangular_run(x: float, omega: float, t_max: float, seed: int):
     density = _named_density(Shape.RECTANGULAR, lam=1.0)
     gx = gamma_closed_form(density, x)
     cfg, a_bar = make_drive_config(gx, omega=omega, t_max=t_max)
-    result = run_ensemble(AtomState.excited(), cfg, a_bar, n_traj, seed)
+    result = run_ensemble(AtomState.excited(), cfg, a_bar, ENSEMBLE_TRAJ, seed)
     return cfg, result
 
 
-def check_ensemble_vs_lindblad(seed: int = DEFAULT_SEED, n_traj: int = 5000) -> CheckResult:
-    """Ensemble mean of 5000 trajectories against the master equation (Fig. 4d)."""
-    cfg, result = _rectangular_run(x=0.2, omega=1.0, t_max=10.0,
-                                   n_traj=n_traj, seed=seed)
+def check_ensemble_vs_lindblad(seed: int = DEFAULT_SEED) -> CheckResult:
+    """Ensemble mean of ``ENSEMBLE_TRAJ`` trajectories against the master equation (Fig. 4d)."""
+    cfg, result = _rectangular_run(x=0.2, omega=1.0, t_max=10.0, seed=seed)
     reference = solve_master(DensityMatrix2.excited(), omega=cfg.omega,
                              gamma_eff=cfg.gamma_eff, t_max=cfg.t_max, dt=cfg.dt_step)
     dev = float(np.max(np.abs(result.p_e_mean - reference)))
     return CheckResult("fig4d/ensemble-vs-lindblad", dev, TOL_ENSEMBLE, "<",
-                       detail=f"rectangular, x=0.2, omega=1, n_traj={n_traj}, seed={seed}")
+                       detail=f"rectangular, x=0.2, omega=1, n_traj={ENSEMBLE_TRAJ}, "
+                              f"seed={seed}")
 
 
-def check_zeno_jump_ordering(seed: int = DEFAULT_SEED, n_traj: int = 5000) -> CheckResult:
+def check_zeno_jump_ordering(seed: int = DEFAULT_SEED) -> CheckResult:
     """Scarcer photon emission for smaller x, separated by >= 3 standard errors."""
     stats = []
     for i, x in enumerate(sorted(X_VALUES)):
-        _, result = _rectangular_run(x=x, omega=1.0, t_max=10.0, n_traj=n_traj,
-                                     seed=seed + i)
+        _, result = _rectangular_run(x=x, omega=1.0, t_max=10.0, seed=seed + i)
         stats.append((result.jump_count_mean, result.jump_count_stderr))
     separations = []
     for (m_lo, se_lo), (m_hi, se_hi) in zip(stats, stats[1:]):

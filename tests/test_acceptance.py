@@ -30,6 +30,7 @@ from zenoscope import (
 )
 from zenoscope.verify import (
     DEFAULT_SEED,
+    ENSEMBLE_TRAJ,
     check_closed_forms,
     check_conditioned_decay_lorentzian,
     check_decay_accuracy,
@@ -89,13 +90,15 @@ def test_ac4_three_way_rate_equality():
 
 
 def test_ac5_ensemble_matches_lindblad():
+    assert ENSEMBLE_TRAJ == 5000
     run_check("AC5", check_ensemble_vs_lindblad, budget=120.0, threshold=0.03,
-              seed=DEFAULT_SEED, n_traj=5000)
+              seed=DEFAULT_SEED)
 
 
 def test_ac6_jump_counts_ordered_by_x():
+    assert ENSEMBLE_TRAJ == 5000
     run_check("AC6", check_zeno_jump_ordering, budget=180.0, threshold=3.0,
-              seed=DEFAULT_SEED, n_traj=5000)
+              seed=DEFAULT_SEED)
 
 
 class TestAC7Properties:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from zenoscope import (AtomState, child_seed, cli, gamma_lorentzian, make_drive_config,
                        null_conditioned_power, simulate_trajectory, trajectories)
 from zenoscope.cli import EXPERIMENTS, ConfigError, dump_config, main, parse_config
-from zenoscope.trajectories import MAX_RATE_DT
+from zenoscope.spectral import MAX_RATE_DT
 
 
 @pytest.fixture
@@ -81,6 +81,14 @@ class TestConfigParsing:
 
 
 class TestRunCommand:
+    def test_omega0_is_not_a_key(self, runner, tmp_path):
+        # the spectral centre reached only sdf_value, which no experiment calls
+        cfg = write_config(tmp_path, "experiment = decay\nshape = lorentzian\n"
+                                     "lambda = 5\nomega0 = 0.5\n")
+        result = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "decay.csv")])
+        assert result.exit_code == 1
+        assert result.stderr == "error: line 4: unknown key 'omega0'\n"
+
     def test_decay_check_passes(self, runner, tmp_path):
         cfg = write_config(tmp_path, "experiment = decay\nshape = lorentzian\n"
                                      "lambda = 5\nt_max = 2\n")
@@ -385,7 +393,6 @@ VALID_VALUES = {
     "gamma": st.floats(0.5, 2.0),
     "lambda": st.floats(0.5, 5.0),
     "lambda_alt": st.floats(5.0, 20.0),
-    "omega0": st.floats(-1.0, 1.0),
     "c": st.floats(-1.0, 1.0),
     "b": st.floats(0.0, 2.0),
     "dt": st.floats(0.001, 0.1),

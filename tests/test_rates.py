@@ -193,7 +193,7 @@ class TestNumericRoutes:
         # gamma_numeric gave -3.58e-4j at x = 1, c = 1e4, against +1.00e-4j,
         # and misses by 3e-4 relative at c = -1e3, x = 0.02
         k = kernel_for(Shape.LORENTZIAN, c=c)
-        np.testing.assert_allclose(rate_curve(k, xs, source, validate=False).values,
+        np.testing.assert_allclose(rate_curve(k, xs, source).values,
                                    gamma_lorentzian(np.array(xs), c=c), rtol=1e-6, atol=0)
 
     def test_grid_over_the_panel_cap_is_rejected(self):
@@ -201,7 +201,7 @@ class TestNumericRoutes:
         for route in (gamma_numeric, kk_rate):
             with pytest.raises(ValueError, match="x = 1 at detuning c = 1000 needs"):
                 route(k, 1.0)
-        assert rates._panel_count(1.0, rates.PANELS_PER_UNIT, c=-0.9) == rates.PANELS_PER_UNIT
+        assert rates._panel_count(1.0, c=-0.9) == rates.PANELS_PER_UNIT
 
     def test_rate_vanishes_towards_zero(self):
         for shape in ALL_NAMED:
@@ -215,13 +215,13 @@ class TestNumericRoutes:
         # (e^{-x^2} instead of e^{-x^2/2}) misses it at the percent level
         k = MemoryKernel(SpectralDensity.gaussian(1.0, 1.0), mode=KernelMode.QUADRATURE)
         for x in (0.5, 1.0, 2.0):
-            assert gamma_numeric(k, x, panels_per_unit=512) == pytest.approx(
+            assert gamma_numeric(k, x) == pytest.approx(
                 gamma_gaussian(x), rel=1e-6)
 
     def test_tabulated_profile_rate(self):
         k = tabulated_gaussian_kernel()
         for x in (0.5, 2.0):
-            assert gamma_numeric(k, x, panels_per_unit=512) == pytest.approx(
+            assert gamma_numeric(k, x) == pytest.approx(
                 gamma_gaussian(x), rel=1e-3)
 
 
@@ -244,7 +244,7 @@ class TestSinglePass:
     """Whole rate curves read off one sampling of ``g``."""
 
     def test_grid_has_on_and_off_node_points(self):
-        nodes = np.linspace(0.0, CURVE_X, rates._panel_count(CURVE_X, rates.PANELS_PER_UNIT) + 1)
+        nodes = np.linspace(0.0, CURVE_X, rates._panel_count(CURVE_X) + 1)
         on_node = np.isin(CURVE_GRID, nodes)
         assert on_node.sum() == 4 and (~on_node).sum() == 5
 
@@ -266,7 +266,7 @@ class TestSinglePass:
     def test_unsorted_and_repeated_x_keep_input_order(self, source):
         kernel = kernel_for(Shape.GAUSSIAN, c=0.7)
         xs = np.array([3.3, 0.5, 3.3, 1.2345, 0.01, 0.5])
-        values = rate_curve(kernel, xs, source, validate=False).values
+        values = rates._numeric_rates(kernel, xs, source)
         per_x = np.array([PER_X[source](kernel, x) for x in xs])
         np.testing.assert_allclose(values, per_x, rtol=1e-11, atol=0)
         assert values[0] == values[2] and values[1] == values[5]
@@ -274,7 +274,7 @@ class TestSinglePass:
     @pytest.mark.parametrize("source", NUMERIC, ids=lambda s: s.value)
     def test_zero_entries_are_exactly_zero(self, source, monkeypatch):
         kernel = kernel_for(Shape.RECTANGULAR)
-        values = rate_curve(kernel, [0.0, 0.5, 0.0, 2.0], source, validate=False).values
+        values = rates._numeric_rates(kernel, [0.0, 0.5, 0.0, 2.0], source)
         assert values[0] == 0j and values[2] == 0j
         assert abs(values[1]) > 0 and abs(values[3]) > 0
 
@@ -283,8 +283,7 @@ class TestSinglePass:
 
         monkeypatch.setattr(rates, "uniform_kernel_g", no_sampling)
         monkeypatch.setattr(rates, "scaled_kernel_g", no_sampling)
-        assert np.array_equal(rate_curve(kernel, [0.0, 0.0], source, validate=False).values,
-                              [0j, 0j])
+        assert np.array_equal(rates._numeric_rates(kernel, [0.0, 0.0], source), [0j, 0j])
         assert PER_X[source](kernel, 0.0) == 0j
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, -1e-3])
@@ -299,7 +298,7 @@ class TestSinglePass:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 per_x(kernel, bad)
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                rate_curve(kernel, [0.5, bad], source, validate=False)
+                rate_curve(kernel, [0.5, bad], source)
 
 
 class TestGammaEff:

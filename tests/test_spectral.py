@@ -27,6 +27,7 @@ from zenoscope import (
     load_tabulated_profile,
     scaled_kernel_g,
     sdf_value,
+    solve_decay,
     uniform_kernel_g,
     write_csv,
 )
@@ -375,12 +376,75 @@ class TestDoubleExponential:
         np.testing.assert_array_equal(scaled_kernel_g(quadrature, xs[::-1]), values[::-1])
         assert scaled_kernel_g(quadrature, xs.reshape(3, 3)).shape == (3, 3)
 
-    def test_unconverged_points_are_rejected(self):
-        # peaks split by 20 widths resolve only past the last halving at x = 1e-16
-        density = SpectralDensity.double_lorentzian(GAMMA, LAM, b=20.0)
-        kernel = MemoryKernel(density, mode=KernelMode.QUADRATURE)
-        with pytest.raises(ValueError, match="did not converge at x = 1e-16"):
-            scaled_kernel_g(kernel, [1.0, 1e-16])
+    def test_unconverged_points_are_rejected(self, monkeypatch):
+        # the Gaussian at x = 1e-6 takes three halvings; allowed two, it is rejected
+        monkeypatch.setattr(spectral, "DE_HALVINGS", 2)
+        kernel = MemoryKernel(named_density(Shape.GAUSSIAN), mode=KernelMode.QUADRATURE)
+        scaled_kernel_g(kernel, [2.0, 1e-3])
+        with pytest.raises(ValueError, match="did not converge at x = 1e-06"):
+            scaled_kernel_g(kernel, [2.0, 1e-6])
+
+    @pytest.mark.parametrize("b", [10.0, 20.0, 100.0])
+    def test_widely_split_peaks(self, b):
+        # summed as one double peak, b = 10 failed at x = 1e-10, 20 at 1e-6, 100 at 1
+        density = named_density(Shape.DOUBLE_LORENTZIAN, c=0.45, b=b)
+        xs = np.array([0.0, 1e-16, 1e-10, 1e-6, 1e-3, 1.0, 7.0, 50.0])
+        quadrature = scaled_kernel_g(MemoryKernel(density, mode=KernelMode.QUADRATURE), xs)
+        analytic = scaled_kernel_g(MemoryKernel(density), xs)
+        assert np.max(np.abs(quadrature - analytic)) <= 1e-13 * GAMMA
+
+
+#: every kernel but the compact-support quadrature one, which rejects x past its alias bound
+UNBOUNDED = [(shape, KernelMode.ANALYTIC) for shape in ALL_NAMED] + [
+    (shape, KernelMode.QUADRATURE) for shape in INFINITE]
+
+
+@pytest.mark.parametrize("shape, mode", UNBOUNDED,
+                         ids=[f"{s.value}-{m.value}" for s, m in UNBOUNDED])
+def test_kernels_stay_finite_at_large_x(shape, mode):
+    # exp(i c x) overflowed to NaN at c x = inf, and the Gaussian's x*x warned from x = 1e155
+    for c in (0.0, 2.0):
+        kernel = MemoryKernel(SpectralDensity(shape, 1.0, 1.0, c=c), mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = scaled_kernel_g(kernel, np.array([1e155, 1e308]))
+        assert np.all(np.isfinite(values)) and np.all(np.abs(values) <= 1e-150)
+
+
+class TestAliasBound:
+    """The Simpson sum resolves ``x`` up to ``pi/(2h)``; its 4-2 weights alias at ``pi/h``."""
+
+    def test_alias_is_real(self):
+        kernel = compact_kernel("rectangular", 0.0)
+        bound = 4096 * math.pi   # h = 1/8192
+        assert spectral.N_PANELS == 8192
+        alias = spectral._simpson_g(kernel, 2 * bound)
+        assert abs(alias) > 0.05 * GAMMA   # g(0)/3 = Gamma/(6 pi), where g itself is ~1e-5
+        assert abs(scaled_kernel_g(MemoryKernel(kernel.density), 2 * bound)) < 1e-4 * GAMMA
+
+    @pytest.mark.parametrize("profile, support, bound", [
+        ("rectangular", 1.0, "12867.964"), ("tabulated", 16.0, "804.24772")])
+    def test_past_the_bound_is_rejected(self, profile, support, bound):
+        kernel = compact_kernel(profile, 0.3)
+        last = math.pi * 8192 / (2 * support)
+        scaled_kernel_g(kernel, [0.0, last])
+        uniform_kernel_g(kernel, last, 8)
+        beyond = last * (1 + 1e-12)
+        with pytest.raises(ValueError, match=f"x = .* exceeds {bound}, the largest x"):
+            scaled_kernel_g(kernel, [0.0, beyond])
+        with pytest.raises(ValueError, match=f"x = .* exceeds {bound}"):
+            scaled_kernel_g(kernel, 2 * last)
+        with pytest.raises(ValueError, match=f"x_max = .* exceeds {bound}"):
+            uniform_kernel_g(kernel, beyond, 8)
+
+    def test_tabulated_decay_past_the_bound_is_rejected(self):
+        # on [-60, 60], x = lam t_max = 250 is past 107: the last grid points held
+        # an alias of 0.14-0.16 Gamma, and solve_decay convolved it
+        w = np.linspace(-60.0, 60.0, 2401)
+        table = np.column_stack([w, 1.0 / (1.0 + w * w)])
+        kernel = MemoryKernel(SpectralDensity.tabulated(1.0, 10.0, table))
+        with pytest.raises(ValueError, match="x_max = 250 exceeds 107.2"):
+            solve_decay(kernel, t_max=25.0)
 
 
 class TestUniformKernelG:
@@ -406,12 +470,6 @@ class TestUniformKernelG:
     def test_largest_rate_grid(self, profile, c):
         # x = 20 at the default 2048 panels per unit: 40961 points
         assert self.compare(compact_kernel(profile, c), 20.0, 40960, stride=97) < 1e-12 * GAMMA
-
-    def test_odd_panel_count_is_rounded_up(self):
-        kernel = MemoryKernel(named_density(Shape.RECTANGULAR, c=0.3),
-                              mode=KernelMode.QUADRATURE, n_panels=1001)
-        assert kernel.n_panels == 1002
-        assert self.compare(kernel, 5.0, 64) < 1e-12 * GAMMA
 
     @pytest.mark.parametrize("kernel", [
         MemoryKernel(named_density(Shape.LORENTZIAN, c=0.3)),

@@ -58,13 +58,15 @@ from zenoscope import (
     solve_master,
     uniform_kernel_g,
 )
-from zenoscope.spectral import (check_contraction, check_count, check_finite, check_grid,
-                                check_points, check_positive)
+from zenoscope import rates
+from zenoscope.spectral import (MAX_RATE_DT, check_contraction, check_count, check_finite,
+                                check_grid, check_points, check_positive, check_step)
+from zenoscope.verify import check_ensemble_vs_lindblad, check_zeno_jump_ordering
 
 NAN, INF = math.nan, math.inf
 GAUSSIAN = SpectralDensity.gaussian(1.0, 1.0)
 LORENTZIAN = MemoryKernel(SpectralDensity.lorentzian(1.0, 1.0))
-RECTANGULAR = MemoryKernel(SpectralDensity.rectangular(1.0, 1.0), KernelMode.QUADRATURE, 8)
+RECTANGULAR = MemoryKernel(SpectralDensity.rectangular(1.0, 1.0), KernelMode.QUADRATURE)
 CFG = DriveConfig(omega=0.1, gamma_eff=0.1, dt_step=0.01, n_steps=4)
 EXCITED = AtomState.excited()
 
@@ -97,8 +99,6 @@ CASES = [
      dict(gamma=1.0, lam=1.0, omega0=0.0, c=0.0, b=1.0),
      dict(gamma=POSITIVE, lam=POSITIVE, omega0=REAL, c=REAL, b=POINTS)),
     (GAUSSIAN.with_width, dict(lam=2.0), dict(lam=POSITIVE)),
-    (partial(MemoryKernel, GAUSSIAN, KernelMode.QUADRATURE), dict(n_panels=8),
-     dict(n_panels=COUNT)),
     (partial(sdf_value, GAUSSIAN), dict(omega_r=0.3), dict(omega_r=REAL)),
     (partial(kernel_value, LORENTZIAN), dict(u=0.5), dict(u=POINTS)),
     (partial(scaled_kernel_g, LORENTZIAN), dict(x=0.5), dict(x=POINTS)),
@@ -115,10 +115,8 @@ CASES = [
     (partial(null_result_survival, LORENTZIAN),
      dict(tau=0.1, n_intervals=3, steps_per_interval=8),
      dict(tau=POSITIVE, n_intervals=COUNT0, steps_per_interval=COUNT)),
-    (partial(gamma_numeric, LORENTZIAN), dict(x=0.5, panels_per_unit=64),
-     dict(x=POINTS, panels_per_unit=POSITIVE)),
-    (partial(kk_rate, LORENTZIAN), dict(x=0.5, panels_per_unit=64),
-     dict(x=POINTS, panels_per_unit=POSITIVE)),
+    (partial(gamma_numeric, LORENTZIAN), dict(x=0.5), dict(x=POINTS)),
+    (partial(kk_rate, LORENTZIAN), dict(x=0.5), dict(x=POINTS)),
     (gamma_lorentzian, dict(x=0.5, c=0.0, gamma=1.0), dict(x=POINTS, c=REAL, gamma=POSITIVE)),
     (gamma_gaussian, dict(x=0.5, gamma=1.0), dict(x=POINTS, gamma=POSITIVE)),
     (gamma_rectangular, dict(x=0.5, gamma=1.0), dict(x=POINTS, gamma=POSITIVE)),
@@ -214,8 +212,6 @@ def test_negative_values_are_rejected_by_name_or_harmless(argument, magnitude):
     (lambda: null_conditioned_power(0.9, NAN), "n"),
     (lambda: analytic_lorentzian_a(NAN, 1.0, 1.0), "t"),
     (lambda: DriveConfig(omega=0.0, gamma_eff=0.1, dt_step=0.01, n_steps=2.5), "n_steps"),
-    (lambda: MemoryKernel(GAUSSIAN, KernelMode.QUADRATURE, n_panels=2.5), "n_panels"),
-    (lambda: MemoryKernel(GAUSSIAN, KernelMode.QUADRATURE, n_panels=NAN), "n_panels"),
     (lambda: run_ensemble(EXCITED, CFG, 0.99, n_traj=2.5, master_seed=0), "n_traj"),
     (lambda: null_result_survival(LORENTZIAN, 0.1, n_intervals=2.5), "n_intervals"),
     (lambda: uniform_kernel_g(RECTANGULAR, 1.0, n=2.5), "n"),
@@ -227,12 +223,30 @@ def test_negative_values_are_rejected_by_name_or_harmless(argument, magnitude):
     "rectangular-negative", "double-lorentzian-negative", "rate-curve-nan",
     "table-nan-value", "table-infinite-abscissa", "density-matrix-nan",
     "solve-master-infinite-rho0", "gamma-eff-infinite-step", "power-nan-count",
-    "analytic-nan-time", "drive-config-fractional-steps", "kernel-fractional-panels",
-    "kernel-nan-panels", "ensemble-fractional-count", "survival-fractional-count",
-    "uniform-grid-fractional-count", "drive-config-negative-rate",
+    "analytic-nan-time", "drive-config-fractional-steps", "ensemble-fractional-count",
+    "survival-fractional-count", "uniform-grid-fractional-count", "drive-config-negative-rate",
     "drive-config-round-off-negative-rate"])
 def test_holes_are_closed(call, name):
     with pytest.raises(ValueError, match=name):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: MemoryKernel(GAUSSIAN, KernelMode.QUADRATURE, n_panels=8192),
+    lambda: gamma_numeric(LORENTZIAN, 0.5, panels_per_unit=2048),
+    lambda: kk_rate(LORENTZIAN, 0.5, panels_per_unit=2048),
+    lambda: rates._numeric_rates(LORENTZIAN, [0.5], RateSource.KK_INTEGRAL, panels_per_unit=2048),
+    lambda: rates._panel_count(0.5, panels_per_unit=2048),
+    lambda: rate_curve(LORENTZIAN, [0.5], validate=False),
+    lambda: DensityMatrix2.excited().validate(tol=1e-8),
+    lambda: check_ensemble_vs_lindblad(n_traj=5000),
+    lambda: check_zeno_jump_ordering(n_traj=5000),
+], ids=["kernel-n_panels", "gamma_numeric-panels_per_unit", "kk_rate-panels_per_unit",
+        "numeric_rates-panels_per_unit", "panel_count-panels_per_unit", "rate_curve-validate",
+        "density-matrix-tol", "ensemble-check-n_traj", "zeno-check-n_traj"])
+def test_retired_settings_are_gone(call):
+    # each was set only by tests, or always to its default; the values are constants now
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
         call()
 
 
@@ -279,3 +293,14 @@ class TestInputRules:
 
     def test_grid_tolerates_round_off(self):
         assert check_grid(10, 0.1, 1.0) == 10
+
+    @pytest.mark.parametrize("value", [NAN, INF, 0.05 + 2e-12, 0.5])
+    def test_step(self, value):
+        # one message for the trajectory and master-equation steps alike
+        with pytest.raises(ValueError, match="r = .* exceeds 0.05: the step is too coarse "
+                                             "for the at-most-one-photon criterion"):
+            check_step(value, "r")
+
+    def test_step_tolerates_round_off(self):
+        assert MAX_RATE_DT == 0.05
+        assert check_step(0.05 + 5e-13, "r") == 0.05 + 5e-13

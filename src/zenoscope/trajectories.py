@@ -27,6 +27,13 @@ bit-identical to the stepwise loop.  ``mc_step`` and ``_advance`` remain the
 stepwise reference and the only null-result update; a no-click outcome that
 leaves no state (``a_bar * alpha = beta = 0``) raises ``ValueError``.
 
+The paths depend only on the layout: the initial state, the ``DriveConfig``
+and ``a_bar``.  ``simulate_trajectory`` and ``run_ensemble`` share one LRU
+cache of the last eight layouts of at most ``MAX_CACHED_STEPS`` steps, and
+build longer layouts on every call, so the cache holds at most about 16 MB.
+Only a repeated layout (a seed scan, a loop of ensembles) gains from it; a
+one-off run pays the same Python loop of ``_advance`` calls as before.
+
 Reproducibility: every trajectory consumes one uniform variate per step
 from a counter-based Philox4x64-10 generator (Salmon et al., SC'11) keyed
 through ``numpy.random.SeedSequence(seed)`` (``make_rng``).  Ensembles
@@ -280,23 +287,33 @@ def _no_click_path(alpha: complex, beta: complex, n: int, a_bar, geff_dt, cw, sw
     return _Path(p1, p_e)
 
 
-def _paths(initial_amps: tuple[complex, complex], cfg: DriveConfig,
-           a_bar_dt: complex) -> tuple[_Path, _Path]:
-    """No-click paths from the initial state and from the post-click state."""
-    a_bar = check_contraction(a_bar_dt, "a_bar_dt")
+def _paths(alpha: complex, beta: complex, cfg: DriveConfig,
+           a_bar: complex) -> tuple[_Path, _Path]:
+    """No-click paths from the state ``(alpha, beta)`` and from the post-click state."""
     cw = math.cos(cfg.omega * cfg.dt_step)
     sw = math.sin(cfg.omega * cfg.dt_step)
     geff_dt = cfg.gamma_eff * cfg.dt_step
     # a uniform of -1.0 always clicks, whatever the state before the step
     click_alpha, click_beta, _ = _advance(0.0j, 1.0 + 0.0j, -1.0, a_bar, geff_dt, cw, sw)
-    alpha, beta = (complex(amp) for amp in initial_amps)
     return (_no_click_path(alpha, beta, cfg.n_steps, a_bar, geff_dt, cw, sw),
             _no_click_path(click_alpha, click_beta, cfg.n_steps - 1, a_bar, geff_dt, cw, sw))
 
 
-#: paths of recent single-trajectory calls; repeated calls with one layout
-#: (seed scans, first-jump statistics) then cost one uniform draw each
+#: longest layout whose paths are cached: four arrays of 8 bytes a step, so
+#: about 2 MB a layout; longer layouts are built on every call
+MAX_CACHED_STEPS = 2 ** 16
+
+#: paths of the most recent layouts; repeated runs of one layout (ensembles,
+#: seed scans, first-jump statistics) then cost their uniform draws alone
 _cached_paths = functools.lru_cache(maxsize=8)(_paths)
+
+
+def _layout_paths(initial: AtomState, cfg: DriveConfig,
+                  a_bar_dt: complex) -> tuple[_Path, _Path]:
+    """The paths of one layout, from the cache when ``cfg.n_steps <= MAX_CACHED_STEPS``."""
+    build = _paths if cfg.n_steps > MAX_CACHED_STEPS else _cached_paths
+    return build(complex(initial.alpha), complex(initial.beta), cfg,
+                 check_contraction(a_bar_dt, "a_bar_dt"))
 
 
 def _sample(eps: np.ndarray, start: _Path, after_click: _Path, p_e: np.ndarray) -> list[int]:
@@ -304,19 +321,21 @@ def _sample(eps: np.ndarray, start: _Path, after_click: _Path, p_e: np.ndarray) 
 
     Returns the steps that registered a photon.  Each segment between clicks
     is one slice of a path; its end is the first step whose uniform falls
-    below the path's click probability.
+    below the path's click probability (``argmax`` of the comparison, which
+    is 0 when none does).
     """
     n = len(eps)
     path, k0, clicks = start, 0, []
-    while True:
-        hits = np.flatnonzero(eps[k0:] < path.p1[:n - k0])
-        if hits.size == 0:
-            p_e[k0:] = path.p_e[:n + 1 - k0]
-            return clicks
-        j = int(hits[0])
+    while k0 < n:
+        below = eps[k0:] < path.p1[:n - k0]
+        j = int(below.argmax())
+        if not below[j]:
+            break
         p_e[k0:k0 + j + 1] = path.p_e[:j + 1]
         clicks.append(k0 + j)
         path, k0 = after_click, k0 + j + 1
+    p_e[k0:] = path.p_e[:n + 1 - k0]
+    return clicks
 
 
 def simulate_trajectory(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
@@ -326,8 +345,7 @@ def simulate_trajectory(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
     The uniform stream is drawn in one batch from the seeded generator, one
     variate per step, so identical seeds give bit-identical records.
     """
-    start, after_click = _cached_paths((complex(initial.alpha), complex(initial.beta)),
-                                       cfg, complex(a_bar_dt))
+    start, after_click = _layout_paths(initial, cfg, a_bar_dt)
     eps = make_rng(seed).random(cfg.n_steps)
     p_e = np.empty(cfg.n_steps + 1)
     jumps = np.zeros(cfg.n_steps, dtype=bool)
@@ -383,12 +401,16 @@ def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
     statistics are reduced over that index-ordered matrix.  ``n_jobs > 1``
     fills contiguous blocks of rows in that many threads; each row depends
     on its seed alone, so the result is the same for every ``n_jobs``.
+
+    The no-click paths come from the per-layout cache that
+    ``simulate_trajectory`` also reads (up to ``MAX_CACHED_STEPS`` steps), so
+    a repeated layout skips their build; the rows are copies of path slices.
     """
     check_count(n_traj, "n_traj", 1)
     check_count(master_seed, "master_seed", 0)
     check_count(n_jobs, "n_jobs", 1)
     check_size(n_traj * (cfg.n_steps + 1), "n_traj*(n_steps+1)")
-    start, after_click = _paths((initial.alpha, initial.beta), cfg, a_bar_dt)
+    start, after_click = _layout_paths(initial, cfg, a_bar_dt)
     p_e = np.empty((n_traj, cfg.n_steps + 1))
     counts = np.empty(n_traj, dtype=np.int64)
     seeds = [child_seed(master_seed, i) for i in range(n_traj)]
@@ -402,7 +424,11 @@ def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
                           blocks))
     mean = p_e.mean(axis=0)
     if n_traj > 1:
-        stderr = p_e.std(axis=0, ddof=1) / math.sqrt(n_traj)
+        # p_e.std(axis=0, ddof=1) by the same ufuncs in the same order, but in
+        # place of the rows instead of in a second matrix of their size
+        dev = np.subtract(p_e, mean, out=p_e)
+        var = np.add.reduce(np.multiply(dev, dev, out=dev), axis=0) / (n_traj - 1)
+        stderr = np.sqrt(var) / math.sqrt(n_traj)
     else:
         stderr = np.zeros_like(mean)
     return EnsembleResult(dt_step=cfg.dt_step, p_e_mean=mean, p_e_stderr=stderr,

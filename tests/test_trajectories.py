@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from zenoscope import (
     run_ensemble,
     simulate_trajectory,
 )
+from zenoscope import trajectories
 from zenoscope.trajectories import _advance, _philox_keys, _seeded_uniforms
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -336,26 +338,38 @@ class TestSegmentSamplerOracle:
                                               range(1000, 1000 + self.N_SEEDS))
         assert clicks > 0
 
+    def assert_ensemble_matches_stepwise(self, initial, cfg, a_bar, n_traj, master_seed):
+        """``run_ensemble`` against the reduction of the stepwise rows; returns their jumps."""
+        runs = [stepwise_trajectory(initial, cfg, a_bar, child_seed(master_seed, i))
+                for i in range(n_traj)]
+        p_e = np.array([run[0] for run in runs])
+        counts = np.array([np.count_nonzero(run[1]) for run in runs])
+        result = run_ensemble(initial, cfg, a_bar, n_traj, master_seed)
+        assert np.array_equal(result.p_e_mean, p_e.mean(axis=0))
+        assert np.array_equal(result.p_e_stderr, p_e.std(axis=0, ddof=1) / math.sqrt(n_traj))
+        assert np.array_equal(result.jump_counts, counts)
+        return [run[1] for run in runs]
+
     def test_click_in_first_or_last_step(self):
-        # undriven from |e>: every step clicks with p1 = 0.05 until the first click
-        cfg = DriveConfig(omega=0.0, gamma_eff=0.5, dt_step=0.1, n_steps=3)
-        seeds = range(200)
-        self.assert_matches_stepwise(AtomState.excited(), cfg, math.sqrt(0.95), seeds)
-        records = [simulate_trajectory(AtomState.excited(), cfg, math.sqrt(0.95), seed)
-                   for seed in seeds]
-        assert any(r.jumps[0] for r in records)
-        assert any(r.jumps[-1] for r in records)
+        # undriven from |e>: every step clicks with p1 = 0.05 until the first click;
+        # a click in the last step leaves an empty remainder to search, and with
+        # n_steps = 1 the first step is the last
+        for n_steps in (3, 1):
+            cfg = DriveConfig(omega=0.0, gamma_eff=0.5, dt_step=0.1, n_steps=n_steps)
+            seeds = range(200)
+            self.assert_matches_stepwise(AtomState.excited(), cfg, math.sqrt(0.95), seeds)
+            records = [simulate_trajectory(AtomState.excited(), cfg, math.sqrt(0.95), seed)
+                       for seed in seeds]
+            assert any(r.jumps[0] for r in records)
+            assert any(r.jumps[-1] for r in records)
+            jumps = self.assert_ensemble_matches_stepwise(AtomState.excited(), cfg,
+                                                          math.sqrt(0.95), 200, master_seed=5)
+            assert any(j[0] for j in jumps)
+            assert any(j[-1] for j in jumps)
 
     def test_ensemble_matches_stepwise_reduction(self):
         cfg, a_bar = detection_config(x=2.0, omega=1.0, t_max=10.0)
-        runs = [stepwise_trajectory(AtomState.excited(), cfg, a_bar, child_seed(3, i))
-                for i in range(40)]
-        p_e = np.array([run[0] for run in runs])
-        counts = np.array([np.count_nonzero(run[1]) for run in runs])
-        result = run_ensemble(AtomState.excited(), cfg, a_bar, 40, master_seed=3)
-        assert np.array_equal(result.p_e_mean, p_e.mean(axis=0))
-        assert np.array_equal(result.p_e_stderr, p_e.std(axis=0, ddof=1) / math.sqrt(40))
-        assert np.array_equal(result.jump_counts, counts)
+        self.assert_ensemble_matches_stepwise(AtomState.excited(), cfg, a_bar, 40, master_seed=3)
 
     @pytest.mark.parametrize("x", [0.02, 2.0])  # mostly click-free, and click-dense
     def test_returned_records_do_not_share_state(self, x):
@@ -373,6 +387,103 @@ class TestSegmentSamplerOracle:
         cfg, _ = detection_config(t_max=1.0)
         with pytest.raises(ValueError, match="exceeds 1"):
             run_ensemble(AtomState.excited(), cfg, 1.0 + 1e-4, 5, master_seed=0)
+
+
+def layout(**changes):
+    """A short driven layout; ``changes`` replace its fields."""
+    params = dict(omega=0.4, gamma_eff=0.4, dt_step=0.1, n_steps=20)
+    params.update(changes)
+    return DriveConfig(**params)
+
+
+class TestPathCache:
+    """``simulate_trajectory`` and ``run_ensemble`` share one per-layout path cache."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Empty the cache and count the no-click paths built from then on."""
+        trajectories._cached_paths.cache_clear()
+        calls, build = [], trajectories._no_click_path
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(trajectories, "_no_click_path", counting)
+        yield calls
+        trajectories._cached_paths.cache_clear()
+
+    def test_repeated_layout_builds_nothing(self, builds):
+        first = run_ensemble(AtomState.excited(), layout(), 0.98, 16, master_seed=4)
+        assert len(builds) == 2   # from the initial and from the post-click state
+        again = run_ensemble(AtomState.excited(), layout(), 0.98, 16, master_seed=4)
+        assert len(builds) == 2
+        assert np.array_equal(again.p_e_mean, first.p_e_mean)
+        assert np.array_equal(again.jump_counts, first.jump_counts)
+        record = simulate_trajectory(AtomState.excited(), layout(), 0.98, child_seed(4, 0))
+        assert len(builds) == 2
+        p_e, jumps = stepwise_trajectory(AtomState.excited(), layout(), 0.98,
+                                         child_seed(4, 0))
+        assert np.array_equal(record.p_e, p_e)
+        assert np.array_equal(record.jumps, jumps)
+
+    @pytest.mark.parametrize("initial, cfg, a_bar", [
+        (AtomState.excited(), layout(), 0.97),
+        (AtomState.excited(), layout(), 0.98j),
+        (AtomState(0.6, 0.8j), layout(), 0.98),
+        (AtomState.excited(), layout(omega=0.3), 0.98),
+        (AtomState.excited(), layout(gamma_eff=0.2), 0.98),
+        (AtomState.excited(), layout(dt_step=0.05), 0.98),
+        (AtomState.excited(), layout(n_steps=21), 0.98),
+    ])
+    def test_each_layout_builds_its_own_paths(self, builds, initial, cfg, a_bar):
+        run_ensemble(AtomState.excited(), layout(), 0.98, 4, master_seed=4)
+        assert len(builds) == 2
+        result = run_ensemble(initial, cfg, a_bar, 40, master_seed=4)
+        assert len(builds) == 4
+        rows = [stepwise_trajectory(initial, cfg, a_bar, child_seed(4, i))[0] for i in range(40)]
+        assert np.array_equal(result.p_e_mean, np.mean(rows, axis=0))
+
+    @pytest.mark.parametrize("a_bar", [2.0, 1.0 + 1e-4, math.nan, complex(0.0, math.nan)])
+    def test_invalid_contraction_raises_after_a_cached_layout(self, builds, a_bar):
+        run_ensemble(AtomState.excited(), layout(), 0.98, 4, master_seed=4)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            run_ensemble(AtomState.excited(), layout(), a_bar, 4, master_seed=4)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            simulate_trajectory(AtomState.excited(), layout(), a_bar, seed=4)
+        assert len(builds) == 2
+
+    def test_cached_paths_are_read_only_and_unshared(self, builds, monkeypatch):
+        filled, fill = [], trajectories._fill_rows
+
+        def capturing(start, after_click, seeds, p_e, counts):
+            filled.append(p_e)
+            fill(start, after_click, seeds, p_e, counts)
+
+        monkeypatch.setattr(trajectories, "_fill_rows", capturing)
+        cfg, a_bar = layout(), 0.98
+        result = run_ensemble(AtomState.excited(), cfg, a_bar, 16, master_seed=4)
+        record = simulate_trajectory(AtomState.excited(), cfg, a_bar, seed=4)
+        paths = trajectories._layout_paths(AtomState.excited(), cfg, a_bar)
+        assert len(builds) == 2
+        arrays = [a for path in paths for a in path]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        outputs = [*filled, result.p_e_mean, result.p_e_stderr, result.jump_counts,
+                   record.p_e, record.jumps]
+        assert not any(np.shares_memory(out, a) for out in outputs for a in arrays)
+
+    def test_only_layouts_up_to_the_step_limit_are_cached(self, builds):
+        limit = trajectories.MAX_CACHED_STEPS
+        over = DriveConfig(omega=0.0, gamma_eff=0.4, dt_step=0.1, n_steps=limit + 1)
+        simulate_trajectory(AtomState.excited(), over, 0.98, seed=4)
+        assert trajectories._cached_paths.cache_info().currsize == 0
+        at_limit = DriveConfig(omega=0.0, gamma_eff=0.4, dt_step=0.1, n_steps=limit)
+        simulate_trajectory(AtomState.excited(), at_limit, 0.98, seed=4)
+        assert trajectories._cached_paths.cache_info().currsize == 1
+        assert len(builds) == 4
 
 
 class TestBatchedSeeding:
@@ -472,6 +583,19 @@ class TestEnsemble:
         np.testing.assert_array_equal(result.p_e_mean, p_e.mean(axis=0))
         np.testing.assert_array_equal(result.p_e_stderr, p_e.std(axis=0, ddof=1) / math.sqrt(40))
         np.testing.assert_array_equal(result.jump_counts, counts)
+
+    def test_stderr_needs_no_second_row_matrix(self):
+        # the rows are reduced in place: peak memory holds one (n_traj, n_steps + 1) matrix
+        cfg, a_bar = ac7_config()
+        run_ensemble(AtomState.excited(), cfg, a_bar, 2, master_seed=1)   # paths cached
+        tracemalloc.start()
+        try:
+            run_ensemble(AtomState.excited(), cfg, a_bar, 256, master_seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = 256 * (cfg.n_steps + 1) * 8
+        assert rows < peak < 1.5 * rows
 
     def test_jump_counts_increase_with_x(self):
         means = []

@@ -25,7 +25,6 @@ from .rates import (
     gamma_lorentzian,
     gamma_numeric,
     gamma_rectangular,
-    kk_rate,
     rate_curve,
 )
 from .spectral import (
@@ -48,7 +47,6 @@ from .trajectories import (
     child_seed,
     make_drive_config,
     make_rng,
-    mc_step,
     memory_drive_config,
     run_ensemble,
     simulate_trajectory,

@@ -9,7 +9,7 @@ variable ``x = lam * tau``.  The rate admits three independent evaluations:
 * closed forms for the four named spectral shapes, and
 * an equivalent single integral ``(2i/x) int_0^x (x - x') g(x') dx'``
   obtained from the short-time expansion around the initial state
-  (the Kofman-Kurizki route).
+  (the Kofman-Kurizki route, ``RateSource.KK_INTEGRAL``).
 
 All three agree for every supported spectrum; the test suite exercises the
 mutual equalities as well as the width-independence of the numeric routes.
@@ -28,7 +28,8 @@ rejected.  Every rate is then
 read off cumulative Simpson sums of those samples: the inner integral ``I``
 of ``g`` and the outer integral of ``I`` on the double route, the moments
 ``G0 = int g`` and ``G1 = int x' g`` on the single-integral route,
-``(2i/x)(x G0 - G1)``.
+``(2i/x)(x G0 - G1)``; each cumulative sum is one numpy pass over the
+complex samples (:func:`_cumulative_simpson`).
 
 The remainder rule: each ``x`` is read at the last even node ``t_m <= x``,
 where the cumulative sums are the composite Simpson rule, and every
@@ -41,7 +42,7 @@ quadrature kernel once the batch is large enough (a one-point rate's three
 samples take the point-by-point Simpson sums), double-exponential sums for
 an infinite-support one.  The inner integral at the midpoint ``t_m + d/2``
 takes its own two-panel rule.  An ``x`` on an even node takes no extra
-samples, so :func:`gamma_numeric` and :func:`kk_rate`, the one-point case,
+samples, so :func:`gamma_numeric` and a one-point :func:`rate_curve`
 integrate on exactly the grid of ``x`` itself.
 
 Measured agreement (named shapes at ``lam = 1``, 200 points on
@@ -59,7 +60,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.integrate import cumulative_simpson
 from scipy.special import erf, sici
 
 from .spectral import (MemoryKernel, Shape, SpectralDensity, check_contraction, check_finite,
@@ -75,7 +75,6 @@ __all__ = [
     "gamma_rectangular",
     "gamma_double_lorentzian",
     "gamma_closed_form",
-    "kk_rate",
     "gamma_eff",
     "rate_curve",
 ]
@@ -110,15 +109,24 @@ def _panel_count(x: float, c: float = 0.0) -> int:
 
 
 def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative Simpson integral from 0 of complex samples ``y`` with spacing ``h``."""
-    # scipy's cumulative_simpson only handles real data
-    return (cumulative_simpson(y.real, dx=h, initial=0.0)
-            + 1j * cumulative_simpson(y.imag, dx=h, initial=0.0))
+    """Cumulative Simpson integral from 0 of the odd-length samples ``y`` with spacing ``h``.
+
+    Even node ``2k + 2`` adds the panel pair ``h/3 (a + 4b + c)`` of
+    ``a, b, c = y[2k : 2k + 3]`` to node ``2k``; odd node ``2k + 1`` adds
+    ``h/12 (5a + 8b - c)``, the rule SciPy's ``cumulative_simpson`` takes
+    there.  Complex samples take one pass, where SciPy takes only real data.
+    """
+    a, b, c = y[:-2:2], y[1::2], y[2::2]
+    out = np.empty_like(y)
+    out[0] = 0.0
+    np.cumsum(h / 3.0 * (a + 4.0 * b + c), out=out[2::2])
+    out[1::2] = out[:-1:2] + h / 12.0 * (5.0 * a + 8.0 * b - c)
+    return out
 
 
 # The routes below hold the only reference to ``g`` and drop it as soon as
 # its last cumulative sum is taken: a 40k-node curve then never holds more
-# than two node-length complex arrays besides scipy's temporaries.
+# than two node-length complex arrays besides the half-length panel sums.
 
 
 def _nested_integral(grid, g, m, x, d, tail):
@@ -194,21 +202,10 @@ def gamma_numeric(kernel: MemoryKernel, x: float) -> complex:
 
     The inner antiderivative is accumulated with a cumulative Simpson rule
     and the outer integral with another one over it, so the route is
-    genuinely a double quadrature (independent of :func:`kk_rate`).  The
-    one-point case of :func:`rate_curve`: ``x`` is the last grid node.
+    genuinely a double quadrature, independent of ``RateSource.KK_INTEGRAL``.
+    The one-point case of :func:`rate_curve`: ``x`` is the last grid node.
     """
     return complex(_numeric_rates(kernel, [x], RateSource.DOUBLE_INTEGRAL)[0])
-
-
-def kk_rate(kernel: MemoryKernel, x: float) -> complex:
-    """Effective rate from the equivalent single-integral form.
-
-    ``r(x) = (2i/x) int_0^x (x - x') g(x') dx' = (2i/x) [x G0(x) - G1(x)]``
-    with the moments ``G0 = int g`` and ``G1 = int x' g`` by cumulative
-    Simpson; equals :func:`gamma_numeric` analytically (integration by
-    parts).
-    """
-    return complex(_numeric_rates(kernel, [x], RateSource.KK_INTEGRAL)[0])
 
 
 # -- closed forms (c = 0 except for the Lorentzian; b = 1 for the double peak)
@@ -331,6 +328,8 @@ def rate_curve(kernel: MemoryKernel, x_grid,
     :func:`_numeric_rates`); the curve is checked by :meth:`RateCurve.validate`.
     """
     xs = check_points(x_grid, "x_grid")
+    if xs.ndim != 1:
+        raise ValueError(f"x_grid must be one-dimensional, got shape {xs.shape}")
     if source is RateSource.CLOSED_FORM:
         values = np.asarray(gamma_closed_form(kernel.density, xs), dtype=complex)
     else:

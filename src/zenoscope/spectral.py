@@ -1,18 +1,18 @@
 """Spectral-density models and the time-domain memory kernel.
 
 A two-level emitter coupled to a structured environment is characterised by
-its spectral density function (SDF) ``D(omega_r)``: a shape profile with
-height ``Gamma = 2*pi*D0``, width ``lam``, centre ``omega0``, and an energy
-offset between the atomic transition and the spectral centre expressed as
-the dimensionless ratio ``c`` (offset ``E = c*lam``).
+its spectral density function (SDF) ``D(omega_r)``, with ``omega_r`` measured
+from the spectral centre: a shape profile with height ``Gamma = 2*pi*D0``,
+width ``lam``, and the offset of the atomic transition from the centre
+expressed as the dimensionless ratio ``c`` (offset ``E = c*lam``).
 
 The decay amplitude obeys a Volterra equation whose kernel is the Fourier
 transform of the SDF,
 
-    F(u) = -i * integral D(omega_r) exp(-i*(omega_r - omega0 - E) u) domega_r ,
+    F(u) = -i * integral D(omega_r) exp(-i*(omega_r - E) u) domega_r ,
 
 written here with the free atomic phase already removed.  Because every
-supported SDF is stored as a dimensionless profile of ``(omega_r-omega0)/lam``,
+supported SDF is stored as a dimensionless profile of ``omega_r/lam``,
 the rescaled kernel
 
     g(x) = F(x/lam) / lam
@@ -64,11 +64,10 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field, replace
 
 import numpy as np
 from scipy import fft
-from scipy.integrate import quad
 
 __all__ = [
     "Shape",
@@ -171,7 +170,7 @@ class Shape(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class SpectralDensity:
-    """Parametrised spectral density ``D(omega_r)``.
+    """Parametrised spectral density ``D(omega_r)``; ``c``, ``b`` and ``table`` are keyword-only.
 
     Parameters
     ----------
@@ -184,16 +183,14 @@ class SpectralDensity:
         Spectral width ``lam`` (half-width for the Lorentzian peaks, standard
         deviation for the Gaussian, full bandwidth for the rectangle).  Must
         be positive.
-    omega0 : float
-        Spectral centre.
     c : float
         Detuning ratio; the transition-to-centre offset is ``E = c*lam``.
     b : float
-        Peak-split ratio of the double-Lorentzian (peaks at ``omega0 +- b*lam``).
+        Peak-split ratio of the double-Lorentzian (peaks at ``omega_r = +-b*lam``).
         Ignored by the other shapes.
     table : ndarray or None
         ``(n, 2)`` samples ``(omega_tilde, d_tilde)`` of the dimensionless
-        profile ``D(omega_r) = D0 * d_tilde((omega_r-omega0)/lam)``, strictly
+        profile ``D(omega_r) = D0 * d_tilde(omega_r/lam)``, strictly
         increasing in the first column and nonnegative in the second.  The
         profile is linearly interpolated and zero outside the sampled range.
         Required for (and only for) the tabulated shape.
@@ -202,13 +199,13 @@ class SpectralDensity:
     shape: Shape
     gamma: float
     lam: float
-    omega0: float = 0.0
+    _: KW_ONLY
     c: float = 0.0
     b: float = 1.0
     table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for name in ("gamma", "lam", "omega0", "c"):
+        for name in ("gamma", "lam", "c"):
             check_finite(getattr(self, name), name)
         check_positive(self.gamma, "gamma")
         check_positive(self.lam, "lam")
@@ -230,24 +227,24 @@ class SpectralDensity:
     # -- convenience constructors ------------------------------------------
 
     @classmethod
-    def lorentzian(cls, gamma, lam, omega0=0.0, c=0.0):
-        return cls(Shape.LORENTZIAN, gamma, lam, omega0, c)
+    def lorentzian(cls, gamma, lam, *, c=0.0):
+        return cls(Shape.LORENTZIAN, gamma, lam, c=c)
 
     @classmethod
-    def gaussian(cls, gamma, lam, omega0=0.0, c=0.0):
-        return cls(Shape.GAUSSIAN, gamma, lam, omega0, c)
+    def gaussian(cls, gamma, lam, *, c=0.0):
+        return cls(Shape.GAUSSIAN, gamma, lam, c=c)
 
     @classmethod
-    def rectangular(cls, gamma, lam, omega0=0.0, c=0.0):
-        return cls(Shape.RECTANGULAR, gamma, lam, omega0, c)
+    def rectangular(cls, gamma, lam, *, c=0.0):
+        return cls(Shape.RECTANGULAR, gamma, lam, c=c)
 
     @classmethod
-    def double_lorentzian(cls, gamma, lam, omega0=0.0, c=0.0, b=1.0):
-        return cls(Shape.DOUBLE_LORENTZIAN, gamma, lam, omega0, c, b)
+    def double_lorentzian(cls, gamma, lam, *, c=0.0, b=1.0):
+        return cls(Shape.DOUBLE_LORENTZIAN, gamma, lam, c=c, b=b)
 
     @classmethod
-    def tabulated(cls, gamma, lam, table, omega0=0.0, c=0.0):
-        return cls(Shape.TABULATED, gamma, lam, omega0, c, table=np.asarray(table, float))
+    def tabulated(cls, gamma, lam, table, *, c=0.0):
+        return cls(Shape.TABULATED, gamma, lam, c=c, table=np.asarray(table, float))
 
     @property
     def d0(self) -> float:
@@ -261,8 +258,7 @@ class SpectralDensity:
 
     def with_width(self, lam: float) -> "SpectralDensity":
         """Same dimensionless profile deformed to a new width ``lam``."""
-        return SpectralDensity(self.shape, self.gamma, lam, self.omega0, self.c,
-                               self.b, self.table)
+        return replace(self, lam=lam)
 
 
 class KernelMode(enum.Enum):
@@ -359,7 +355,7 @@ def write_csv(path, columns) -> None:
 
 
 def _profile(density: SpectralDensity, w):
-    """Dimensionless profile ``d_tilde(w)`` with ``w = (omega_r - omega0)/lam``."""
+    """Dimensionless profile ``d_tilde(w)`` with ``w = omega_r/lam``."""
     w = np.asarray(w, dtype=float)
     shape = density.shape
     if shape is Shape.LORENTZIAN:
@@ -376,8 +372,8 @@ def _profile(density: SpectralDensity, w):
 
 
 def sdf_value(density: SpectralDensity, omega_r):
-    """Spectral density ``D(omega_r)``; accepts scalars or arrays."""
-    w = (check_finite(np.asarray(omega_r, dtype=float), "omega_r") - density.omega0) / density.lam
+    """Spectral density ``D(omega_r)`` at ``omega_r`` from the centre; scalars or arrays."""
+    w = check_finite(np.asarray(omega_r, dtype=float), "omega_r") / density.lam
     out = density.d0 * _profile(density, w)
     return float(out) if np.isscalar(omega_r) else out
 
@@ -455,6 +451,8 @@ def _quad_g(kernel: MemoryKernel, x: float) -> complex:
     ``2 int_0^inf d_tilde(w) cos(w x) dw`` over the positive half-axis (every
     such profile is even); the reference for the double-exponential rule.
     """
+    # imported here: only the tests call the oracle, and scipy.integrate is slow to import
+    from scipy.integrate import quad
     density = kernel.density
     f = lambda w: float(_profile(density, w))
     if x == 0.0:

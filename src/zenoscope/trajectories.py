@@ -23,9 +23,10 @@ it, both computed by the single-step update ``_advance``.  A segment that
 starts at step ``k0`` ends at the first ``k`` with ``eps[k] < p1[k - k0]``,
 found by one vectorised comparison, so a trajectory costs a few numpy calls
 per click instead of one Python step per time step, and its records are
-bit-identical to the stepwise loop.  ``mc_step`` and ``_advance`` remain the
-stepwise reference and the only null-result update; a no-click outcome that
-leaves no state (``a_bar * alpha = beta = 0``) raises ``ValueError``.
+bit-identical to the stepwise loop.  ``_advance`` is the one stepper: the
+only null-result and click update, and the stepwise reference of the tests;
+a no-click outcome that leaves no state (``a_bar * alpha = beta = 0``)
+raises ``ValueError``.
 
 The paths depend only on the layout: the initial state, the ``DriveConfig``
 and ``a_bar``.  ``simulate_trajectory`` and ``run_ensemble`` share one LRU
@@ -73,7 +74,6 @@ __all__ = [
     "DriveConfig",
     "TrajectoryRecord",
     "EnsembleResult",
-    "mc_step",
     "simulate_trajectory",
     "run_ensemble",
     "make_drive_config",
@@ -225,7 +225,12 @@ def _p_excited(alpha: complex) -> float:
 
 
 def _advance(alpha, beta, eps, a_bar, geff_dt, cw, sw):
-    """One measurement-then-drive update on raw amplitudes."""
+    """One measurement-then-drive update of the raw amplitudes on the uniform ``eps``.
+
+    Click (``eps < p1``): ground-state reset.  No click: the excited amplitude
+    is multiplied by ``a_bar`` and the state renormalised.  Then the drive
+    turns the state by ``cw = cos(omega dt_step)``, ``sw = sin(omega dt_step)``.
+    """
     p1 = _p_excited(alpha) * geff_dt
     if p1 >= 1.0:
         raise ValueError(f"jump probability p1 = {p1:.3g} >= 1; dt_step too coarse")
@@ -243,22 +248,6 @@ def _advance(alpha, beta, eps, a_bar, geff_dt, cw, sw):
         beta *= inv
         jumped = False
     return cw * alpha - 1j * sw * beta, -1j * sw * alpha + cw * beta, jumped
-
-
-def mc_step(state: AtomState, cfg: DriveConfig, a_bar_dt: complex,
-            epsilon: float) -> tuple[AtomState, bool]:
-    """Single Monte-Carlo update with injected randomness ``epsilon in [0, 1)``.
-
-    Click (``epsilon < p1``): ground-state reset, then drive.  No click: the
-    excited amplitude is multiplied by ``a_bar_dt``, the state renormalised,
-    then driven.
-    """
-    cw = math.cos(cfg.omega * cfg.dt_step)
-    sw = math.sin(cfg.omega * cfg.dt_step)
-    alpha, beta, jumped = _advance(complex(state.alpha), complex(state.beta),
-                                   epsilon, check_contraction(a_bar_dt, "a_bar_dt"),
-                                   cfg.gamma_eff * cfg.dt_step, cw, sw)
-    return AtomState(alpha, beta), jumped
 
 
 class _Path(NamedTuple):

@@ -82,7 +82,7 @@ class TestConfigParsing:
 
 class TestRunCommand:
     def test_omega0_is_not_a_key(self, runner, tmp_path):
-        # the spectral centre reached only sdf_value, which no experiment calls
+        # the library has no spectral centre: every frequency is measured from it
         cfg = write_config(tmp_path, "experiment = decay\nshape = lorentzian\n"
                                      "lambda = 5\nomega0 = 0.5\n")
         result = runner.invoke(main, ["run", cfg, "--out", str(tmp_path / "decay.csv")])

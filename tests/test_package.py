@@ -1,9 +1,14 @@
 """Package structure: imports between modules and the exported names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import zenoscope
 
 # read from the source tree, so that a broken import still reports here
 SRC = Path(__file__).resolve().parents[1] / "src" / "zenoscope"
@@ -105,3 +110,23 @@ def test_only_spectral_checks_finiteness():
                   if isinstance(node, ast.Call) and id(node) not in exempt
                   and "isfinite" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
     assert calls == []
+
+
+def test_one_stepper_and_one_single_integral_route():
+    # _advance is the one trajectory stepper; rate_curve(..., RateSource.KK_INTEGRAL)
+    # is the single-integral route
+    modules = (zenoscope, zenoscope.rates, zenoscope.trajectories)
+    exported = [f"{module.__name__}.{name}" for module in modules
+                for name in ("mc_step", "kk_rate") if hasattr(module, name)]
+    assert exported == []
+
+
+@pytest.mark.parametrize("module", ["zenoscope", "zenoscope.cli"])
+def test_import_leaves_scipy_integrate_unloaded(module):
+    # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg, about 0.3 s and
+    # 25 MB of every process; only the QUADPACK test oracle spectral._quad_g needs it
+    code = f"import sys, {module}; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -20,7 +20,6 @@ from zenoscope import (
     gamma_lorentzian,
     gamma_numeric,
     gamma_rectangular,
-    kk_rate,
     rate_curve,
     rates,
     scaled_kernel_g,
@@ -57,6 +56,11 @@ def reference_rate(shape, x, c=0.0):
 
 def kernel_for(shape, lam=1.0, gamma=1.0, **kw):
     return MemoryKernel(SpectralDensity(shape, gamma=gamma, lam=lam, **kw))
+
+
+def single_integral_rate(kernel, x):
+    """The single-integral (Kofman-Kurizki) rate at one ``x``: a one-point curve."""
+    return complex(rate_curve(kernel, [x], RateSource.KK_INTEGRAL).values[0])
 
 
 def tabulated_gaussian_kernel(rows=1601):
@@ -144,14 +148,14 @@ class TestNumericRoutes:
     def test_zero_returns_zero(self):
         k = kernel_for(Shape.GAUSSIAN)
         assert gamma_numeric(k, 0.0) == 0.0j
-        assert kk_rate(k, 0.0) == 0.0j
+        assert single_integral_rate(k, 0.0) == 0.0j
 
     def test_negative_rejected(self):
         k = kernel_for(Shape.GAUSSIAN)
         with pytest.raises(ValueError):
             gamma_numeric(k, -1.0)
         with pytest.raises(ValueError):
-            kk_rate(k, -0.5)
+            single_integral_rate(k, -0.5)
 
     @pytest.mark.parametrize("shape", ALL_NAMED)
     def test_double_integral_matches_closed_form(self, shape):
@@ -164,7 +168,7 @@ class TestNumericRoutes:
     def test_single_integral_equals_double(self, shape):
         k = kernel_for(shape)
         for x in (0.01, 0.3, 1.0, 5.0, 20.0):
-            a, b = gamma_numeric(k, x), kk_rate(k, x)
+            a, b = gamma_numeric(k, x), single_integral_rate(k, x)
             assert abs(a - b) <= 1e-8 * abs(a)
 
     def test_detuned_routes_agree(self):
@@ -172,7 +176,7 @@ class TestNumericRoutes:
         # still must coincide
         k = kernel_for(Shape.GAUSSIAN, c=0.7)
         for x in (0.5, 2.0):
-            a, b = gamma_numeric(k, x), kk_rate(k, x)
+            a, b = gamma_numeric(k, x), single_integral_rate(k, x)
             assert abs(a - b) <= 1e-8 * abs(a)
 
     def test_width_independence(self):
@@ -198,7 +202,7 @@ class TestNumericRoutes:
 
     def test_grid_over_the_panel_cap_is_rejected(self):
         k = kernel_for(Shape.LORENTZIAN, c=1e3)
-        for route in (gamma_numeric, kk_rate):
+        for route in (gamma_numeric, single_integral_rate):
             with pytest.raises(ValueError, match="x = 1 at detuning c = 1000 needs"):
                 route(k, 1.0)
         assert rates._panel_count(1.0, c=-0.9) == rates.PANELS_PER_UNIT
@@ -207,7 +211,7 @@ class TestNumericRoutes:
         for shape in ALL_NAMED:
             k = kernel_for(shape)
             assert abs(gamma_numeric(k, 1e-3)) < 1e-2
-            assert abs(kk_rate(k, 1e-3)) < 1e-2
+            assert abs(single_integral_rate(k, 1e-3)) < 1e-2
 
     def test_gaussian_kernel_exponent_regression(self):
         # quadrature of the actual Gaussian profile must reproduce the
@@ -231,7 +235,7 @@ class TestNumericRoutes:
 CURVE_X = 5.0
 CURVE_NODES = CURVE_X / 10240 * np.array([37.0, 2048.0, 5000.0])
 CURVE_GRID = np.sort(np.concatenate([[1e-5, 0.01, 0.3, 1.2345, 3.3], CURVE_NODES, [CURVE_X]]))
-PER_X = {RateSource.DOUBLE_INTEGRAL: gamma_numeric, RateSource.KK_INTEGRAL: kk_rate}
+PER_X = {RateSource.DOUBLE_INTEGRAL: gamma_numeric, RateSource.KK_INTEGRAL: single_integral_rate}
 NUMERIC = tuple(PER_X)
 
 

@@ -45,18 +45,18 @@ def named_density(shape, lam=LAM, gamma=GAMMA, **kw):
 
 class TestSpectralDensity:
     def test_lorentzian_peak_height(self):
-        d = SpectralDensity.lorentzian(GAMMA, LAM, omega0=1.5)
-        assert sdf_value(d, 1.5) == pytest.approx(D0, rel=1e-14)
+        d = SpectralDensity.lorentzian(GAMMA, LAM)
+        assert sdf_value(d, 0.0) == pytest.approx(D0, rel=1e-14)
 
     def test_lorentzian_half_height_at_width(self):
         d = SpectralDensity.lorentzian(GAMMA, LAM)
         assert sdf_value(d, LAM) == pytest.approx(D0 / 2, rel=1e-14)
 
     def test_rectangular_support(self):
-        d = SpectralDensity.rectangular(GAMMA, LAM, omega0=0.4)
-        assert sdf_value(d, 0.4 + 0.6 * LAM) == 0.0
-        assert sdf_value(d, 0.4 - 0.6 * LAM) == 0.0
-        assert sdf_value(d, 0.4 + 0.4 * LAM) == pytest.approx(D0, rel=1e-14)
+        d = SpectralDensity.rectangular(GAMMA, LAM)
+        assert sdf_value(d, 0.6 * LAM) == 0.0
+        assert sdf_value(d, -0.6 * LAM) == 0.0
+        assert sdf_value(d, 0.4 * LAM) == pytest.approx(D0, rel=1e-14)
 
     def test_gaussian_one_sigma(self):
         d = SpectralDensity.gaussian(GAMMA, LAM)
@@ -76,11 +76,11 @@ class TestSpectralDensity:
             assert np.all(sdf_value(named_density(shape), omega) >= 0)
 
     def test_width_deformation_is_pure_rescaling(self):
-        d = SpectralDensity.gaussian(GAMMA, LAM, omega0=0.7)
+        d = SpectralDensity.gaussian(GAMMA, LAM, c=0.7)
         wide = d.with_width(4 * LAM)
         w = 0.83
-        assert sdf_value(wide, 0.7 + w * wide.lam) == pytest.approx(
-            sdf_value(d, 0.7 + w * d.lam), rel=1e-14)
+        assert (wide.lam, wide.c) == (4 * LAM, 0.7)
+        assert sdf_value(wide, w * wide.lam) == pytest.approx(sdf_value(d, w * d.lam), rel=1e-14)
 
     @pytest.mark.parametrize("kwargs", [
         dict(gamma=0.0, lam=1.0),
@@ -90,13 +90,24 @@ class TestSpectralDensity:
         dict(gamma=1.0, lam=1.0, b=-0.1),
         dict(gamma=math.inf, lam=1.0),
         dict(gamma=1.0, lam=math.inf),
-        dict(gamma=1.0, lam=1.0, omega0=math.nan),
+        dict(gamma=1.0, lam=1.0, c=-math.inf),
         dict(gamma=1.0, lam=1.0, c=math.nan),
         dict(gamma=1.0, lam=1.0, b=math.inf),
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SpectralDensity(Shape.LORENTZIAN, **kwargs)
+
+    @pytest.mark.parametrize("call", [
+        lambda: SpectralDensity.lorentzian(1, 1, 0.5),
+        lambda: SpectralDensity.lorentzian(1, 1, omega0=0.5),
+        lambda: SpectralDensity(Shape.GAUSSIAN, 1.0, 1.0, 0.5),
+        lambda: SpectralDensity.tabulated(1, 1, [[0, 1], [1, 0]], 0.5),
+    ], ids=["positional-constructor", "omega0-keyword", "positional-init", "positional-table"])
+    def test_no_spectral_centre_and_keyword_only_detuning(self, call):
+        # every kernel and rate works from the centre; a positional c would take a stale omega0
+        with pytest.raises(TypeError):
+            call()
 
     def test_table_only_for_tabulated(self):
         with pytest.raises(ValueError, match="tabulated"):

@@ -21,7 +21,6 @@ from zenoscope import (
     interval_amplitude,
     make_drive_config,
     make_rng,
-    mc_step,
     memory_drive_config,
     null_conditioned_power,
     run_ensemble,
@@ -50,6 +49,15 @@ def ac7_config(x=0.2):
     geff = gamma_eff(a_bar, dt)
     n_steps = int(round(8.0 / (geff * dt)))
     return DriveConfig(omega=0.0, gamma_eff=geff, dt_step=dt, n_steps=n_steps), a_bar
+
+
+def step(state, cfg, a_bar, epsilon):
+    """``(state after one _advance update on the uniform epsilon, whether it clicked)``."""
+    cw = math.cos(cfg.omega * cfg.dt_step)
+    sw = math.sin(cfg.omega * cfg.dt_step)
+    alpha, beta, jumped = _advance(complex(state.alpha), complex(state.beta), epsilon,
+                                   complex(a_bar), cfg.gamma_eff * cfg.dt_step, cw, sw)
+    return AtomState(alpha, beta), jumped
 
 
 def stepwise_trajectory(initial, cfg, a_bar, seed):
@@ -85,7 +93,7 @@ class TestAtomState:
 
 
 def rotate(state, angle):
-    """Drive ``state`` through the Rabi angle ``angle`` in click-free ``mc_step`` calls.
+    """Drive ``state`` through the Rabi angle ``angle`` in click-free steps.
 
     With ``gamma_eff = 0`` and ``a_bar = 1`` a step is the drive rotation
     ``exp(-i omega sigma_x dt_step)`` alone; the angle is split into steps of
@@ -94,13 +102,13 @@ def rotate(state, angle):
     n = max(1, math.ceil(abs(angle) / 0.05))
     cfg = DriveConfig(omega=angle / n, gamma_eff=0.0, dt_step=1.0, n_steps=n)
     for _ in range(n):
-        state, jumped = mc_step(state, cfg, 1.0, epsilon=0.5)
+        state, jumped = step(state, cfg, 1.0, epsilon=0.5)
         assert not jumped
     return state
 
 
 class TestUnitaryDrive:
-    """The drive rotation of ``mc_step``, with the measurement switched off."""
+    """The drive rotation of the stepper ``_advance``, with the measurement switched off."""
 
     def test_zero_drive_is_identity(self):
         state = AtomState(0.6, 0.8j)
@@ -132,6 +140,8 @@ class TestUnitaryDrive:
 
 
 class TestMcStep:
+    """One Monte-Carlo step of ``_advance``, and the step layouts it runs on."""
+
     def make_cfg(self, omega=0.0):
         return DriveConfig(omega=omega, gamma_eff=0.4, dt_step=0.1, n_steps=10)
 
@@ -139,7 +149,7 @@ class TestMcStep:
         cfg = self.make_cfg()
         s = 1.0 / math.sqrt(2.0)
         a_bar = 0.98
-        state, jumped = mc_step(AtomState(s, s), cfg, a_bar, epsilon=0.99)
+        state, jumped = step(AtomState(s, s), cfg, a_bar, epsilon=0.99)
         assert not jumped
         norm = math.sqrt((a_bar * s) ** 2 + s ** 2)
         assert state.alpha == pytest.approx(a_bar * s / norm, rel=1e-14)
@@ -148,7 +158,7 @@ class TestMcStep:
     def test_click_resets_to_ground(self):
         cfg = self.make_cfg()
         s = 1.0 / math.sqrt(2.0)
-        state, jumped = mc_step(AtomState(s * 1j, s), cfg, 0.98, epsilon=0.0)
+        state, jumped = step(AtomState(s * 1j, s), cfg, 0.98, epsilon=0.0)
         assert jumped
         assert state.alpha == 0.0
         assert state.beta == 1.0
@@ -156,7 +166,7 @@ class TestMcStep:
     def test_vanishing_coupling_is_inert(self):
         cfg = DriveConfig(omega=0.0, gamma_eff=0.0, dt_step=0.1, n_steps=5)
         s = 1.0 / math.sqrt(2.0)
-        state, jumped = mc_step(AtomState(s, s * 1j), cfg, 1.0, epsilon=0.5)
+        state, jumped = step(AtomState(s, s * 1j), cfg, 1.0, epsilon=0.5)
         assert not jumped
         assert state.alpha == pytest.approx(s, rel=1e-15)
         assert state.beta == pytest.approx(s * 1j, rel=1e-15)
@@ -164,13 +174,13 @@ class TestMcStep:
     def test_click_probability_scales_with_occupation(self):
         cfg = self.make_cfg()
         p1 = cfg.gamma_eff * cfg.dt_step  # occupation 1
-        _, jumped = mc_step(AtomState.excited(), cfg, 0.98, epsilon=p1 * 0.999)
+        _, jumped = step(AtomState.excited(), cfg, 0.98, epsilon=p1 * 0.999)
         assert jumped
-        _, jumped = mc_step(AtomState.excited(), cfg, 0.98, epsilon=p1 * 1.001)
+        _, jumped = step(AtomState.excited(), cfg, 0.98, epsilon=p1 * 1.001)
         assert not jumped
         # half occupation halves the threshold
         s = 1.0 / math.sqrt(2.0)
-        _, jumped = mc_step(AtomState(s, s), cfg, 0.98, epsilon=p1 * 0.6)
+        _, jumped = step(AtomState(s, s), cfg, 0.98, epsilon=p1 * 0.6)
         assert not jumped
 
     @pytest.mark.parametrize("field", ["omega", "gamma_eff", "dt_step"])
@@ -191,7 +201,7 @@ class TestMcStep:
         # a_bar = 0 empties the excited state and the no-click branch has no state left
         cfg = self.make_cfg()
         with pytest.raises(ValueError, match="probability zero"):
-            mc_step(AtomState.excited(), cfg, 0.0, epsilon=0.99)
+            step(AtomState.excited(), cfg, 0.0, epsilon=0.99)
         with pytest.raises(ValueError, match="probability zero"):
             simulate_trajectory(AtomState.excited(), cfg, 0.0, seed=1)
         with pytest.raises(ValueError, match="probability zero"):
@@ -199,10 +209,8 @@ class TestMcStep:
 
     @pytest.mark.parametrize("a_bar", [math.nan, complex(0.0, math.nan), math.inf, 2.0])
     def test_rejects_nan_or_expanding_contraction(self, a_bar):
-        # unchecked, NaN gave all-NaN records and mc_step took |a_bar| = 2
+        # unchecked, NaN gave all-NaN records and a step took |a_bar| = 2
         cfg = self.make_cfg()
-        with pytest.raises(ValueError, match="exceeds 1"):
-            mc_step(AtomState.excited(), cfg, a_bar, epsilon=0.99)
         with pytest.raises(ValueError, match="exceeds 1"):
             simulate_trajectory(AtomState.excited(), cfg, a_bar, seed=1)
         with pytest.raises(ValueError, match="exceeds 1"):
@@ -234,7 +242,7 @@ class TestSimulateTrajectory:
         eps = make_rng(seed).random(cfg.n_steps)
         state = AtomState.excited()
         for k in range(cfg.n_steps):
-            state, jumped = mc_step(state, cfg, a_bar, eps[k])
+            state, jumped = step(state, cfg, a_bar, eps[k])
             assert jumped == record.jumps[k]
             assert state.p_excited == pytest.approx(record.p_e[k + 1], abs=1e-12)
 

@@ -42,10 +42,8 @@ from zenoscope import (
     gamma_rectangular,
     interval_amplitude,
     kernel_value,
-    kk_rate,
     make_drive_config,
     make_rng,
-    mc_step,
     memory_drive_config,
     null_conditioned_power,
     null_result_survival,
@@ -96,8 +94,8 @@ FIXED = {
 #: (call, valid defaults, argument -> kind); ``call`` takes the arguments by keyword
 CASES = [
     (partial(SpectralDensity, Shape.LORENTZIAN),
-     dict(gamma=1.0, lam=1.0, omega0=0.0, c=0.0, b=1.0),
-     dict(gamma=POSITIVE, lam=POSITIVE, omega0=REAL, c=REAL, b=POINTS)),
+     dict(gamma=1.0, lam=1.0, c=0.0, b=1.0),
+     dict(gamma=POSITIVE, lam=POSITIVE, c=REAL, b=POINTS)),
     (GAUSSIAN.with_width, dict(lam=2.0), dict(lam=POSITIVE)),
     (partial(sdf_value, GAUSSIAN), dict(omega_r=0.3), dict(omega_r=REAL)),
     (partial(kernel_value, LORENTZIAN), dict(u=0.5), dict(u=POINTS)),
@@ -116,7 +114,6 @@ CASES = [
      dict(tau=0.1, n_intervals=3, steps_per_interval=8),
      dict(tau=POSITIVE, n_intervals=COUNT0, steps_per_interval=COUNT)),
     (partial(gamma_numeric, LORENTZIAN), dict(x=0.5), dict(x=POINTS)),
-    (partial(kk_rate, LORENTZIAN), dict(x=0.5), dict(x=POINTS)),
     (gamma_lorentzian, dict(x=0.5, c=0.0, gamma=1.0), dict(x=POINTS, c=REAL, gamma=POSITIVE)),
     (gamma_gaussian, dict(x=0.5, gamma=1.0), dict(x=POINTS, gamma=POSITIVE)),
     (gamma_rectangular, dict(x=0.5, gamma=1.0), dict(x=POINTS, gamma=POSITIVE)),
@@ -128,8 +125,6 @@ CASES = [
     (kk_curve, dict(x_grid=1.0), dict(x_grid=POINTS)),
     (DriveConfig, dict(omega=0.1, gamma_eff=0.1, dt_step=0.01, n_steps=4),
      dict(omega=REAL, gamma_eff=POINTS, dt_step=POSITIVE, n_steps=COUNT)),
-    (partial(mc_step, EXCITED, CFG), dict(a_bar_dt=0.99, epsilon=0.5),
-     dict(a_bar_dt=CONTRACTION, epsilon=REAL)),
     (partial(simulate_trajectory, EXCITED, CFG), dict(a_bar_dt=0.99, seed=1),
      dict(a_bar_dt=CONTRACTION, seed=COUNT0)),
     (partial(run_ensemble, EXCITED, CFG),
@@ -204,6 +199,10 @@ def test_negative_values_are_rejected_by_name_or_harmless(argument, magnitude):
     (lambda: gamma_rectangular(-0.5), "x"),
     (lambda: gamma_double_lorentzian(-1.0), "x"),
     (lambda: rate_curve(LORENTZIAN, [0.5, NAN], RateSource.CLOSED_FORM), "x_grid"),
+    # numpy's diff rejected a scalar grid without naming it; a 2-D grid ran, and its
+    # to_csv raised TypeError
+    (lambda: rate_curve(LORENTZIAN, 0.5, RateSource.CLOSED_FORM), "x_grid"),
+    (lambda: rate_curve(LORENTZIAN, [[0.1, 0.2], [0.05, 0.3]], RateSource.CLOSED_FORM), "x_grid"),
     (lambda: SpectralDensity.tabulated(1.0, 1.0, [[0.0, 1.0], [1.0, NAN]]), "table values"),
     (lambda: SpectralDensity.tabulated(1.0, 1.0, [[-INF, 1.0], [1.0, 0.0]]), "abscissae"),
     (lambda: DensityMatrix2(NAN, 0, 0, 1).validate(), "ee"),
@@ -221,6 +220,7 @@ def test_negative_values_are_rejected_by_name_or_harmless(argument, magnitude):
 ], ids=[
     "closed-form-nan", "lorentzian-negative", "gaussian-nan",
     "rectangular-negative", "double-lorentzian-negative", "rate-curve-nan",
+    "rate-curve-scalar-grid", "rate-curve-2d-grid",
     "table-nan-value", "table-infinite-abscissa", "density-matrix-nan",
     "solve-master-infinite-rho0", "gamma-eff-infinite-step", "power-nan-count",
     "analytic-nan-time", "drive-config-fractional-steps", "ensemble-fractional-count",
@@ -234,16 +234,15 @@ def test_holes_are_closed(call, name):
 @pytest.mark.parametrize("call", [
     lambda: MemoryKernel(GAUSSIAN, KernelMode.QUADRATURE, n_panels=8192),
     lambda: gamma_numeric(LORENTZIAN, 0.5, panels_per_unit=2048),
-    lambda: kk_rate(LORENTZIAN, 0.5, panels_per_unit=2048),
     lambda: rates._numeric_rates(LORENTZIAN, [0.5], RateSource.KK_INTEGRAL, panels_per_unit=2048),
     lambda: rates._panel_count(0.5, panels_per_unit=2048),
     lambda: rate_curve(LORENTZIAN, [0.5], validate=False),
     lambda: DensityMatrix2.excited().validate(tol=1e-8),
     lambda: check_ensemble_vs_lindblad(n_traj=5000),
     lambda: check_zeno_jump_ordering(n_traj=5000),
-], ids=["kernel-n_panels", "gamma_numeric-panels_per_unit", "kk_rate-panels_per_unit",
-        "numeric_rates-panels_per_unit", "panel_count-panels_per_unit", "rate_curve-validate",
-        "density-matrix-tol", "ensemble-check-n_traj", "zeno-check-n_traj"])
+], ids=["kernel-n_panels", "gamma_numeric-panels_per_unit", "numeric_rates-panels_per_unit",
+        "panel_count-panels_per_unit", "rate_curve-validate", "density-matrix-tol",
+        "ensemble-check-n_traj", "zeno-check-n_traj"])
 def test_retired_settings_are_gone(call):
     # each was set only by tests, or always to its default; the values are constants now
     with pytest.raises(TypeError, match="unexpected keyword argument"):

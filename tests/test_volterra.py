@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from zenoscope import (
     AtomState,
-    DriveConfig,
     KernelMode,
     MemoryKernel,
     Shape,
@@ -19,12 +18,12 @@ from zenoscope import (
     default_time_step,
     gamma_lorentzian,
     kernel_value,
-    mc_step,
     null_conditioned_power,
     null_result_survival,
     solve_decay,
     volterra,
 )
+from zenoscope.trajectories import _advance
 
 
 def lorentzian_kernel(lam, gamma=1.0, c=0.0):
@@ -326,15 +325,16 @@ class TestNullConditionedPower:
 
 
 def null_result(alpha, beta, a_bar):
-    """State after one no-click ``mc_step`` with the drive and the click switched off."""
-    cfg = DriveConfig(omega=0.0, gamma_eff=0.0, dt_step=1.0, n_steps=1)
-    state, jumped = mc_step(AtomState(alpha, beta), cfg, a_bar, epsilon=0.5)
+    """State after one no-click ``_advance`` step with the drive and the click switched off."""
+    state = AtomState(alpha, beta)
+    alpha, beta, jumped = _advance(complex(state.alpha), complex(state.beta), 0.5,
+                                   complex(a_bar), 0.0, 1.0, 0.0)
     assert not jumped
-    return state
+    return AtomState(alpha, beta)
 
 
 class TestConditionedState:
-    """Null-result conditioning of the excited amplitude, through ``mc_step``."""
+    """Null-result conditioning of the excited amplitude, through ``_advance``."""
 
     def test_ground_state_unaffected(self):
         state = null_result(0.0j, 1.0 + 0.0j, a_bar=0.3 + 0.1j)

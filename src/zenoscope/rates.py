@@ -306,9 +306,13 @@ class RateCurve:
     model: SpectralDensity
 
     def validate(self):
-        if np.any(np.diff(self.x_grid) <= 0):
+        xs = check_points(self.x_grid, "x_grid")
+        if xs.ndim != 1:
+            raise ValueError(f"x_grid must be one-dimensional, got shape {xs.shape}")
+        if np.shape(self.values) != xs.shape:
+            raise ValueError(f"values has shape {np.shape(self.values)}, x_grid {xs.shape}")
+        if np.any(np.diff(xs) <= 0):
             raise ValueError("x_grid must be strictly increasing")
-        check_points(self.x_grid, "x_grid")
         floor = -1e-9 * self.model.gamma
         if np.any(self.values.real < floor):
             raise ValueError("Re gamma(x) dips below the decay floor")
@@ -328,8 +332,6 @@ def rate_curve(kernel: MemoryKernel, x_grid,
     :func:`_numeric_rates`); the curve is checked by :meth:`RateCurve.validate`.
     """
     xs = check_points(x_grid, "x_grid")
-    if xs.ndim != 1:
-        raise ValueError(f"x_grid must be one-dimensional, got shape {xs.shape}")
     if source is RateSource.CLOSED_FORM:
         values = np.asarray(gamma_closed_form(kernel.density, xs), dtype=complex)
     else:

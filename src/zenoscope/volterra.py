@@ -37,6 +37,9 @@ __all__ = [
 
 #: hard step-size rejection threshold, in units of the kernel width
 MAX_DT_LAM = 0.5
+#: entries per block of the elementwise libm maps (:func:`_abs2`, :func:`null_result_survival`):
+#: their Python-float temporaries stay O(block) whatever the output length
+POWER_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -80,13 +83,24 @@ class DecaySeries:
 
     @property
     def abs2(self) -> np.ndarray:
-        """Occupation ``|a(t)|**2`` along the grid."""
-        return np.abs(self.values) ** 2
+        """Occupation ``|a(t)|**2`` along the grid, bit for bit ``abs(a) ** 2`` of each entry."""
+        return _abs2(self.values.real, self.values.imag, np.empty(len(self.values)))
 
     def to_csv(self, path):
-        # element by element: np.abs(values) ** 2 differs in the last bit of a few entries
         write_csv(path, {"t": self.times, "re_a": self.values.real, "im_a": self.values.imag,
-                         "abs2_a": [abs(a) ** 2 for a in self.values]})
+                         "abs2_a": self.abs2})
+
+
+def _abs2(re, im, out):
+    """Fill ``out`` with ``abs(complex(re, im)) ** 2``, bit for bit, ``POWER_BLOCK`` at a time.
+
+    libm ``hypot`` (``np.hypot`` calls it too), then libm ``pow(h, 2.0)``.
+    ``np.abs`` and ``h * h`` round differently in the last bit of some entries.
+    """
+    for lo in range(0, len(out), POWER_BLOCK):
+        h = np.hypot(re[lo:lo + POWER_BLOCK], im[lo:lo + POWER_BLOCK]).tolist()
+        out[lo:lo + len(h)] = np.fromiter(map(math.pow, h, [2.0] * len(h)), float, len(h))
+    return out
 
 
 def default_time_step(kernel: MemoryKernel) -> float:
@@ -157,20 +171,23 @@ def solve_decay(kernel: MemoryKernel, t_max: float, dt: float | None = None,
     a = np.empty(n + 1, dtype=complex)
     a[0] = 1.0
 
+    dot = np.dot
     if scheme == "paper":
         for m in range(1, n + 1):
-            conv = np.dot(krev[n - m:n], a[:m])  # sum_{j=1..m} k[j] a[m-j]
+            conv = dot(krev[n - m:n], a[:m])  # sum_{j=1..m} k[j] a[m-j]
             a[m] = a[m - 1] - 1j * dt * dt * conv
     else:
-        k0 = k[0]
-        denom = 1.0 + 0.25j * dt * dt * k0
-        rate_prev = 0.0 + 0.0j  # convolution integral at the previous step
+        half_k = (0.5 * k).tolist()
+        half_k0 = half_k[0]
+        # np.complex128 on purpose: numpy's complex division rounds differently from Python's
+        denom = np.complex128(1.0 + 0.25j * dt * dt * k[0])
+        half_idt = 0.5j * dt
+        rate_prev = 0.0j  # convolution integral at the previous step
+        a_prev = 1.0 + 0.0j
         for m in range(1, n + 1):
-            inner = np.dot(krev[n - m + 1:n], a[1:m]) if m > 1 else 0.0
-            known = inner + 0.5 * k[m] * a[0]
-            am = (a[m - 1] - 0.5j * dt * (rate_prev + dt * known)) / denom
-            a[m] = am
-            rate_prev = dt * (0.5 * k0 * am + known)
+            known = dot(krev[n - m + 1:n], a[1:m]) + half_k[m]
+            a[m] = a_prev = (a_prev - half_idt * (rate_prev + dt * known)) / denom
+            rate_prev = dt * (half_k0 * a_prev + known)
 
     return DecaySeries(dt=dt, values=a, kernel=kernel)
 
@@ -245,9 +262,37 @@ def null_result_survival(kernel: MemoryKernel, tau: float, n_intervals: int,
     ``steps_per_interval`` sets the resolution of the interval solve; the
     conditioned powers amplify any relative error of ``a(tau)`` by ``n``, so
     the interval is resolved much more finely than a plain decay run.
+
+    ``P_e`` holds the bits of ``abs(null_conditioned_power(a_tau, k)) ** 2``
+    for every ``k``.  It is built in blocks of ``POWER_BLOCK`` powers, so its
+    temporaries stay O(block) above the output: ``k log|a|`` and ``k arg a``
+    in numpy, then libm ``exp``, ``cos``, ``sin``, ``hypot`` and
+    ``pow(., 2.0)`` mapped over each block.  Not numpy's ufuncs: its
+    ``exp`` and ``abs``, and ``h * h``, differ from libm in the last bit of
+    some entries, and its ``sin`` and ``cos`` are SIMD kernels picked by CPU.
     """
     check_size(check_count(n_intervals, "n_intervals", 0), "n_intervals")
     a_tau = check_contraction(interval_amplitude(kernel, tau, steps_per_interval), "a_tau")
-    times = tau * np.arange(n_intervals + 1)
-    p_e = np.array([abs(_power(a_tau, k)) ** 2 for k in range(n_intervals + 1)])
-    return times, p_e
+    return tau * np.arange(n_intervals + 1), _survival(a_tau, n_intervals)
+
+
+def _survival(a_tau: complex, n: int) -> np.ndarray:
+    """``abs(_power(a_tau, k)) ** 2`` for ``k = 0..n``, bit for bit, ``POWER_BLOCK`` at a time."""
+    p = np.zeros(n + 1)
+    p[0] = 1.0
+    r = abs(a_tau)
+    if r == 0.0:
+        return p
+    log_r, phase = math.log(r), cmath.phase(a_tau)
+    for lo in range(1, n + 1, POWER_BLOCK):
+        k = np.arange(lo, min(lo + POWER_BLOCK, n + 1), dtype=float)
+        log_mod = k * log_r
+        if log_mod[0] <= -745.0:
+            break  # log_r < 0, so every later power underflows too
+        m = len(k)
+        mod = np.fromiter(map(math.exp, log_mod.tolist()), float, m)
+        mod[log_mod <= -745.0] = 0.0
+        ph = (k * phase).tolist()
+        _abs2(mod * np.fromiter(map(math.cos, ph), float, m),
+              mod * np.fromiter(map(math.sin, ph), float, m), p[lo:lo + m])
+    return p

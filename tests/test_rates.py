@@ -364,6 +364,18 @@ class TestRateCurve:
         with pytest.raises(ValueError, match="increasing"):
             curve.validate()
 
+    @pytest.mark.parametrize("x_grid, values, message", [
+        ([[0.1, 0.2], [0.05, 0.3]], [[0.1, 0.1], [0.1, 0.1]], "one-dimensional"),
+        ([0.1, 0.2, 0.3], [0.1, 0.1], "shape"),
+    ], ids=["2-d-grid", "short-values"])
+    def test_validation_rejects_malformed_arrays(self, x_grid, values, message):
+        # a directly built curve is checked like rate_curve's; unchecked, its to_csv raised
+        # TypeError (2-D grid) or zip()'s ValueError (values shorter than the grid)
+        curve = RateCurve(x_grid=np.array(x_grid), values=np.array(values, dtype=complex),
+                          source=RateSource.CLOSED_FORM, model=kernel_for(Shape.LORENTZIAN).density)
+        with pytest.raises(ValueError, match=message):
+            curve.validate()
+
     def test_csv_export(self, tmp_path):
         k = kernel_for(Shape.GAUSSIAN, gamma=2.0)
         grid = np.array([1e-3, 0.5, 1.0])

@@ -1,5 +1,6 @@
 """Volterra decay solver, the closed-form reference, and null-result powers."""
 
+import cmath
 import hashlib
 import math
 
@@ -220,6 +221,14 @@ class TestSolveDecay:
         reference = solve_decay(kernel, t_max=1.0, dt=dt).values
         assert np.max(np.abs(fast - reference)) < 1e-12
 
+    def test_abs2_matches_scalar_abs_across_blocks(self):
+        # one definition of |a|^2 for abs2 and the CSV: abs(a) ** 2 of each entry, bit for bit
+        n = 2 * volterra.POWER_BLOCK + 3
+        rng = np.random.default_rng(20)
+        values = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-9, 0, n)
+        series = volterra.DecaySeries(dt=0.1, values=values, kernel=lorentzian_kernel(lam=5.0))
+        assert series.abs2.tobytes() == np.array([abs(a) ** 2 for a in values]).tobytes()
+
     def test_csv_export(self, tmp_path):
         kernel = lorentzian_kernel(lam=5.0)
         series = solve_decay(kernel, t_max=0.1, dt=0.01)
@@ -262,6 +271,11 @@ class TestDecayBitPin:
          "ab82cd02a0f7aa5d0f6e67bf2e9e53c7cb0d1c25e048991367787562a704b7b1"),
         (Shape.RECTANGULAR, 1.0, KernelMode.QUADRATURE, 2.0, 5,
          "50c1dc01dc18b55fa2cbbd9910f0523f1f95cb968c5e3476abfef47af3e5453b"),
+        # many blocks of powers; the second passes the -745 underflow cutoff (17 734 zeros)
+        (Shape.LORENTZIAN, 100.0, None, 0.0002, 50_000,
+         "8795edb7523f086b3b78b0a413e5a8f3db809731c47e32480b691a0a17eee923"),
+        (Shape.LORENTZIAN, 5.0, None, 0.5, 20_000,
+         "88a516dbb13d36f9006748ae3a794183e9fda9ac6d224835595519efbf029934"),
     ])
     def test_null_result_survival(self, shape, lam, mode, tau, n, digest):
         assert decay_digest(*null_result_survival(unit_kernel(shape, lam, mode), tau, n)) == digest
@@ -396,6 +410,31 @@ class TestNullResultSurvival:
         kernel = lorentzian_kernel(lam=5.0)
         _, p_e = null_result_survival(kernel, tau=0.04, n_intervals=50)
         assert np.all(np.diff(p_e) <= 0)
+
+    @pytest.mark.parametrize("a_tau", [
+        0j,
+        1 + 0j,
+        complex(-1.0, 0.0),                      # phase pi
+        complex(-1.0, -0.0),                     # phase -pi
+        cmath.rect(1.0, 2.3),
+        cmath.rect(1.0 - 1e-12, 0.0),
+        cmath.rect(1.0 - 1e-12, -0.7),
+        cmath.rect(1.0 + 5e-10, 0.1),            # inside check_contraction's tolerance
+        cmath.rect(0.999, 0.3),
+        cmath.rect(0.5, 0.0),
+        cmath.rect(0.9, -1.9),                   # k log r passes -745 inside the second block
+        cmath.rect(0.3, math.pi),                # ... and inside the first
+    ])
+    def test_blocked_powers_match_scalar_powers(self, monkeypatch, a_tau):
+        # the powers are taken in blocks through libm maps; each entry must keep the bits of
+        # the scalar abs(_power(a, k)) ** 2, on both sides of every block edge
+        monkeypatch.setattr(volterra, "interval_amplitude", lambda *args: a_tau)
+        b = volterra.POWER_BLOCK
+        oracle = np.array([abs(volterra._power(a_tau, k)) ** 2 for k in range(3 * b + 8)])
+        for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
+            times, p_e = null_result_survival(lorentzian_kernel(lam=5.0), 0.1, n)
+            assert p_e.tobytes() == oracle[:n + 1].tobytes()
+        assert times.shape == p_e.shape
 
     def test_rejects_bad_arguments(self):
         kernel = lorentzian_kernel(lam=5.0)

@@ -6,7 +6,8 @@ variable ``x = lam * tau``.  The rate admits three independent evaluations:
 
 * a nested double integral of the rescaled kernel,
       ``gamma(x) = (2i/x) int_0^x dx' int_0^x' dx'' g(x'')``,
-* closed forms for the four named spectral shapes, and
+* closed forms for the four named spectral shapes (at any ``c`` and ``b``
+  for the Lorentzian and the double peak, at ``c = 0`` for the others), and
 * an equivalent single integral ``(2i/x) int_0^x (x - x') g(x') dx'``
   obtained from the short-time expansion around the initial state
   (the Kofman-Kurizki route, ``RateSource.KK_INTEGRAL``).
@@ -208,20 +209,18 @@ def gamma_numeric(kernel: MemoryKernel, x: float) -> complex:
     return complex(_numeric_rates(kernel, [x], RateSource.DOUBLE_INTEGRAL)[0])
 
 
-# -- closed forms (c = 0 except for the Lorentzian; b = 1 for the double peak)
+# -- closed forms (c = 0 for the Gaussian and the rectangle; the double peak is two Lorentzians)
 
 #: below this ``|kappa| x`` (``kappa = 1`` but for the Lorentzian) the closed forms cancel
 X_SERIES = 0.01
 
 # Taylor coefficients, lowest order first: of [1 - (1 - e^{-z})/z] in z, and of
-# gamma_G, gamma_R and gamma_DL = 1 - Im e^{(i - 1) x}/x in x, for gamma = 1
+# gamma_G and gamma_R in x, for gamma = 1
 _LORENTZIAN_SERIES = [0.0] + [(-1) ** (k + 1) / math.factorial(k + 1) for k in range(1, 11)]
 _GAUSSIAN_SERIES = [(-1) ** (k // 2) * math.sqrt(2.0 / math.pi) / (2 ** (k // 2) * k * (k + 1)
                     * math.factorial(k // 2)) if k % 2 else 0.0 for k in range(12)]
 _RECTANGULAR_SERIES = [(-1) ** (k // 2) / (math.pi * 4 ** (k // 2) * k * (k + 1)
                        * math.factorial(k)) if k % 2 else 0.0 for k in range(10)]
-_DOUBLE_LORENTZIAN_SERIES = [0.0] + [-((1j - 1) ** (k + 1)).imag / math.factorial(k + 1)
-                                     for k in range(1, 12)]
 
 
 def _closed_form(x, gamma, series, direct, kappa=1.0):
@@ -262,31 +261,35 @@ def gamma_rectangular(x, gamma: float = 1.0):
 
 
 def gamma_double_lorentzian(x, gamma: float = 1.0):
-    """``gamma (1 - e^{-x} sin(x)/x)``; symmetric peaks split by the peak width."""
-    return _closed_form(x, gamma, _DOUBLE_LORENTZIAN_SERIES,
-                        lambda x: gamma * (1.0 - np.exp(-x) * np.sinc(x / math.pi)))
+    """``gamma (1 - e^{-x} sin(x)/x)``: two Lorentzian rates detuned by ``+-1``."""
+    return gamma_lorentzian(x, 1.0, gamma) + gamma_lorentzian(x, -1.0, gamma)
+
+
+def _at_zero_detuning(form):
+    """``form(x, gamma)`` as a rate of ``(density, x)``; ``ValueError`` unless ``c = 0``."""
+    def rate(d: SpectralDensity, x):
+        if d.c != 0.0:
+            raise ValueError(f"closed form for {d.shape.value} requires c = 0; use gamma_numeric")
+        return form(x, d.gamma)
+    return rate
+
+
+#: shape -> its closed-form rate ``(density, x) -> gamma(x)``; tabulated profiles have none
+_CLOSED_FORMS = {
+    Shape.LORENTZIAN: lambda d, x: gamma_lorentzian(x, d.c, d.gamma),
+    Shape.GAUSSIAN: _at_zero_detuning(gamma_gaussian),
+    Shape.RECTANGULAR: _at_zero_detuning(gamma_rectangular),
+    Shape.DOUBLE_LORENTZIAN: lambda d, x: (gamma_lorentzian(x, d.c + d.b, d.gamma)
+                                           + gamma_lorentzian(x, d.c - d.b, d.gamma)),
+}
 
 
 def gamma_closed_form(density: SpectralDensity, x):
-    """Dispatch to the closed-form rate of the given density.
-
-    Only the Lorentzian form covers ``c != 0``; the other shapes (and split
-    ratios ``b != 1``) are available through the numeric routes alone.
-    """
-    shape = density.shape
-    if shape is Shape.LORENTZIAN:
-        return gamma_lorentzian(x, c=density.c, gamma=density.gamma)
-    if density.c != 0.0:
-        raise ValueError(f"closed form for {shape.value} requires c = 0; use gamma_numeric")
-    if shape is Shape.GAUSSIAN:
-        return gamma_gaussian(x, gamma=density.gamma)
-    if shape is Shape.RECTANGULAR:
-        return gamma_rectangular(x, gamma=density.gamma)
-    if shape is Shape.DOUBLE_LORENTZIAN:
-        if density.b != 1.0:
-            raise ValueError("closed form for the double peak requires b = 1; use gamma_numeric")
-        return gamma_double_lorentzian(x, gamma=density.gamma)
-    raise ValueError(f"no closed-form rate for shape {shape}")
+    """The closed-form rate of ``density``: at every ``c`` and ``b`` for the Lorentzian and
+    the double peak, at ``c = 0`` for the Gaussian and the rectangle, none for a table."""
+    if density.shape not in _CLOSED_FORMS:
+        raise ValueError(f"no closed-form rate for shape {density.shape}")
+    return _CLOSED_FORMS[density.shape](density, x)
 
 
 def gamma_eff(a_bar_dt: complex, dt_total: float) -> float:

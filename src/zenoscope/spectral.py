@@ -64,6 +64,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import KW_ONLY, dataclass, field, replace
 
 import numpy as np
@@ -175,7 +176,7 @@ class SpectralDensity:
     Parameters
     ----------
     shape : Shape
-        Profile variant.
+        Profile variant, or its value (``"gaussian"``); any other value is rejected.
     gamma : float
         Coupling rate ``Gamma = 2*pi*D0`` (sets the spectral height
         ``D0 = gamma/(2*pi)``).  Must be positive.
@@ -205,6 +206,7 @@ class SpectralDensity:
     table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "shape", Shape(self.shape))
         for name in ("gamma", "lam", "c"):
             check_finite(getattr(self, name), name)
         check_positive(self.gamma, "gamma")
@@ -295,14 +297,11 @@ class MemoryKernel:
     mode: KernelMode = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.mode is None:
-            mode = (KernelMode.QUADRATURE if self.density.shape is Shape.TABULATED
-                    else KernelMode.ANALYTIC)
-            object.__setattr__(self, "mode", mode)
-        else:
-            object.__setattr__(self, "mode", KernelMode(self.mode))
-        if self.mode is KernelMode.ANALYTIC and self.density.shape is Shape.TABULATED:
-            raise ValueError("tabulated densities have no analytic kernel; use quadrature mode")
+        analytic = _SHAPES[self.density.shape].kernel is not None
+        default = KernelMode.ANALYTIC if analytic else KernelMode.QUADRATURE
+        object.__setattr__(self, "mode", default if self.mode is None else KernelMode(self.mode))
+        if self.mode is KernelMode.ANALYTIC and not analytic:
+            raise ValueError(f"{self.density.shape} has no analytic kernel; use quadrature mode")
 
     @property
     def compact_support(self) -> tuple[float, float] | None:
@@ -311,14 +310,10 @@ class MemoryKernel:
         Set for quadrature-mode kernels of compact-support profiles
         (rectangular, tabulated); ``None`` for every other kernel.
         """
-        if self.mode is not KernelMode.QUADRATURE:
+        support = _SHAPES[self.density.shape].support
+        if self.mode is not KernelMode.QUADRATURE or support is None:
             return None
-        if self.density.shape is Shape.RECTANGULAR:
-            return -0.5, 0.5
-        if self.density.shape is Shape.TABULATED:
-            table = self.density.table
-            return float(table[0, 0]), float(table[-1, 0])
-        return None
+        return support(self.density)
 
 
 def load_tabulated_profile(path) -> np.ndarray:
@@ -356,19 +351,7 @@ def write_csv(path, columns) -> None:
 
 def _profile(density: SpectralDensity, w):
     """Dimensionless profile ``d_tilde(w)`` with ``w = omega_r/lam``."""
-    w = np.asarray(w, dtype=float)
-    shape = density.shape
-    if shape is Shape.LORENTZIAN:
-        return 1.0 / (1.0 + w * w)
-    if shape is Shape.GAUSSIAN:
-        return np.exp(-0.5 * w * w)
-    if shape is Shape.RECTANGULAR:
-        return np.where(np.abs(w) <= 0.5, 1.0, 0.0)
-    if shape is Shape.DOUBLE_LORENTZIAN:
-        b = density.b
-        return 1.0 / (1.0 + (w - b) ** 2) + 1.0 / (1.0 + (w + b) ** 2)
-    tab = density.table
-    return np.interp(w, tab[:, 0], tab[:, 1], left=0.0, right=0.0)
+    return _SHAPES[density.shape].profile(density, np.asarray(w, dtype=float))
 
 
 def sdf_value(density: SpectralDensity, omega_r):
@@ -387,22 +370,36 @@ def clip_phase(x, rate: float):
     return np.minimum(x, 1e300 / max(abs(rate), 1.0))
 
 
-def _g_analytic(density: SpectralDensity, x):
-    gamma, c, b = density.gamma, density.c, density.b
-    phase = np.exp(1j * c * clip_phase(x, c))
-    shape = density.shape
-    if shape is Shape.LORENTZIAN:
-        return -0.5j * gamma * phase * np.exp(-x)
-    if shape is Shape.GAUSSIAN:
-        # e^{-x^2/2} is 0 from x = 38.6 on; the cut at 40 keeps x*x from overflowing
-        x = np.minimum(x, 40.0)
-        return -1j * gamma / math.sqrt(2.0 * math.pi) * phase * np.exp(-0.5 * x * x)
-    if shape is Shape.RECTANGULAR:
+def _gaussian_g(d: SpectralDensity, x, phase):
+    # e^{-x^2/2} is 0 from x = 38.6 on; the cut at 40 keeps x*x from overflowing
+    x = np.minimum(x, 40.0)
+    return -1j * d.gamma / math.sqrt(2.0 * math.pi) * phase * np.exp(-0.5 * x * x)
+
+
+#: what a :class:`Shape` is: ``profile(d, w)``, the analytic ``kernel(d, x, e^{icx})`` and the
+#: compact ``support(d) -> (lo, hi)`` of a density ``d``; ``None`` where the shape has none
+_ShapeRecord = namedtuple("_ShapeRecord", "profile kernel support", defaults=(None, None))
+
+#: the one record of every shape
+_SHAPES = {
+    Shape.LORENTZIAN: _ShapeRecord(
+        profile=lambda d, w: 1.0 / (1.0 + w * w),
+        kernel=lambda d, x, phase: -0.5j * d.gamma * phase * np.exp(-x)),
+    Shape.GAUSSIAN: _ShapeRecord(profile=lambda d, w: np.exp(-0.5 * w * w), kernel=_gaussian_g),
+    Shape.RECTANGULAR: _ShapeRecord(
+        profile=lambda d, w: np.where(np.abs(w) <= 0.5, 1.0, 0.0),
         # sin(x/2)/x = (1/2) sinc(x/(2 pi)); finite x -> 0 limit Gamma/(2 pi)
-        return -1j * gamma / math.pi * phase * 0.5 * np.sinc(x / (2.0 * math.pi))
-    if shape is Shape.DOUBLE_LORENTZIAN:
-        return -1j * gamma * phase * np.exp(-x) * np.cos(b * clip_phase(x, b))
-    raise ValueError(f"no analytic kernel for shape {shape}")
+        kernel=lambda d, x, phase: -1j * d.gamma / math.pi * phase * 0.5 * np.sinc(
+            x / (2.0 * math.pi)),
+        support=lambda d: (-0.5, 0.5)),
+    Shape.DOUBLE_LORENTZIAN: _ShapeRecord(
+        profile=lambda d, w: 1.0 / (1.0 + (w - d.b) ** 2) + 1.0 / (1.0 + (w + d.b) ** 2),
+        kernel=lambda d, x, phase: -1j * d.gamma * phase * np.exp(-x) * np.cos(
+            d.b * clip_phase(x, d.b))),
+    Shape.TABULATED: _ShapeRecord(
+        profile=lambda d, w: np.interp(w, d.table[:, 0], d.table[:, 1], left=0.0, right=0.0),
+        support=lambda d: (float(d.table[0, 0]), float(d.table[-1, 0]))),
+}
 
 
 #: Simpson panels over the support of a compact-support profile
@@ -682,7 +679,8 @@ def scaled_kernel_g(kernel: MemoryKernel, x):
     """
     xs = check_points(x, "x")
     if kernel.mode is KernelMode.ANALYTIC:
-        out = _g_analytic(kernel.density, xs)
+        d = kernel.density
+        out = _SHAPES[d.shape].kernel(d, xs, np.exp(1j * d.c * clip_phase(xs, d.c)))
     elif kernel.compact_support is not None:
         out = _compact_g(kernel, xs.ravel()).reshape(xs.shape)
     else:

@@ -77,15 +77,11 @@ class CheckResult:
                 f"{self.op} {self.threshold:.6g} {self.detail}".rstrip())
 
 
-def _named_density(shape: Shape, lam: float, gamma: float = 1.0) -> SpectralDensity:
-    return SpectralDensity(shape, gamma=gamma, lam=lam)
-
-
 def check_decay_accuracy() -> CheckResult:
     """Volterra solution against the closed-form Lorentzian decay (Fig. 1a)."""
     worst = 0.0
     for lam in DECAY_WIDTHS:
-        kernel = MemoryKernel(_named_density(Shape.LORENTZIAN, lam))
+        kernel = MemoryKernel(SpectralDensity.lorentzian(1.0, lam))
         series = solve_decay(kernel, t_max=5.0)
         exact = analytic_lorentzian_a(series.times, gamma=1.0, lam=lam)
         worst = max(worst, float(np.max(np.abs(series.abs2 - np.abs(exact) ** 2))))
@@ -97,7 +93,7 @@ def check_conditioned_decay_lorentzian() -> CheckResult:
     """Conditioned powers against the scaled exponential law (Fig. 1b)."""
     lam, t_max = 5.0, 10.0
     worst = 0.0
-    kernel = MemoryKernel(_named_density(Shape.LORENTZIAN, lam))
+    kernel = MemoryKernel(SpectralDensity.lorentzian(1.0, lam))
     for x in X_VALUES:
         tau = x / lam
         n = int(round(t_max / tau))
@@ -117,8 +113,8 @@ def check_scaling_collapse() -> CheckResult:
         for x in X_VALUES:
             tau_a = x / lam_a
             n_a = int(round(t_max / tau_a))
-            ka = MemoryKernel(_named_density(shape, lam_a))
-            kb = MemoryKernel(_named_density(shape, lam_b))
+            ka = MemoryKernel(SpectralDensity(shape, 1.0, lam_a))
+            kb = MemoryKernel(SpectralDensity(shape, 1.0, lam_b))
             _, p_a = null_result_survival(ka, tau_a, n_a)
             _, p_b = null_result_survival(kb, tau_a / ratio, n_a * ratio)
             worst = max(worst, float(np.max(np.abs(p_a - p_b[::ratio]))))
@@ -127,22 +123,25 @@ def check_scaling_collapse() -> CheckResult:
 
 
 def check_closed_forms() -> CheckResult:
-    """Closed-form rates against the nested double integral, all shapes."""
+    """Closed-form rates against the nested double integral, all shapes and a split peak."""
     worst = 0.0
-    for shape in _ALL_SHAPES:
-        kernel = MemoryKernel(_named_density(shape, lam=1.0))
+    densities = [SpectralDensity(shape, 1.0, 1.0) for shape in _ALL_SHAPES]
+    densities.append(SpectralDensity.double_lorentzian(1.0, 1.0, c=0.3, b=2.5))
+    for density in densities:
+        kernel = MemoryKernel(density)
         closed = rate_curve(kernel, RATE_GRID, RateSource.CLOSED_FORM).values
         numeric = rate_curve(kernel, RATE_GRID, RateSource.DOUBLE_INTEGRAL).values
         worst = max(worst, float(np.max(np.abs(numeric - closed) / np.abs(closed))))
     return CheckResult("rates/closed-vs-double-integral", worst, TOL_CLOSED, "<",
-                       detail=f"x in [{RATE_GRID[0]}, {RATE_GRID[-1]}], 4 shapes")
+                       detail=f"x in [{RATE_GRID[0]}, {RATE_GRID[-1]}], 4 shapes "
+                              f"and a double peak at c=0.3, b=2.5")
 
 
 def check_kk_equivalence() -> CheckResult:
     """Double integral against the single-integral rate, all shapes."""
     worst = 0.0
     for shape in _ALL_SHAPES:
-        kernel = MemoryKernel(_named_density(shape, lam=1.0))
+        kernel = MemoryKernel(SpectralDensity(shape, 1.0, 1.0))
         double = rate_curve(kernel, RATE_GRID, RateSource.DOUBLE_INTEGRAL).values
         single = rate_curve(kernel, RATE_GRID, RateSource.KK_INTEGRAL).values
         worst = max(worst, float(np.max(np.abs(double - single) / np.abs(double))))
@@ -151,7 +150,7 @@ def check_kk_equivalence() -> CheckResult:
 
 
 def _rectangular_run(x: float, omega: float, t_max: float, seed: int):
-    density = _named_density(Shape.RECTANGULAR, lam=1.0)
+    density = SpectralDensity.rectangular(1.0, 1.0)
     gx = gamma_closed_form(density, x)
     cfg, a_bar = make_drive_config(gx, omega=omega, t_max=t_max)
     result = run_ensemble(AtomState.excited(), cfg, a_bar, ENSEMBLE_TRAJ, seed)

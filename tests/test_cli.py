@@ -226,6 +226,18 @@ class TestRunCommand:
         assert header == "x,re_closed,im_closed,re_numeric,im_numeric,re_kk,im_kk"
         assert "closed_vs_numeric" in result.output
 
+    def test_gamma_curve_split_detuned_double_peak(self, runner, tmp_path):
+        # its closed-form columns were dropped: the closed form took only b = 1, c = 0
+        cfg = write_config(tmp_path, "experiment = gamma_curve\nshape = double_lorentzian\n"
+                                     "lambda = 1\nb = 1.7\nc = 0.2\n"
+                                     "x_min = 0.05\nx_max = 3\nx_points = 16\n")
+        out = tmp_path / "curve.csv"
+        result = runner.invoke(main, ["run", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        header = out.read_text().splitlines()[0]
+        assert header == "x,re_closed,im_closed,re_numeric,im_numeric,re_kk,im_kk"
+        assert "closed_vs_numeric" in result.output
+
     def test_kk_check(self, runner, tmp_path):
         cfg = write_config(tmp_path, "experiment = kk_check\nshape = double_lorentzian\n"
                                      "lambda = 1\nb = 1.7\nc = 0.2\n"

@@ -130,3 +130,31 @@ def test_import_leaves_scipy_integrate_unloaded(module):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def shape_comparisons(tree, scope=""):
+    """The enclosing function, class or ``<module>`` of every comparison against a
+    ``Shape.<member>``, once per comparison."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from shape_comparisons(node, f"{scope}{node.name}.")
+            continue
+        site = (f"{scope}{node.name}" if isinstance(node, ast.FunctionDef)
+                else scope.rstrip(".") or "<module>")
+        for cmp in ast.walk(node):
+            if isinstance(cmp, ast.Compare) and any(
+                    isinstance(side, ast.Attribute) and isinstance(side.value, ast.Name)
+                    and side.value.id == "Shape" for side in [cmp.left, *cmp.comparators]):
+                yield site
+
+
+def test_shapes_are_told_apart_by_their_records():
+    # what each shape is lives in one record of spectral._SHAPES; the comparisons left
+    # are the table check, the shift-theorem split of the double peak, the table-file
+    # load and the analytic Lorentzian decay reference
+    sites = sorted(f"{name}.{site}" for name, tree in MODULES.items()
+                   for site in shape_comparisons(tree))
+    assert sites == ["cli._density", "cli._exp_decay", "spectral.SpectralDensity.__post_init__",
+                     "spectral._fourier_g"]
+    assert set(zenoscope.spectral._SHAPES) == set(zenoscope.Shape)
+

@@ -137,8 +137,13 @@ class TestClosedForms:
         assert gamma_closed_form(d, 1.0) == pytest.approx(gamma_lorentzian(1.0, c=0.3, gamma=2.0))
         with pytest.raises(ValueError, match="c = 0"):
             gamma_closed_form(SpectralDensity.gaussian(1.0, 1.0, c=0.3), 1.0)
-        with pytest.raises(ValueError, match="b = 1"):
-            gamma_closed_form(SpectralDensity.double_lorentzian(1.0, 1.0, b=2.0), 1.0)
+        # the double peak's kernel is two Lorentzian kernels detuned by c +- b: a closed
+        # form at every c and b, checked against the double integral
+        for c, b in [(0.3, 2.5), (-1.7, 1.0), (4.0, 2.5), (0.0, 0.0)]:
+            d = SpectralDensity.double_lorentzian(1.3, 1.0, c=c, b=b)
+            for x in (0.005, 0.4, 3.0, 12.0):
+                numeric = gamma_numeric(MemoryKernel(d), x)
+                assert gamma_closed_form(d, x) == pytest.approx(numeric, rel=1e-8)
         tab = SpectralDensity.tabulated(1.0, 1.0, [[-1, 1], [0, 1], [1, 1]])
         with pytest.raises(ValueError, match="closed-form"):
             gamma_closed_form(tab, 1.0)

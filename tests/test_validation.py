@@ -205,6 +205,9 @@ def test_negative_values_are_rejected_by_name_or_harmless(argument, magnitude):
     (lambda: rate_curve(LORENTZIAN, [[0.1, 0.2], [0.05, 0.3]], RateSource.CLOSED_FORM), "x_grid"),
     (lambda: SpectralDensity.tabulated(1.0, 1.0, [[0.0, 1.0], [1.0, NAN]]), "table values"),
     (lambda: SpectralDensity.tabulated(1.0, 1.0, [[-INF, 1.0], [1.0, 0.0]]), "abscissae"),
+    # an unknown shape was stored as given, and failed only at its first evaluation
+    (lambda: SpectralDensity("nope", 1.0, 1.0), "nope"),
+    (lambda: SpectralDensity(None, 1.0, 1.0), "None"),
     (lambda: DensityMatrix2(NAN, 0, 0, 1).validate(), "ee"),
     (lambda: solve_master(DensityMatrix2(INF, 0, 0, 0), 0.0, 0.1, 1.0, 0.01), "ee"),
     (lambda: gamma_eff(0.9, INF), "dt_total"),
@@ -221,7 +224,8 @@ def test_negative_values_are_rejected_by_name_or_harmless(argument, magnitude):
     "closed-form-nan", "lorentzian-negative", "gaussian-nan",
     "rectangular-negative", "double-lorentzian-negative", "rate-curve-nan",
     "rate-curve-scalar-grid", "rate-curve-2d-grid",
-    "table-nan-value", "table-infinite-abscissa", "density-matrix-nan",
+    "table-nan-value", "table-infinite-abscissa", "density-unknown-shape",
+    "density-shape-none", "density-matrix-nan",
     "solve-master-infinite-rho0", "gamma-eff-infinite-step", "power-nan-count",
     "analytic-nan-time", "drive-config-fractional-steps", "ensemble-fractional-count",
     "survival-fractional-count", "uniform-grid-fractional-count", "drive-config-negative-rate",
@@ -229,6 +233,20 @@ def test_negative_values_are_rejected_by_name_or_harmless(argument, magnitude):
 def test_holes_are_closed(call, name):
     with pytest.raises(ValueError, match=name):
         call()
+
+
+@pytest.mark.parametrize("shape", list(Shape))
+def test_shape_value_works_like_its_member(shape):
+    # a value string was stored as given: scaled_kernel_g then found no analytic kernel
+    # for "lorentzian", and sdf_value of a "gaussian" density raised TypeError
+    table = [[-1.0, 1.0], [1.0, 0.5]] if shape is Shape.TABULATED else None
+    by_value = SpectralDensity(shape.value, 1.0, 1.0, table=table)
+    by_member = SpectralDensity(shape, 1.0, 1.0, table=table)
+    assert by_value.shape is shape
+    assert sdf_value(by_value, 0.3) == sdf_value(by_member, 0.3)
+    x = [0.0, 0.7, 3.0]
+    np.testing.assert_array_equal(scaled_kernel_g(MemoryKernel(by_value), x),
+                                  scaled_kernel_g(MemoryKernel(by_member), x))
 
 
 @pytest.mark.parametrize("call", [

@@ -274,13 +274,20 @@ def _at_zero_detuning(form):
     return rate
 
 
+def _double_peak_rate(d: SpectralDensity, x):
+    """Two Lorentzian rates detuned by ``c +- b``; ``ValueError`` if either detuning overflows."""
+    upper, lower = d.c + d.b, d.c - d.b
+    check_finite(np.array([upper, lower]),
+                 f"the double peak's detunings c +- b at c = {d.c:.6g}, b = {d.b:.6g}")
+    return gamma_lorentzian(x, upper, d.gamma) + gamma_lorentzian(x, lower, d.gamma)
+
+
 #: shape -> its closed-form rate ``(density, x) -> gamma(x)``; tabulated profiles have none
 _CLOSED_FORMS = {
     Shape.LORENTZIAN: lambda d, x: gamma_lorentzian(x, d.c, d.gamma),
     Shape.GAUSSIAN: _at_zero_detuning(gamma_gaussian),
     Shape.RECTANGULAR: _at_zero_detuning(gamma_rectangular),
-    Shape.DOUBLE_LORENTZIAN: lambda d, x: (gamma_lorentzian(x, d.c + d.b, d.gamma)
-                                           + gamma_lorentzian(x, d.c - d.b, d.gamma)),
+    Shape.DOUBLE_LORENTZIAN: _double_peak_rate,
 }
 
 

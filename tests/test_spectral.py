@@ -305,6 +305,23 @@ def no_per_point_sums(kernel, x):
     raise AssertionError("a large batch took the per-point Simpson sum")
 
 
+def counted_transforms(monkeypatch):
+    """The grid length ``m`` of every chirp-z transform taken from now on, one entry a transform."""
+    calls = []
+    chirp_z = spectral._chirp_z
+
+    def counting(n, m, theta):
+        transform = chirp_z(n, m, theta)
+
+        def counted(a):
+            calls.append(m)
+            return transform(a)
+        return counted
+
+    monkeypatch.setattr(spectral, "_chirp_z", counting)
+    return calls
+
+
 class TestCompactBatches:
     """Taylor-corrected chirp-z batches of arbitrary ``x`` against the per-point Simpson sum."""
 
@@ -342,6 +359,50 @@ class TestCompactBatches:
     def test_empty_batch(self):
         out = scaled_kernel_g(compact_kernel("rectangular", 0.0), np.zeros((0, 3)))
         assert out.shape == (0, 3) and out.dtype == complex
+
+    @pytest.mark.parametrize("layout", ["from-zero", "offset-start", "permuted", "2-d"])
+    @pytest.mark.parametrize("profile", ["rectangular", "tabulated"])
+    def test_uniform_grids_take_two_transforms(self, profile, layout, monkeypatch):
+        # on its own grid a linspace point is off by round-off at most: Taylor order P <= 1
+        kernel = compact_kernel(profile, 0.3)
+        grid = np.linspace(0.0, 20.0, 200)
+        xs = {"from-zero": grid,
+              "offset-start": np.linspace(1.234, 7.5, 300),
+              "permuted": np.random.default_rng(12).permutation(grid),
+              "2-d": grid.reshape(20, 10)}[layout]
+        reference = per_point_sums(kernel, xs)
+        monkeypatch.setattr(spectral, "_simpson_g", no_per_point_sums)
+        calls = counted_transforms(monkeypatch)
+        fast = scaled_kernel_g(kernel, xs)
+        assert 1 <= len(calls) <= 2
+        assert fast.shape == xs.shape
+        assert np.max(np.abs(fast - reference)) <= 2e-15 * GAMMA
+
+    def test_coarse_grid_is_subdivided(self, monkeypatch):
+        # on [-8, 8], t = 8 dx/2 <= 2^-2 needs dx <= 1/16: each unit step splits in s = 16
+        kernel = compact_kernel("tabulated", -0.7)
+        xs = np.linspace(0.0, 40.0, 41)
+        reference = per_point_sums(kernel, xs)
+        monkeypatch.setattr(spectral, "_simpson_g", no_per_point_sums)
+        calls = counted_transforms(monkeypatch)
+        fast = scaled_kernel_g(kernel, xs)
+        assert 1 <= len(calls) <= 2 and set(calls) == {40 * 16 + 1}
+        assert np.max(np.abs(fast - reference)) <= 2e-15 * GAMMA
+
+    @pytest.mark.parametrize("profile, transforms", [("rectangular", 6), ("tabulated", 10)])
+    def test_arbitrary_points_keep_the_fixed_step_layout(self, profile, transforms, monkeypatch):
+        # P = 5 and 9: the cheapest fixed step, t = 2^-8 and 2^-4, for x up to 20
+        kernel = compact_kernel(profile, 0.3)
+        xs = np.random.default_rng(13).uniform(0.0, 20.0, 200)
+        calls = counted_transforms(monkeypatch)
+        scaled_kernel_g(kernel, xs)
+        assert len(calls) == transforms
+
+    @pytest.mark.parametrize("profile", ["rectangular", "tabulated"])
+    def test_three_point_grid_takes_the_per_point_sum(self, profile):
+        kernel = compact_kernel(profile, 0.3)
+        xs = np.linspace(0.0, 2.0, 3)
+        np.testing.assert_array_equal(scaled_kernel_g(kernel, xs), per_point_sums(kernel, xs))
 
 
 INFINITE = (Shape.LORENTZIAN, Shape.GAUSSIAN, Shape.DOUBLE_LORENTZIAN)

@@ -220,6 +220,11 @@ def test_negative_values_are_rejected_by_name_or_harmless(argument, magnitude):
     # |a_bar_dt| = 1.28 exceeds 1, and -1e-18 ran as no decay
     (lambda: make_drive_config(-0.5 + 0j, 0.0, 1.0), "gamma_x"),
     (lambda: make_drive_config(-1e-18, 0.0, 1.0), "gamma_x"),
+    # c +- b overflowed inside the double peak's closed form, which then named only c
+    (lambda: gamma_closed_form(SpectralDensity.double_lorentzian(1, 1, c=1e308, b=1e308), 1.0),
+     r"c \+- b at c = 1e\+308, b = 1e\+308 must be finite"),
+    (lambda: gamma_closed_form(SpectralDensity.double_lorentzian(1, 1, c=-1e308, b=1e308), 1.0),
+     r"c \+- b at c = -1e\+308, b = 1e\+308 must be finite"),
 ], ids=[
     "closed-form-nan", "lorentzian-negative", "gaussian-nan",
     "rectangular-negative", "double-lorentzian-negative", "rate-curve-nan",
@@ -229,7 +234,8 @@ def test_negative_values_are_rejected_by_name_or_harmless(argument, magnitude):
     "solve-master-infinite-rho0", "gamma-eff-infinite-step", "power-nan-count",
     "analytic-nan-time", "drive-config-fractional-steps", "ensemble-fractional-count",
     "survival-fractional-count", "uniform-grid-fractional-count", "drive-config-negative-rate",
-    "drive-config-round-off-negative-rate"])
+    "drive-config-round-off-negative-rate", "double-peak-overflowing-sum",
+    "double-peak-overflowing-difference"])
 def test_holes_are_closed(call, name):
     with pytest.raises(ValueError, match=name):
         call()

@@ -37,11 +37,10 @@ call together, by one method per support type:
   ``x``, :func:`scaled_kernel_g` corrects the transform on a fine grid by a
   Taylor series in the offset of each ``x`` from its grid point (Anderson &
   Dahleh, SIAM J. Sci. Comput. 17, 1996): ``P + 1`` transforms, with ``P``
-  from the remainder bound ``TAYLOR_TOL``.  Points that already lie on a
-  uniform grid, in any order and from any start, take that grid, where
-  their offsets are round-off: one or two transforms, against five to
-  thirteen on the fixed grids.  Small batches, whose point-by-point sums
-  cost less, take those sums.
+  from the remainder bound ``TAYLOR_TOL``.  An ``x`` array that is exactly
+  ``np.linspace(0, x_max, points)``, with a step fine enough for the
+  profile's width, takes :func:`uniform_kernel_g`'s one transform instead.
+  Small batches, whose point-by-point sums cost less, take those sums.
 * Infinite support (Lorentzian, Gaussian, double-Lorentzian; all even):
   ``2 int_0^inf d_tilde(w) cos(w x) dw`` by the double-exponential rule for
   Fourier integrals of Ooura & Mori (J. Comput. Appl. Math. 112, 1999), as
@@ -52,21 +51,20 @@ call together, by one method per support type:
   converge raises ``ValueError``.
 
 Measured on a 2-CPU KVM guest (one BLAS thread), for 200 points on
-``[0, 20]``: for a rectangular or 8001-row tabulated profile, 0.8-1.6 ms on
-a uniform grid and 3.5-6 ms at random points, against 50-100 ms for the
-point-by-point sums; 2-8 ms for an infinite-support profile against
+``[0, 20]``: 3-9 ms for a rectangular or 8001-row tabulated profile (0.7-0.9
+ms for the rectangle on ``np.linspace(0, 20, 200)``) against 60-120 ms for
+the point-by-point sums, and 2-8 ms for an infinite-support profile against
 140-540 ms for QUADPACK.  The chirp-z batches meet the point-by-point
-Simpson sums to 1e-15 ``Gamma`` (4e-16 at random points); the double-exponential
-sums meet the closed-form kernels to 2e-15 ``Gamma`` for ``x`` in
-``{0} U [1e-300, 50]`` (``b = 1.4`` for the double peak).  The per-point
-sums (``_simpson_g``) and QUADPACK (``_quad_g``) stay in the module as the
-reference paths of the tests.
+Simpson sums to 4e-16 ``Gamma`` at arbitrary points and 1e-15 ``Gamma`` on
+uniform grids; the double-exponential sums meet the closed-form kernels to
+2e-15 ``Gamma`` for ``x`` in ``{0} U [1e-300, 50]`` (``b = 1.4`` for the
+double peak).  The per-point sums (``_simpson_g``) and QUADPACK
+(``_quad_g``) stay in the module as the reference paths of the tests.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 from collections import namedtuple
@@ -292,12 +290,12 @@ class MemoryKernel:
     uniform grid at once by one chirp-z transform (:func:`uniform_kernel_g`,
     which the rate integrals and the Volterra solver use), and for arbitrary
     ``x`` arrays by Taylor-corrected chirp-z transforms
-    (:func:`scaled_kernel_g`): one or two on the grid the points lie on, if
-    they lie on a uniform one, else up to thirteen on a fixed-step grid.
-    Both agree with the point-by-point sum to round-off: at most 1.5e-15
-    Gamma on grids of up to 40961 points to x = 20, 1e-15 Gamma on 200
-    points of a uniform grid to x = 20, and 4e-16 Gamma on 200 arbitrary
-    points to x = 20, measured on rectangular and tabulated profiles.
+    (:func:`scaled_kernel_g`, which passes an ``np.linspace`` grid from 0
+    with a step of at most ``1/(hi - lo)`` to the one transform).  Both
+    agree with the point-by-point sum to round-off: at most 1.5e-15 Gamma
+    on grids of up to 40961 points to x = 20, and 4e-16 Gamma on 200
+    arbitrary points to x = 20, measured on rectangular and tabulated
+    profiles.
     """
 
     density: SpectralDensity
@@ -493,51 +491,24 @@ def _chirp_z(n: int, m: int, theta: float):
 TAYLOR_TOL = 1e-17
 
 
-@functools.lru_cache(maxsize=64)
-def _taylor_order(t: float) -> int:
-    """The least order ``P`` whose remainder bound ``t^(P+1)/(P+1)!`` is at most ``TAYLOR_TOL``."""
-    order = 0
-    while t ** (order + 1) / math.factorial(order + 1) > TAYLOR_TOL:
-        order += 1
-    return order
-
-
-def _taylor_layout(half: float, n: int, xs: np.ndarray) -> tuple[float, float, int, float]:
-    """Grid anchor ``x0``, step ``dx``, Taylor order ``P`` and estimated cost ``2 (P + 1)(n + m)``.
+def _taylor_layout(half: float, n: int, span: float) -> tuple[float, int, float]:
+    """Grid step ``dx``, Taylor order ``P`` and estimated cost ``2 (P + 1)(n + m)``.
 
     Each order costs one forward and one inverse FFT of length ``n + m``,
-    with ``m`` grid points ``x0 + j dx`` from the least ``x`` to the largest.
-    Two kinds of grid are candidates, and the one that costs least is taken:
-
-    * ``x0 = 0`` and ``dx = 2 t/half`` for ``t = u_max dx/2`` in
-      ``2^-2 .. 2^-10``, with ``P`` (4 to 12) from the remainder bound at
-      the worst offset ``dx/2``;
-    * the grid the points lie on, if they lie on one: ``x0 = min(xs)`` and
-      the step ``span/(points - 1)`` divided by the least integer that keeps
-      ``t <= 2^-2``, so that the chirp phases ``h dx k^2/2`` stay as small as
-      on the coarsest grid above.  ``P`` comes from the largest offset the
-      points have from it: round-off on an ``np.linspace`` grid, so
-      ``P = 1``, or ``P = 0`` if every point is exact.
+    with ``m = span/dx + 2`` grid points.  ``dx = 2 t/half`` for the
+    ``t = u_max dx/2`` in ``2^-2 .. 2^-10`` that costs least; ``P`` is the
+    least order whose remainder bound ``t^(P+1)/(P+1)!`` is at most
+    ``TAYLOR_TOL``.
     """
-    x_lo = float(xs.min())
-    span = float(xs.max()) - x_lo
-    best = (0.0, 0.0, 0, math.inf)
+    best = (0.0, 0, math.inf)
     for e in range(2, 11):
         t = 2.0 ** -e
-        order = _taylor_order(t)
+        order = 0
+        while t ** (order + 1) / math.factorial(order + 1) > TAYLOR_TOL:
+            order += 1
         cost = 2.0 * (order + 1) * (n + span * half / (2.0 * t) + 2.0)
-        if cost < best[3]:
-            best = (0.0, 2.0 * t / half, order, cost)
-    if span > 0.0:
-        step = span / (xs.size - 1)
-        dx = step / math.ceil(2.0 * half * step)
-        j = np.rint((xs - x_lo) / dx)
-        order = _taylor_order(half * float(np.max(np.abs(xs - (x_lo + j * dx)))))
-        # costed as at least two transforms: the chirp and the FFT of its filter, which the
-        # rule leaves out, cost about as much as the one transform of P = 0
-        cost = 2.0 * (max(order, 1) + 1) * (n + float(j.max()) + 1.0)
-        if cost < best[3]:
-            best = (x_lo, dx, order, cost)
+        if cost < best[2]:
+            best = (2.0 * t / half, order, cost)
     return best
 
 
@@ -545,47 +516,50 @@ def _compact_g(kernel: MemoryKernel, xs: np.ndarray) -> np.ndarray:
     """``g`` at every ``x`` of the 1-D ``xs`` from the Simpson sum of a compact-support kernel.
 
     With ``u_k`` the node offsets from the centre ``w_c`` of the support and
-    ``x = x0 + j dx + delta`` on the grid of :func:`_taylor_layout`, the sum
-    of ``s_k exp(-i (w_k - c) x)`` is ``exp(-i (w_c - c) x)`` times
-    ``sum_p (-i delta)^p/p! sum_k s_k u_k^p exp(-i u_k (x0 + j dx))``: one
-    chirp-z transform per Taylor order ``p <= P`` on the grid (Anderson &
-    Dahleh, SIAM J. Sci. Comput. 17, 1996).  Points on a uniform grid lie on
-    their own grid, where ``delta`` is round-off and one or two transforms do.
-    Batches whose point-by-point sums cost no more than the layout,
-    ``points (N_PANELS + 1) <= cost``, take :func:`_simpson_g` at each point
-    instead.
+    ``x = j dx + delta``, ``|delta| <= dx/2``, the sum of
+    ``s_k exp(-i (w_k - c) x)`` is ``exp(-i (w_c - c) x)`` times
+    ``sum_p (-i delta)^p/p! sum_k s_k u_k^p exp(-i u_k j dx)``: one chirp-z
+    transform per Taylor order ``p <= P`` on the grid ``j dx`` (Anderson &
+    Dahleh, SIAM J. Sci. Comput. 17, 1996).  Batches whose point-by-point
+    sums cost less, ``points (N_PANELS + 1) <= 2 (P + 1)(N_PANELS + m)``,
+    take :func:`_simpson_g` at each point instead.  Larger batches that are
+    exactly ``np.linspace(0, x_max, points)``, with a step no coarser than
+    ``t = u_max dx/2 = 2^-2`` allows, are the grid of
+    :func:`uniform_kernel_g` and take its one transform.
     """
-    if not xs.size:
-        return np.empty(0, dtype=complex)
-    _check_resolved(kernel, xs.max(), "x")
+    if xs.size:
+        _check_resolved(kernel, xs.max(), "x")
     lo, hi = kernel.compact_support
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     n = N_PANELS + 1
-    x0, dx, order, cost = _taylor_layout(half, n, xs)
+    span = float(xs.max() - xs.min()) if xs.size else 0.0
+    dx, order, cost = _taylor_layout(half, n, span)
     if xs.size * n <= cost:
         return np.array([_simpson_g(kernel, x) for x in xs.tolist()], dtype=complex)
+    # past t = 2^-2 the chirp phases h dx k^2/2 grow, and a [-8, 8] table on 200 points to
+    # x = 20 (t = 0.4) read 2.2e-15 Gamma against the per-point sums
+    x_max = float(xs[-1])
+    if (xs[0] == 0.0 and 0.0 < half * x_max <= 0.5 * (xs.size - 1)
+            and np.array_equal(xs, np.linspace(0.0, x_max, xs.size))):
+        return uniform_kernel_g(kernel, x_max, xs.size - 1)
     density = kernel.density
     nodes, h, weights = _simpson_rule(lo, hi)
-    j = np.rint((xs - x0) / dx)
+    j = np.rint(xs / dx)
     j_lo = j.min()
     cell = (j - j_lo).astype(np.intp)
-    grid = x0 + j * dx
     transform = _chirp_z(n, int(cell.max()) + 1, h * dx)
     u = nodes - centre
-    term = weights * _profile(density, nodes)
-    start = x0 + j_lo * dx
-    if start:
-        # the phase exp(-i k h start) of the grid's first point moves onto the nodes
-        term = term * np.exp(-1j * (h * np.arange(n)) * start)
+    # the grid starts at x_lo = j_lo dx: its phase exp(-i k h x_lo) moves onto the nodes
+    term = weights * _profile(density, nodes) * np.exp(-1j * (h * np.arange(n)) * (j_lo * dx))
     sums = []
     for _ in range(order + 1):
         sums.append(transform(term)[cell])
         term = term * u
-    z = -1j * (xs - grid)
+    z = -1j * (xs - j * dx)
     acc = sums[order]
     for p in range(order - 1, -1, -1):
         acc = sums[p] + acc * z / (p + 1)
-    phase = np.exp(-1j * ((centre - density.c) * xs + u[0] * grid))
+    phase = np.exp(-1j * ((centre - density.c) * xs + u[0] * (j * dx)))
     return -1j * density.d0 * (h / 3.0) * phase * acc
 
 

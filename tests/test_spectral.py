@@ -351,58 +351,56 @@ class TestCompactBatches:
 
     @pytest.mark.parametrize("profile", ["rectangular", "tabulated"])
     def test_small_batches_take_the_per_point_sum(self, profile):
-        # the three remainder samples of a one-point rate, for instance
+        # the three remainder samples of a one-point rate, for instance, and a small uniform grid
         kernel = compact_kernel(profile, 0.3)
-        xs = np.array([0.4, 3.0, 17.5])
-        np.testing.assert_array_equal(scaled_kernel_g(kernel, xs), per_point_sums(kernel, xs))
+        for xs in (np.array([0.4, 3.0, 17.5]), np.linspace(0.0, 2.0, 3)):
+            np.testing.assert_array_equal(scaled_kernel_g(kernel, xs), per_point_sums(kernel, xs))
 
     def test_empty_batch(self):
         out = scaled_kernel_g(compact_kernel("rectangular", 0.0), np.zeros((0, 3)))
         assert out.shape == (0, 3) and out.dtype == complex
 
-    @pytest.mark.parametrize("layout", ["from-zero", "offset-start", "permuted", "2-d"])
-    @pytest.mark.parametrize("profile", ["rectangular", "tabulated"])
-    def test_uniform_grids_take_two_transforms(self, profile, layout, monkeypatch):
-        # on its own grid a linspace point is off by round-off at most: Taylor order P <= 1
+    @pytest.mark.parametrize("layout", ["from-zero", "2-d"])
+    @pytest.mark.parametrize("profile, points", [("rectangular", 200), ("tabulated", 2000)])
+    def test_uniform_grids_from_zero_take_one_transform(self, profile, points, layout,
+                                                        monkeypatch):
+        # np.linspace(0, 20, points) is the grid of uniform_kernel_g, and takes its bits
         kernel = compact_kernel(profile, 0.3)
+        grid = np.linspace(0.0, 20.0, points)
+        xs = grid.reshape(-1, 10) if layout == "2-d" else grid
+        reference = per_point_sums(kernel, xs)
+        expected = uniform_kernel_g(kernel, 20.0, points - 1).reshape(xs.shape)
+        monkeypatch.setattr(spectral, "_simpson_g", no_per_point_sums)
+        calls = counted_transforms(monkeypatch)
+        fast = scaled_kernel_g(kernel, xs)
+        assert calls == [points]
+        np.testing.assert_array_equal(fast, expected)
+        assert np.max(np.abs(fast - reference)) <= 2e-15 * GAMMA
+
+    @pytest.mark.parametrize("profile, layout", [
+        (profile, layout) for profile in ("rectangular", "tabulated")
+        for layout in ("random-200", "random-1000", "offset-start", "permuted")
+    ] + [("tabulated", "coarse-grid")])
+    def test_other_points_keep_the_fixed_step_layout(self, profile, layout, monkeypatch):
+        # a [-8, 8] table on 200 points to x = 20 has t = 8 dx/2 = 0.4, past the 2^-2 of the
+        # coarsest fixed step; there one transform read 2.2e-15 Gamma, over the bound
+        kernel = compact_kernel(profile, 0.3)
+        rng = np.random.default_rng(13)
         grid = np.linspace(0.0, 20.0, 200)
-        xs = {"from-zero": grid,
+        xs = {"random-200": rng.uniform(0.0, 20.0, 200),
+              "random-1000": rng.uniform(0.0, 20.0, 1000),
               "offset-start": np.linspace(1.234, 7.5, 300),
-              "permuted": np.random.default_rng(12).permutation(grid),
-              "2-d": grid.reshape(20, 10)}[layout]
+              "permuted": rng.permutation(grid),
+              "coarse-grid": grid}[layout]
+        lo, hi = kernel.compact_support
+        span = float(xs.max() - xs.min())
+        order = spectral._taylor_layout(0.5 * (hi - lo), spectral.N_PANELS + 1, span)[1]
         reference = per_point_sums(kernel, xs)
         monkeypatch.setattr(spectral, "_simpson_g", no_per_point_sums)
         calls = counted_transforms(monkeypatch)
         fast = scaled_kernel_g(kernel, xs)
-        assert 1 <= len(calls) <= 2
-        assert fast.shape == xs.shape
+        assert len(calls) == order + 1
         assert np.max(np.abs(fast - reference)) <= 2e-15 * GAMMA
-
-    def test_coarse_grid_is_subdivided(self, monkeypatch):
-        # on [-8, 8], t = 8 dx/2 <= 2^-2 needs dx <= 1/16: each unit step splits in s = 16
-        kernel = compact_kernel("tabulated", -0.7)
-        xs = np.linspace(0.0, 40.0, 41)
-        reference = per_point_sums(kernel, xs)
-        monkeypatch.setattr(spectral, "_simpson_g", no_per_point_sums)
-        calls = counted_transforms(monkeypatch)
-        fast = scaled_kernel_g(kernel, xs)
-        assert 1 <= len(calls) <= 2 and set(calls) == {40 * 16 + 1}
-        assert np.max(np.abs(fast - reference)) <= 2e-15 * GAMMA
-
-    @pytest.mark.parametrize("profile, transforms", [("rectangular", 6), ("tabulated", 10)])
-    def test_arbitrary_points_keep_the_fixed_step_layout(self, profile, transforms, monkeypatch):
-        # P = 5 and 9: the cheapest fixed step, t = 2^-8 and 2^-4, for x up to 20
-        kernel = compact_kernel(profile, 0.3)
-        xs = np.random.default_rng(13).uniform(0.0, 20.0, 200)
-        calls = counted_transforms(monkeypatch)
-        scaled_kernel_g(kernel, xs)
-        assert len(calls) == transforms
-
-    @pytest.mark.parametrize("profile", ["rectangular", "tabulated"])
-    def test_three_point_grid_takes_the_per_point_sum(self, profile):
-        kernel = compact_kernel(profile, 0.3)
-        xs = np.linspace(0.0, 2.0, 3)
-        np.testing.assert_array_equal(scaled_kernel_g(kernel, xs), per_point_sums(kernel, xs))
 
 
 INFINITE = (Shape.LORENTZIAN, Shape.GAUSSIAN, Shape.DOUBLE_LORENTZIAN)

@@ -195,6 +195,9 @@ def _exp_gamma_curve(cfg: RunConfig, out: str, kk_only: bool = False):
     check_size(check_count(cfg.x_points, "key 'x_points'", 1), "x_points")
     if cfg.x_min > cfg.x_max:
         raise ConfigError(f"key 'x_min' = {cfg.x_min:g} exceeds key 'x_max' = {cfg.x_max:g}")
+    if cfg.x_min == cfg.x_max and cfg.x_points > 1:
+        raise ConfigError(f"key 'x_min' = {cfg.x_min:g} equals key 'x_max', but key 'x_points' "
+                          f"= {cfg.x_points} asks for distinct points")
     density = _density(cfg)
     kernel = MemoryKernel(density)
     grid = np.linspace(cfg.x_min, cfg.x_max, cfg.x_points)

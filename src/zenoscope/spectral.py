@@ -24,8 +24,7 @@ frequently interrupted decay, so ``g`` is the primary object here and the
 physical kernel is recovered as ``F(u) = lam * g(lam*u)``.
 
 Closed forms exist for the four named shapes; arbitrary tabulated profiles
-are handled by numerical Fourier quadrature, which takes every ``x`` of a
-call together, by one method per support type:
+are handled by numerical Fourier quadrature, by one method per support type:
 
 * Compact support (rectangular, tabulated): the composite Simpson sum of
   ``N_PANELS`` panels of width ``h`` over the support, which resolves ``x``
@@ -33,14 +32,12 @@ call together, by one method per support type:
   :func:`uniform_kernel_g` takes it at every grid point as one chirp-z
   transform (Rabiner, Schafer & Rader,
   IEEE Trans. Audio Electroacoust. 17, 1969) in Bluestein's FFT form
-  (Bluestein, IEEE Trans. Audio Electroacoust. 18, 1970).  For arbitrary
-  ``x``, :func:`scaled_kernel_g` corrects the transform on a fine grid by a
-  Taylor series in the offset of each ``x`` from its grid point (Anderson &
-  Dahleh, SIAM J. Sci. Comput. 17, 1996): ``P + 1`` transforms, with ``P``
-  from the remainder bound ``TAYLOR_TOL``.  An ``x`` array that is exactly
-  ``np.linspace(0, x_max, points)``, with a step fine enough for the
-  profile's width, takes :func:`uniform_kernel_g`'s one transform instead.
-  Small batches, whose point-by-point sums cost less, take those sums.
+  (Bluestein, IEEE Trans. Audio Electroacoust. 18, 1970).
+  :func:`scaled_kernel_g` takes that one transform for an ``x`` array of
+  more than three points that is exactly ``np.linspace(0, x_max, points)``,
+  with a step fine enough for the profile's width, and the point-by-point
+  sums for every other array.  The rate integrals and the Volterra solver
+  sample ``g`` on their own uniform grids, through :func:`uniform_kernel_g`.
 * Infinite support (Lorentzian, Gaussian, double-Lorentzian; all even):
   ``2 int_0^inf d_tilde(w) cos(w x) dw`` by the double-exponential rule for
   Fourier integrals of Ooura & Mori (J. Comput. Appl. Math. 112, 1999), as
@@ -51,15 +48,15 @@ call together, by one method per support type:
   converge raises ``ValueError``.
 
 Measured on a 2-CPU KVM guest (one BLAS thread), for 200 points on
-``[0, 20]``: 3-9 ms for a rectangular or 8001-row tabulated profile (0.7-0.9
-ms for the rectangle on ``np.linspace(0, 20, 200)``) against 60-120 ms for
-the point-by-point sums, and 2-8 ms for an infinite-support profile against
-140-540 ms for QUADPACK.  The chirp-z batches meet the point-by-point
-Simpson sums to 4e-16 ``Gamma`` at arbitrary points and 1e-15 ``Gamma`` on
-uniform grids; the double-exponential sums meet the closed-form kernels to
-2e-15 ``Gamma`` for ``x`` in ``{0} U [1e-300, 50]`` (``b = 1.4`` for the
-double peak).  The per-point sums (``_simpson_g``) and QUADPACK
-(``_quad_g``) stay in the module as the reference paths of the tests.
+``[0, 20]``: 0.7-0.9 ms for the rectangle on ``np.linspace(0, 20, 200)``
+against 60-120 ms for the point-by-point sums, and 2-8 ms for an
+infinite-support profile against 140-540 ms for QUADPACK.  The chirp-z
+transform meets the point-by-point Simpson sums to 1e-15 ``Gamma``; the
+double-exponential sums meet the closed-form kernels to 2e-15 ``Gamma``
+for ``x`` in ``{0} U [1e-300, 50]`` (``b = 1.4`` for the double peak).
+QUADPACK (``_quad_g``) stays in the module as the reference path of the
+tests, and the per-point sums (``_simpson_g``) as theirs and as the path
+of arbitrary ``x``.
 """
 
 from __future__ import annotations
@@ -288,14 +285,12 @@ class MemoryKernel:
     return an alias of ``g(0)/3`` at ``x = pi/h``, so larger ``x`` are
     rejected rather than summed.  The sum is taken for every point of a
     uniform grid at once by one chirp-z transform (:func:`uniform_kernel_g`,
-    which the rate integrals and the Volterra solver use), and for arbitrary
-    ``x`` arrays by Taylor-corrected chirp-z transforms
-    (:func:`scaled_kernel_g`, which passes an ``np.linspace`` grid from 0
-    with a step of at most ``1/(hi - lo)`` to the one transform).  Both
-    agree with the point-by-point sum to round-off: at most 1.5e-15 Gamma
-    on grids of up to 40961 points to x = 20, and 4e-16 Gamma on 200
-    arbitrary points to x = 20, measured on rectangular and tabulated
-    profiles.
+    which the rate integrals and the Volterra solver use), and agrees with
+    the point-by-point sum to at most 1.5e-15 Gamma on grids of up to 40961
+    points to x = 20, measured on rectangular and tabulated profiles.
+    :func:`scaled_kernel_g` passes an ``np.linspace`` grid from 0 of more
+    than three points, with a step of at most ``1/(hi - lo)``, to that
+    transform, and takes any other ``x`` array one point at a time.
     """
 
     density: SpectralDensity
@@ -437,8 +432,8 @@ def _check_resolved(kernel: MemoryKernel, x_max: float, name: str):
 def _simpson_g(kernel: MemoryKernel, x: float) -> complex:
     """``g(x)`` of a compact-support kernel by the composite Simpson sum at one ``x``.
 
-    The small-batch path of :func:`scaled_kernel_g` and the reference for its
-    chirp-z paths.
+    The path of :func:`scaled_kernel_g` for arbitrary ``x``, and the
+    reference for the chirp-z transform of :func:`uniform_kernel_g`.
     """
     density = kernel.density
     nodes, h, weights = _simpson_rule(*kernel.compact_support)
@@ -487,80 +482,26 @@ def _chirp_z(n: int, m: int, theta: float):
     return transform
 
 
-#: bound on the Taylor remainder ``(u_max dx/2)^(P+1)/(P+1)!`` of the chirp-z path
-TAYLOR_TOL = 1e-17
-
-
-def _taylor_layout(half: float, n: int, span: float) -> tuple[float, int, float]:
-    """Grid step ``dx``, Taylor order ``P`` and estimated cost ``2 (P + 1)(n + m)``.
-
-    Each order costs one forward and one inverse FFT of length ``n + m``,
-    with ``m = span/dx + 2`` grid points.  ``dx = 2 t/half`` for the
-    ``t = u_max dx/2`` in ``2^-2 .. 2^-10`` that costs least; ``P`` is the
-    least order whose remainder bound ``t^(P+1)/(P+1)!`` is at most
-    ``TAYLOR_TOL``.
-    """
-    best = (0.0, 0, math.inf)
-    for e in range(2, 11):
-        t = 2.0 ** -e
-        order = 0
-        while t ** (order + 1) / math.factorial(order + 1) > TAYLOR_TOL:
-            order += 1
-        cost = 2.0 * (order + 1) * (n + span * half / (2.0 * t) + 2.0)
-        if cost < best[2]:
-            best = (2.0 * t / half, order, cost)
-    return best
-
-
 def _compact_g(kernel: MemoryKernel, xs: np.ndarray) -> np.ndarray:
     """``g`` at every ``x`` of the 1-D ``xs`` from the Simpson sum of a compact-support kernel.
 
-    With ``u_k`` the node offsets from the centre ``w_c`` of the support and
-    ``x = j dx + delta``, ``|delta| <= dx/2``, the sum of
-    ``s_k exp(-i (w_k - c) x)`` is ``exp(-i (w_c - c) x)`` times
-    ``sum_p (-i delta)^p/p! sum_k s_k u_k^p exp(-i u_k j dx)``: one chirp-z
-    transform per Taylor order ``p <= P`` on the grid ``j dx`` (Anderson &
-    Dahleh, SIAM J. Sci. Comput. 17, 1996).  Batches whose point-by-point
-    sums cost less, ``points (N_PANELS + 1) <= 2 (P + 1)(N_PANELS + m)``,
-    take :func:`_simpson_g` at each point instead.  Larger batches that are
-    exactly ``np.linspace(0, x_max, points)``, with a step no coarser than
-    ``t = u_max dx/2 = 2^-2`` allows, are the grid of
-    :func:`uniform_kernel_g` and take its one transform.
+    A batch of more than three points that is exactly
+    ``np.linspace(0, x_max, points)``, with a step ``x_max/(points - 1)`` of
+    at most ``1/(hi - lo)``, is the grid of :func:`uniform_kernel_g` and
+    takes its one transform.  Every other batch takes :func:`_simpson_g` at
+    each point: up to three points, those sums cost less than a transform.
     """
-    if xs.size:
-        _check_resolved(kernel, xs.max(), "x")
+    if not xs.size:
+        return np.empty(0, dtype=complex)
+    x_max = float(xs.max())
+    _check_resolved(kernel, x_max, "x")
     lo, hi = kernel.compact_support
-    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    n = N_PANELS + 1
-    span = float(xs.max() - xs.min()) if xs.size else 0.0
-    dx, order, cost = _taylor_layout(half, n, span)
-    if xs.size * n <= cost:
-        return np.array([_simpson_g(kernel, x) for x in xs.tolist()], dtype=complex)
-    # past t = 2^-2 the chirp phases h dx k^2/2 grow, and a [-8, 8] table on 200 points to
-    # x = 20 (t = 0.4) read 2.2e-15 Gamma against the per-point sums
-    x_max = float(xs[-1])
-    if (xs[0] == 0.0 and 0.0 < half * x_max <= 0.5 * (xs.size - 1)
+    # past that step the chirp phases h dx k^2/2 grow, and a [-8, 8] table on 200 points to
+    # x = 20 read 2.2e-15 Gamma against the per-point sums
+    if (xs.size > 3 and xs[0] == 0.0 and 0.0 < (hi - lo) * x_max <= xs.size - 1
             and np.array_equal(xs, np.linspace(0.0, x_max, xs.size))):
         return uniform_kernel_g(kernel, x_max, xs.size - 1)
-    density = kernel.density
-    nodes, h, weights = _simpson_rule(lo, hi)
-    j = np.rint(xs / dx)
-    j_lo = j.min()
-    cell = (j - j_lo).astype(np.intp)
-    transform = _chirp_z(n, int(cell.max()) + 1, h * dx)
-    u = nodes - centre
-    # the grid starts at x_lo = j_lo dx: its phase exp(-i k h x_lo) moves onto the nodes
-    term = weights * _profile(density, nodes) * np.exp(-1j * (h * np.arange(n)) * (j_lo * dx))
-    sums = []
-    for _ in range(order + 1):
-        sums.append(transform(term)[cell])
-        term = term * u
-    z = -1j * (xs - j * dx)
-    acc = sums[order]
-    for p in range(order - 1, -1, -1):
-        acc = sums[p] + acc * z / (p + 1)
-    phase = np.exp(-1j * ((centre - density.c) * xs + u[0] * (j * dx)))
-    return -1j * density.d0 * (h / 3.0) * phase * acc
+    return np.array([_simpson_g(kernel, x) for x in xs.tolist()], dtype=complex)
 
 
 # Double-exponential quadrature of the even infinite-support profiles:
@@ -687,9 +628,11 @@ def scaled_kernel_g(kernel: MemoryKernel, x):
 
     Independent of ``kernel.density.lam`` by construction: only ``gamma``,
     ``c``, ``b``, and the dimensionless profile enter.  Accepts scalars or
-    arrays of any shape of finite ``x >= 0``; a quadrature-mode kernel
-    evaluates all of them together (see :class:`MemoryKernel`), and a
-    compact-support one rejects ``x`` past ``pi/(2h)``.
+    arrays of any shape of finite ``x >= 0``.  An infinite-support
+    quadrature-mode kernel evaluates all of them together; a compact-support
+    one takes one transform for a uniform grid from 0 and the per-point
+    Simpson sums otherwise (see :class:`MemoryKernel`), and rejects ``x``
+    past ``pi/(2h)``.
     """
     xs = check_points(x, "x")
     if kernel.mode is KernelMode.ANALYTIC:

@@ -349,12 +349,15 @@ class TestRunCommand:
     @pytest.mark.parametrize("x_min, x_max, message", [
         (1e308, None, "error: key 'x_min' = 1e+308 exceeds key 'x_max' = 20\n"),
         (5.0, 1.0, "error: key 'x_min' = 5 exceeds key 'x_max' = 1\n"),
-    ], ids=["x_min-1e308", "x_min-above-x_max"])
+        (2.0, 2.0, "error: key 'x_min' = 2 equals key 'x_max', but key 'x_points' = 5 asks for "
+                   "distinct points\n"),
+    ], ids=["x_min-1e308", "x_min-above-x_max", "x_min-equals-x_max"])
     @pytest.mark.parametrize("experiment", ["gamma_curve", "kk_check"])
     def test_reversed_x_range_exits_1_before_sampling(self, runner, tmp_path, experiment,
                                                       x_min, x_max, message):
         # unchecked, both curves were sampled (with three RuntimeWarnings at x_min = 1e308)
-        # before "x_grid must be strictly increasing", which names neither key
+        # before "x_grid must be strictly increasing", which names neither key; equal ends
+        # with more than one point gave that message too
         body = f"experiment = {experiment}\nshape = gaussian\nlambda = 1\nx_min = {x_min}\n"
         if x_max is not None:
             body += f"x_max = {x_max}\n"

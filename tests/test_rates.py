@@ -23,6 +23,8 @@ from zenoscope import (
     rate_curve,
     rates,
     scaled_kernel_g,
+    spectral,
+    uniform_kernel_g,
 )
 
 ALL_NAMED = (Shape.LORENTZIAN, Shape.GAUSSIAN, Shape.RECTANGULAR, Shape.DOUBLE_LORENTZIAN)
@@ -63,10 +65,10 @@ def single_integral_rate(kernel, x):
     return complex(rate_curve(kernel, [x], RateSource.KK_INTEGRAL).values[0])
 
 
-def tabulated_gaussian_kernel(rows=1601):
+def tabulated_gaussian_kernel(rows=1601, c=0.0):
     w = np.linspace(-8, 8, rows)
     table = np.column_stack([w, np.exp(-0.5 * w ** 2)])
-    return MemoryKernel(SpectralDensity.tabulated(1.0, 1.0, table))
+    return MemoryKernel(SpectralDensity.tabulated(1.0, 1.0, table, c=c))
 
 
 class TestClosedForms:
@@ -291,7 +293,6 @@ class TestSinglePass:
             raise AssertionError("an all-zero grid samples g")
 
         monkeypatch.setattr(rates, "uniform_kernel_g", no_sampling)
-        monkeypatch.setattr(rates, "scaled_kernel_g", no_sampling)
         assert np.array_equal(rates._numeric_rates(kernel, [0.0, 0.0], source), [0j, 0j])
         assert PER_X[source](kernel, 0.0) == 0j
 
@@ -301,13 +302,78 @@ class TestSinglePass:
             raise AssertionError("g sampled before validation")
 
         monkeypatch.setattr(rates, "uniform_kernel_g", no_sampling)
-        monkeypatch.setattr(rates, "scaled_kernel_g", no_sampling)
         kernel = kernel_for(Shape.LORENTZIAN)
         for source, per_x in PER_X.items():
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 per_x(kernel, bad)
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 rate_curve(kernel, [0.5, bad], source)
+
+
+    @pytest.mark.parametrize("x_grid, message", [
+        ([[0.1, 0.2], [0.3, 0.4]], "one-dimensional"),
+        ([0.5, 0.2], "strictly increasing"),
+        ([0.2, 0.2], "strictly increasing"),
+    ], ids=["2-d", "decreasing", "repeated"])
+    @pytest.mark.parametrize("source", NUMERIC, ids=lambda s: s.value)
+    def test_bad_grids_are_rejected_before_sampling(self, source, x_grid, message, monkeypatch):
+        # each grid sampled g for the whole curve before RateCurve.validate rejected it
+        def no_sampling(*args):
+            raise AssertionError("g sampled before the grid was checked")
+
+        monkeypatch.setattr(rates, "uniform_kernel_g", no_sampling)
+        with pytest.raises(ValueError, match=message):
+            rate_curve(kernel_for(Shape.LORENTZIAN), x_grid, source)
+
+    @pytest.mark.parametrize("source", NUMERIC, ids=lambda s: s.value)
+    def test_tabulated_curve_samples_g_once(self, source, monkeypatch):
+        calls = []
+        sample = rates.uniform_kernel_g
+
+        def counted(*args):
+            calls.append(args[1:])
+            return sample(*args)
+
+        def no_other_sampling(*args):
+            raise AssertionError("a rate curve sampled g off its grid")
+
+        monkeypatch.setattr(rates, "uniform_kernel_g", counted)
+        monkeypatch.setattr(spectral, "_compact_g", no_other_sampling)
+        monkeypatch.setattr(spectral, "_simpson_g", no_other_sampling)
+        grid = np.linspace(0.01, 20.0, 200)
+        rate_curve(tabulated_gaussian_kernel(), grid, source)
+        assert calls == [(20.0, rates._panel_count(20.0))]
+
+
+def wide_lorentzian_table_kernel():
+    w = np.linspace(-300.0, 300.0, 1201)
+    return MemoryKernel(SpectralDensity.tabulated(1.0, 1.0, np.column_stack([w, 1 / (1 + w * w)])))
+
+
+@pytest.mark.parametrize("kernel, first_bound, bound", [
+    (MemoryKernel(SpectralDensity.rectangular(1.0, 1.0, c=0.3), mode=KernelMode.QUADRATURE),
+     1e-15, 1e-15),
+    (tabulated_gaussian_kernel(801, c=4.0), 1e-15, 1e-15),
+    # the table's cusp-like g near x = 0 is where the one-sided stencil of the first panel is
+    # least accurate: 4.7e-11 Gamma there, against 5.6e-14 further out
+    (wide_lorentzian_table_kernel(), 1e-10, 2e-13),
+], ids=["rectangular-c0.3", "tabulated-c4", "wide-table"])
+def test_remainder_samples_match_exact_samples(kernel, first_bound, bound):
+    x_max = 6.0
+    n = rates._panel_count(x_max, kernel.density.c)
+    grid = np.linspace(0.0, x_max, n + 1)
+    h = grid[1]
+    x = np.array([0.3 * h, 1.7 * h, grid[n // 2] + 0.9 * h, grid[n - 2] + 0.6 * h,
+                  grid[n - 2] + 1.95 * h])
+    m = np.searchsorted(grid, x, side="right") - 1
+    m -= m % 2
+    assert list(m) == [0, 0, n // 2, n - 2, n - 2]
+    d = x - grid[m]
+    tail = rates._remainder_samples(grid, uniform_kernel_g(kernel, x_max, n), m, x, d)
+    exact = scaled_kernel_g(kernel, np.stack([grid[m] + 0.25 * d, grid[m] + 0.5 * d, x]))
+    dev = np.abs(tail - exact)
+    assert np.max(dev[:, :2]) <= first_bound * kernel.density.gamma
+    assert np.max(dev[:, 2:]) <= bound * kernel.density.gamma
 
 
 class TestGammaEff:

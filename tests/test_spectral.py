@@ -323,31 +323,24 @@ def counted_transforms(monkeypatch):
 
 
 class TestCompactBatches:
-    """Taylor-corrected chirp-z batches of arbitrary ``x`` against the per-point Simpson sum."""
+    """Compact-support batches: one chirp-z transform on a uniform grid from 0, the per-point
+    Simpson sums for every other batch."""
 
     @pytest.mark.parametrize("layout", ["sorted", "unsorted", "repeated"])
     @pytest.mark.parametrize("c", [0.0, 0.3, -0.7])
     @pytest.mark.parametrize("profile", ["rectangular", "tabulated"])
-    def test_matches_per_point_sum(self, profile, c, layout, monkeypatch):
+    def test_matches_per_point_sum(self, profile, c, layout):
         kernel = compact_kernel(profile, c)
         rng = np.random.default_rng(11)
         xs = {"sorted": np.linspace(0.0, 20.0, 60),
               "unsorted": rng.uniform(0.0, 20.0, 60),
               "repeated": np.repeat(rng.uniform(0.0, 20.0, 20), 3)}[layout].reshape(6, 10)
         reference = per_point_sums(kernel, xs)
-        monkeypatch.setattr(spectral, "_simpson_g", no_per_point_sums)
         fast = scaled_kernel_g(kernel, xs)
         assert fast.shape == (6, 10)
         assert np.max(np.abs(fast - reference)) <= 2e-15 * GAMMA
         for x in np.unique(xs):
             assert np.all(fast[xs == x] == fast[xs == x][0])
-
-    def test_narrow_band_far_from_zero(self, monkeypatch):
-        kernel = compact_kernel("tabulated", 0.3)
-        xs = np.linspace(41.0, 41.5, 40)
-        reference = per_point_sums(kernel, xs)
-        monkeypatch.setattr(spectral, "_simpson_g", no_per_point_sums)
-        assert np.max(np.abs(scaled_kernel_g(kernel, xs) - reference)) <= 2e-15 * GAMMA
 
     @pytest.mark.parametrize("profile", ["rectangular", "tabulated"])
     def test_small_batches_take_the_per_point_sum(self, profile):
@@ -355,6 +348,19 @@ class TestCompactBatches:
         kernel = compact_kernel(profile, 0.3)
         for xs in (np.array([0.4, 3.0, 17.5]), np.linspace(0.0, 2.0, 3)):
             np.testing.assert_array_equal(scaled_kernel_g(kernel, xs), per_point_sums(kernel, xs))
+
+    @pytest.mark.parametrize("profile, x_max", [("rectangular", 1.5), ("tabulated", 0.1)])
+    def test_one_transform_from_four_grid_points(self, profile, x_max, monkeypatch):
+        # on the rectangle, three points cost 0.92 ms by the per-point sums against 1.08 ms
+        # for one transform, and four points 1.25 ms; both grids keep under the step cap
+        kernel = compact_kernel(profile, 0.3)
+        three, four = np.linspace(0.0, x_max, 3), np.linspace(0.0, x_max, 4)
+        expected = per_point_sums(kernel, three), uniform_kernel_g(kernel, x_max, 3)
+        calls = counted_transforms(monkeypatch)
+        np.testing.assert_array_equal(scaled_kernel_g(kernel, three), expected[0])
+        assert calls == []
+        np.testing.assert_array_equal(scaled_kernel_g(kernel, four), expected[1])
+        assert calls == [4]
 
     def test_empty_batch(self):
         out = scaled_kernel_g(compact_kernel("rectangular", 0.0), np.zeros((0, 3)))
@@ -380,10 +386,10 @@ class TestCompactBatches:
     @pytest.mark.parametrize("profile, layout", [
         (profile, layout) for profile in ("rectangular", "tabulated")
         for layout in ("random-200", "random-1000", "offset-start", "permuted")
-    ] + [("tabulated", "coarse-grid")])
-    def test_other_points_keep_the_fixed_step_layout(self, profile, layout, monkeypatch):
-        # a [-8, 8] table on 200 points to x = 20 has t = 8 dx/2 = 0.4, past the 2^-2 of the
-        # coarsest fixed step; there one transform read 2.2e-15 Gamma, over the bound
+    ] + [("tabulated", "coarse-grid"), ("tabulated", "far-from-zero")])
+    def test_other_points_take_the_per_point_sums(self, profile, layout, monkeypatch):
+        # a [-8, 8] table on 200 points to x = 20 has a step over the cap 1/(hi - lo); there
+        # one transform read 2.2e-15 Gamma against the per-point sums
         kernel = compact_kernel(profile, 0.3)
         rng = np.random.default_rng(13)
         grid = np.linspace(0.0, 20.0, 200)
@@ -391,16 +397,12 @@ class TestCompactBatches:
               "random-1000": rng.uniform(0.0, 20.0, 1000),
               "offset-start": np.linspace(1.234, 7.5, 300),
               "permuted": rng.permutation(grid),
-              "coarse-grid": grid}[layout]
-        lo, hi = kernel.compact_support
-        span = float(xs.max() - xs.min())
-        order = spectral._taylor_layout(0.5 * (hi - lo), spectral.N_PANELS + 1, span)[1]
+              "coarse-grid": grid,
+              "far-from-zero": np.linspace(41.0, 41.5, 40)}[layout]
         reference = per_point_sums(kernel, xs)
-        monkeypatch.setattr(spectral, "_simpson_g", no_per_point_sums)
         calls = counted_transforms(monkeypatch)
-        fast = scaled_kernel_g(kernel, xs)
-        assert len(calls) == order + 1
-        assert np.max(np.abs(fast - reference)) <= 2e-15 * GAMMA
+        np.testing.assert_array_equal(scaled_kernel_g(kernel, xs), reference)
+        assert calls == []
 
 
 INFINITE = (Shape.LORENTZIAN, Shape.GAUSSIAN, Shape.DOUBLE_LORENTZIAN)

@@ -48,8 +48,9 @@ are handled by numerical Fourier quadrature, by one method per support type:
   converge raises ``ValueError``.
 
 Measured on a 2-CPU KVM guest (one BLAS thread), for 200 points on
-``[0, 20]``: 0.7-0.9 ms for the rectangle on ``np.linspace(0, 20, 200)``
-against 60-120 ms for the point-by-point sums, and 2-8 ms for an
+``[0, 20]``: 0.6-1.0 ms for the rectangle on ``np.linspace(0, 20, 200)``
+with a new chirp-z plan and 0.3-0.5 ms with a cached one, against
+60-120 ms for the point-by-point sums, and 2-8 ms for an
 infinite-support profile against 140-540 ms for QUADPACK.  The chirp-z
 transform meets the point-by-point Simpson sums to 1e-15 ``Gamma``; the
 double-exponential sums meet the closed-form kernels to 2e-15 ``Gamma``
@@ -62,6 +63,7 @@ of arbitrary ``x``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from collections import namedtuple
@@ -285,9 +287,13 @@ class MemoryKernel:
     return an alias of ``g(0)/3`` at ``x = pi/h``, so larger ``x`` are
     rejected rather than summed.  The sum is taken for every point of a
     uniform grid at once by one chirp-z transform (:func:`uniform_kernel_g`,
-    which the rate integrals and the Volterra solver use), and agrees with
-    the point-by-point sum to at most 1.5e-15 Gamma on grids of up to 40961
-    points to x = 20, measured on rectangular and tabulated profiles.
+    which the rate integrals and the Volterra solver use).  Its plan, the
+    chirp and the FFT of its filter, depends on the grid and the panel
+    width alone; the plans of the two most recent grids are kept (up to
+    ``MAX_CACHED_PLAN`` points each), so sampling such a grid again, at any
+    ``lam`` or ``c``, costs the transform's two FFTs.  The transform agrees
+    with the point-by-point sum to at most 1.5e-15 Gamma on grids of up to
+    40961 points to x = 20, measured on rectangular and tabulated profiles.
     :func:`scaled_kernel_g` passes an ``np.linspace`` grid from 0 of more
     than three points, with a step of at most ``1/(hi - lo)``, to that
     transform, and takes any other ``x`` array one point at a time.
@@ -459,14 +465,12 @@ def _quad_g(kernel: MemoryKernel, x: float) -> complex:
     return complex(-1j * density.d0 * 2.0 * val * np.exp(1j * density.c * x))
 
 
-def _chirp_z(n: int, m: int, theta: float):
-    """The map ``a -> sum_k a[k] exp(-i theta j k)``, ``j = 0..m-1``, for length-``n`` ``a``.
+#: a chirp-z plan: the chirp ``exp(-i theta k^2/2)``, the FFT of its conjugate and their length
+_ChirpZPlan = namedtuple("_ChirpZPlan", "chirp filt size")
 
-    Bluestein's algorithm: with ``jk = (j^2 + k^2 - (j - k)^2)/2`` the sum is
-    a chirp times the linear convolution of ``a`` times a chirp with the
-    conjugate chirp, done by zero-padded FFTs.  The FFT of the conjugate
-    chirp is taken once, here, and shared by every call of the returned map.
-    """
+
+def _chirp_z_plan(n: int, m: int, theta: float) -> _ChirpZPlan:
+    """The arrays of :func:`_chirp_z` that depend on the lengths and ``theta`` alone, read-only."""
     size = fft.next_fast_len(n + m - 1)
     k = np.arange(max(n, m), dtype=float)
     chirp = np.exp(-0.5j * theta * (k * k))
@@ -474,12 +478,36 @@ def _chirp_z(n: int, m: int, theta: float):
     filt[:m] = chirp[:m].conj()
     filt[size - n + 1:] = chirp[n - 1:0:-1].conj()
     filt = fft.fft(filt)
+    chirp.flags.writeable = False
+    filt.flags.writeable = False
+    return _ChirpZPlan(chirp, filt, size)
 
-    def transform(a: np.ndarray) -> np.ndarray:
-        conv = fft.ifft(fft.fft(a * chirp[:n], size) * filt)
-        return chirp[:m] * conv[:m]
 
-    return transform
+#: longest convolution whose chirp-z plan is cached: a chirp and a filter of
+#: 16 bytes a point, so about 2 MB a plan; longer plans are built on every call
+MAX_CACHED_PLAN = 2 ** 16
+
+#: plans of the two most recent ``(n, m, theta)``: ``g`` is sampled on one ``x``
+#: grid again and again (every width at one ``x``, both rate routes), and the
+#: second plan keeps a grid's plan through one sampling on another grid
+_cached_chirp_z_plan = functools.lru_cache(maxsize=2)(_chirp_z_plan)
+
+
+def _chirp_z(a: np.ndarray, m: int, theta: float) -> np.ndarray:
+    """``sum_k a[k] exp(-i theta j k)`` for ``j = 0..m-1``.
+
+    Bluestein's algorithm: with ``jk = (j^2 + k^2 - (j - k)^2)/2`` the sum is
+    a chirp times the linear convolution of ``a`` times a chirp with the
+    conjugate chirp, done by zero-padded FFTs.  The chirp and the FFT of the
+    conjugate chirp are the plan, which depends on ``a.size``, ``m`` and
+    ``theta`` alone; up to ``MAX_CACHED_PLAN`` points it is built once and
+    shared by later calls with the same three.
+    """
+    n = a.size
+    build = _chirp_z_plan if n + m - 1 > MAX_CACHED_PLAN else _cached_chirp_z_plan
+    chirp, filt, size = build(n, m, theta)
+    conv = fft.ifft(fft.fft(a * chirp[:n], size) * filt)
+    return chirp[:m] * conv[:m]
 
 
 def _compact_g(kernel: MemoryKernel, xs: np.ndarray) -> np.ndarray:
@@ -489,7 +517,11 @@ def _compact_g(kernel: MemoryKernel, xs: np.ndarray) -> np.ndarray:
     ``np.linspace(0, x_max, points)``, with a step ``x_max/(points - 1)`` of
     at most ``1/(hi - lo)``, is the grid of :func:`uniform_kernel_g` and
     takes its one transform.  Every other batch takes :func:`_simpson_g` at
-    each point: up to three points, those sums cost less than a transform.
+    each point.  On the rectangle (2-CPU KVM guest, one BLAS thread), three
+    such sums cost 0.52-0.63 ms and four 0.83 ms, against 0.67-0.69 ms for
+    the transform with a cold plan and 0.31-0.33 ms with a warm one (see
+    :func:`_chirp_z`).  The cut stays at three points, where the sums beat a
+    cold plan, and three-point batches keep the per-point sums' bits.
     """
     if not xs.size:
         return np.empty(0, dtype=complex)
@@ -668,7 +700,7 @@ def uniform_kernel_g(kernel: MemoryKernel, x_max: float, n: int) -> np.ndarray:
     _check_resolved(kernel, x_max, "x_max")
     density = kernel.density
     nodes, h, weights = _simpson_rule(*support)
-    sums = _chirp_z(nodes.size, n + 1, h * (x_max / n))(weights * _profile(density, nodes))
+    sums = _chirp_z(weights * _profile(density, nodes), n + 1, h * (x_max / n))
     return -1j * density.d0 * (h / 3.0) * np.exp(-1j * (support[0] - density.c) * xs) * sums
 
 

@@ -306,17 +306,16 @@ def no_per_point_sums(kernel, x):
 
 
 def counted_transforms(monkeypatch):
-    """The grid length ``m`` of every chirp-z transform taken from now on, one entry a transform."""
+    """The grid length ``m`` of every chirp-z transform taken from now on, one entry a transform.
+
+    Every transform counts, whether its plan was cached or built.
+    """
     calls = []
     chirp_z = spectral._chirp_z
 
-    def counting(n, m, theta):
-        transform = chirp_z(n, m, theta)
-
-        def counted(a):
-            calls.append(m)
-            return transform(a)
-        return counted
+    def counting(a, m, theta):
+        calls.append(m)
+        return chirp_z(a, m, theta)
 
     monkeypatch.setattr(spectral, "_chirp_z", counting)
     return calls
@@ -351,8 +350,9 @@ class TestCompactBatches:
 
     @pytest.mark.parametrize("profile, x_max", [("rectangular", 1.5), ("tabulated", 0.1)])
     def test_one_transform_from_four_grid_points(self, profile, x_max, monkeypatch):
-        # on the rectangle, three points cost 0.92 ms by the per-point sums against 1.08 ms
-        # for one transform, and four points 1.25 ms; both grids keep under the step cap
+        # on the rectangle, three points cost 0.52-0.63 ms by the per-point sums and four
+        # 0.83 ms, against 0.67-0.69 ms for one transform with a cold plan and 0.31-0.33 ms
+        # with a warm one; both grids keep under the step cap
         kernel = compact_kernel(profile, 0.3)
         three, four = np.linspace(0.0, x_max, 3), np.linspace(0.0, x_max, 4)
         expected = per_point_sums(kernel, three), uniform_kernel_g(kernel, x_max, 3)
@@ -403,6 +403,74 @@ class TestCompactBatches:
         calls = counted_transforms(monkeypatch)
         np.testing.assert_array_equal(scaled_kernel_g(kernel, xs), reference)
         assert calls == []
+
+
+def plan_cache():
+    return spectral._cached_chirp_z_plan.cache_info()
+
+
+class TestChirpZPlans:
+    """The chirp-z plans of the last two grids are kept, read-only, and change no output bit."""
+
+    @pytest.fixture(autouse=True)
+    def cold_plans(self):
+        spectral._cached_chirp_z_plan.cache_clear()
+        yield
+        spectral._cached_chirp_z_plan.cache_clear()
+
+    @pytest.mark.parametrize("x_max, n", [(20.0, 399), (3.0, 64), (20.0, 2047)])
+    @pytest.mark.parametrize("c", [0.0, 0.3])
+    @pytest.mark.parametrize("profile", ["rectangular", "tabulated"])
+    def test_warm_plans_give_the_cold_bits(self, profile, c, x_max, n):
+        kernel = compact_kernel(profile, c)
+        xs = np.linspace(0.0, x_max, n + 1)
+        cold_uniform = uniform_kernel_g(kernel, x_max, n)
+        spectral._cached_chirp_z_plan.cache_clear()
+        cold_scaled = scaled_kernel_g(kernel, xs)
+        warm_uniform, warm_scaled = uniform_kernel_g(kernel, x_max, n), scaled_kernel_g(kernel, xs)
+        assert (plan_cache().misses, plan_cache().hits) == (1, 2)
+        np.testing.assert_array_equal(warm_uniform, cold_uniform)
+        np.testing.assert_array_equal(warm_scaled, cold_scaled)
+
+    def test_repeated_samplings_build_one_plan(self):
+        kernel = compact_kernel("rectangular", 0.3)
+        for _ in range(3):
+            uniform_kernel_g(kernel, 20.0, 199)
+        scaled_kernel_g(kernel, np.linspace(0.0, 20.0, 200))
+        assert (plan_cache().misses, plan_cache().hits) == (1, 3)
+
+    def test_two_plans_are_kept(self):
+        kernel = compact_kernel("rectangular", 0.3)
+        for n in (199, 200, 201, 199):
+            uniform_kernel_g(kernel, 20.0, n)
+        assert (plan_cache().maxsize, plan_cache().currsize, plan_cache().misses) == (2, 2, 4)
+
+    def test_plans_over_the_size_cap_are_not_kept(self):
+        # with N_PANELS + 1 nodes, a grid of n + 1 points convolves over N_PANELS + n + 1 points
+        kernel = compact_kernel("rectangular", 0.3)
+        largest = spectral.MAX_CACHED_PLAN - spectral.N_PANELS - 1
+        uniform_kernel_g(kernel, 20.0, largest + 1)
+        assert (plan_cache().currsize, plan_cache().misses) == (0, 0)
+        uniform_kernel_g(kernel, 20.0, largest)
+        assert (plan_cache().currsize, plan_cache().misses) == (1, 1)
+
+    def test_cached_plans_are_read_only(self):
+        kernel = compact_kernel("tabulated", 0.3)
+        uniform_kernel_g(kernel, 20.0, 399)
+        h = spectral._simpson_rule(-8.0, 8.0)[1]
+        plan = spectral._cached_chirp_z_plan(spectral.N_PANELS + 1, 400, h * (20.0 / 399))
+        assert plan_cache().hits == 1
+        for array in (plan.chirp, plan.filt):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_every_transform_is_counted(self, monkeypatch):
+        kernel = compact_kernel("rectangular", 0.3)
+        calls = counted_transforms(monkeypatch)
+        for _ in range(2):
+            scaled_kernel_g(kernel, np.linspace(0.0, 20.0, 200))
+        assert calls == [200, 200]
+        assert (plan_cache().misses, plan_cache().hits) == (1, 1)
 
 
 INFINITE = (Shape.LORENTZIAN, Shape.GAUSSIAN, Shape.DOUBLE_LORENTZIAN)

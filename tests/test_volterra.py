@@ -22,6 +22,7 @@ from zenoscope import (
     null_conditioned_power,
     null_result_survival,
     solve_decay,
+    spectral,
     volterra,
 )
 from zenoscope.trajectories import _advance
@@ -256,6 +257,11 @@ def unit_kernel(shape, lam, mode=None):
     return MemoryKernel(SpectralDensity(shape, 1.0, lam), mode=mode)
 
 
+#: digests of the rectangle's quadrature kernel, the path of the chirp-z transform
+RECTANGLE_SURVIVAL = "50c1dc01dc18b55fa2cbbd9910f0523f1f95cb968c5e3476abfef47af3e5453b"
+RECTANGLE_DECAY = "f65dad4fc26d39307ab4ec037df3317dab46ca4e495618f10779a1325c1f9172"
+
+
 class TestDecayBitPin:
     """SHA-256 of ``null_result_survival`` and short ``solve_decay`` outputs.
 
@@ -270,7 +276,7 @@ class TestDecayBitPin:
         (Shape.LORENTZIAN, 100.0, None, 0.0002, 2000,
          "ab82cd02a0f7aa5d0f6e67bf2e9e53c7cb0d1c25e048991367787562a704b7b1"),
         (Shape.RECTANGULAR, 1.0, KernelMode.QUADRATURE, 2.0, 5,
-         "50c1dc01dc18b55fa2cbbd9910f0523f1f95cb968c5e3476abfef47af3e5453b"),
+         RECTANGLE_SURVIVAL),
         # many blocks of powers; the second passes the -745 underflow cutoff (17 734 zeros)
         (Shape.LORENTZIAN, 100.0, None, 0.0002, 50_000,
          "8795edb7523f086b3b78b0a413e5a8f3db809731c47e32480b691a0a17eee923"),
@@ -286,11 +292,22 @@ class TestDecayBitPin:
         (Shape.DOUBLE_LORENTZIAN, 10.0, None, 0.5, 0.001, "paper",
          "8e20de4358abc28ecfefaabb478403958f72aa4782034efcab87266bc171cefb"),
         (Shape.RECTANGULAR, 1.0, KernelMode.QUADRATURE, 2.0, 0.01, "trapezoid",
-         "f65dad4fc26d39307ab4ec037df3317dab46ca4e495618f10779a1325c1f9172"),
+         RECTANGLE_DECAY),
     ])
     def test_solve_decay(self, shape, lam, mode, t_max, dt, scheme, digest):
         series = solve_decay(unit_kernel(shape, lam, mode), t_max=t_max, dt=dt, scheme=scheme)
         assert decay_digest(series.values) == digest
+
+    def test_rectangle_with_cold_and_warm_plans(self):
+        # the chirp-z plans are cached between samplings; a warm plan gives the cold plan's bits
+        kernel = unit_kernel(Shape.RECTANGULAR, 1.0, KernelMode.QUADRATURE)
+        cache = spectral._cached_chirp_z_plan
+        cache.cache_clear()
+        for _ in range(2):
+            assert decay_digest(*null_result_survival(kernel, 2.0, 5)) == RECTANGLE_SURVIVAL
+            series = solve_decay(kernel, t_max=2.0, dt=0.01)
+            assert decay_digest(series.values) == RECTANGLE_DECAY
+        assert (cache.cache_info().misses, cache.cache_info().hits) == (2, 2)
 
 
 class TestNullConditionedPower:

@@ -18,8 +18,9 @@ mutual equalities as well as the width-independence of the numeric routes.
 Both numeric routes take a whole curve in one pass (:func:`_numeric_rates`).
 ``g`` is sampled once, on the uniform grid of ``PANELS_PER_UNIT`` panels per
 unit of ``max(1, |c|) x`` out to the largest ``x`` (so that the phase
-``e^{icx}`` of ``g`` is resolved; a grid over ``MAX_PANELS`` panels is
-rejected), through
+``e^{icx}`` of ``g`` is resolved; a compact support reaching further than
+``RESOLVED_REACH`` from ``c`` scales the panels with its reach instead, and
+a grid over ``MAX_PANELS`` panels is rejected), through
 :func:`~zenoscope.spectral.uniform_kernel_g`.  For compact-support
 quadrature kernels (rectangular, tabulated) that is one chirp-z transform
 of the Simpson sum instead of one Simpson sum per grid point; it agrees
@@ -86,21 +87,34 @@ class RateSource(enum.Enum):
     KK_INTEGRAL = "kk_integral"
 
 
-#: Simpson panels per unit of x (per unit of |c| x once |c| > 1) for the rate integrals
+#: Simpson panels per unit of x (per unit of |c| x once |c| > 1, see _panel_count)
+#: for the rate integrals
 PANELS_PER_UNIT = 2048
 #: most panels one rate grid may take; a grid that needs more is rejected
 MAX_PANELS = 2 ** 20
+#: a compact support reaching further than this from ``c`` takes panels in
+#: proportion to its reach; nearer ones (a [-8, 8] table, W <= 16 flat tables,
+#: which meet the rectangle's closed form to 1e-12) keep the grid of ``|c|``
+RESOLVED_REACH = 16.0
 
 
-def _panel_count(x: float, c: float = 0.0) -> int:
-    """Even panel count for ``[0, x]``: ``PANELS_PER_UNIT`` per unit of ``max(1, |c|) x``.
+def _panel_count(x: float, c: float = 0.0, support: tuple[float, float] | None = None) -> int:
+    """Even panel count for ``[0, x]``: ``PANELS_PER_UNIT`` per unit of ``s x``.
 
-    The phase ``e^{icx}`` of ``g`` turns ``|c|`` times per unit of ``x``, so
-    the panels scale with it; ``ValueError`` if more than ``MAX_PANELS`` are needed.
+    The phase ``e^{icx}`` of ``g`` turns ``|c|`` times per unit of ``x``, and
+    a profile on the compact ``support = (lo, hi)`` adds frequencies up to its
+    reach ``R = max(|lo - c|, |hi - c|)``, so ``s = max(1, |c|, R/RESOLVED_REACH)``;
+    ``ValueError`` if more than ``MAX_PANELS`` are needed.
     """
-    need = PANELS_PER_UNIT * x * max(1.0, abs(c))
+    scale = max(1.0, abs(c))
+    where = f"at detuning c = {c:.6g}"
+    if support is not None:
+        lo, hi = support
+        scale = max(scale, max(abs(lo - c), abs(hi - c)) / RESOLVED_REACH)
+        where += f" on the support [{lo:.6g}, {hi:.6g}]"
+    need = PANELS_PER_UNIT * x * scale
     if not need <= MAX_PANELS:
-        raise ValueError(f"x = {x:.6g} at detuning c = {c:.6g} needs {need:.4g} Simpson panels, "
+        raise ValueError(f"x = {x:.6g} {where} needs {need:.4g} Simpson panels, "
                          f"more than the {MAX_PANELS} a rate grid may take")
     n = max(math.ceil(need), 32)
     if n % 2:
@@ -186,7 +200,7 @@ _ROUTES = {
 def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource) -> np.ndarray:
     """``gamma`` at every ``x`` of ``xs`` from one sampling of ``g``.
 
-    ``g`` is sampled once on the uniform grid of ``_panel_count(X, c)``
+    ``g`` is sampled once on the uniform grid of ``_panel_count(X, c, support)``
     panels over ``[0, X]``, ``X = max(xs)``, and each rate is read off
     cumulative Simpson sums of those samples at the last even node
     ``t_m <= x``, closed to ``x`` by the two-panel remainder rule of the
@@ -204,7 +218,7 @@ def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource) -> np.ndarray:
         return out
     x = xs[positive]
     x_max = float(x.max())
-    n = _panel_count(x_max, kernel.density.c)
+    n = _panel_count(x_max, kernel.density.c, kernel.compact_support)
     grid = np.linspace(0.0, x_max, n + 1)
     m = np.searchsorted(grid, x, side="right") - 1
     m -= m % 2

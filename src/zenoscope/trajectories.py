@@ -23,10 +23,13 @@ it, both computed by the single-step update ``_advance``.  A segment that
 starts at step ``k0`` ends at the first ``k`` with ``eps[k] < p1[k - k0]``,
 found by one vectorised comparison, so a trajectory costs a few numpy calls
 per click instead of one Python step per time step, and its records are
-bit-identical to the stepwise loop.  ``_advance`` is the one stepper: the
-only null-result and click update, and the stepwise reference of the tests;
-a no-click outcome that leaves no state (``a_bar * alpha = beta = 0``)
-raises ``ValueError``.
+bit-identical to the stepwise loop.  A path can go dark: once its click
+probability stays 0 (an undriven atom in the ground state, as after every
+click), no later step can click, the rest of the trajectory is that path's
+slice, and the search stops there (``_Path.live``).  ``_advance`` is the
+one stepper: the only null-result and click update, and the stepwise
+reference of the tests; a no-click outcome that leaves no state
+(``a_bar * alpha = beta = 0``) raises ``ValueError``.
 
 The paths depend only on the layout: the initial state, the ``DriveConfig``
 and ``a_bar``.  ``simulate_trajectory`` and ``run_ensemble`` share one LRU
@@ -35,13 +38,18 @@ build longer layouts on every call, so the cache holds at most about 16 MB.
 Only a repeated layout (a seed scan, a loop of ensembles) gains from it; a
 one-off run pays the same Python loop of ``_advance`` calls as before.
 
-Reproducibility: every trajectory consumes one uniform variate per step
-from a counter-based Philox4x64-10 generator (Salmon et al., SC'11) keyed
-through ``numpy.random.SeedSequence(seed)`` (``make_rng``).  Ensembles
-derive the seed of trajectory ``i`` from the first eight bytes of
-``sha256(b"<master_seed>:<i>")``, so any subset of trajectories can be
-recomputed independently, and reduce the trajectories in index order, also
-when ``run_ensemble`` fills blocks of rows in threads (``n_jobs``).
+Reproducibility: the uniform variate of step ``k`` is the ``k``-th of a
+counter-based Philox4x64-10 stream (Salmon et al., SC'11) keyed through
+``numpy.random.SeedSequence(seed)`` (``make_rng``).  The stream is
+unchanged, and a trajectory reads it only as far as its last possible
+click: all of it when the drive keeps both paths live, in blocks of
+``DRAW_BLOCK`` up to the first click of an undriven trajectory, whose
+post-click path is dark.  Ensembles derive the seed of trajectory ``i``
+from the first eight bytes of ``sha256(b"<master_seed>:<i>")`` (the prefix
+``<master_seed>:`` hashed once per ensemble), so any subset of trajectories
+can be recomputed independently, and reduce the trajectories in index
+order, also when ``run_ensemble`` fills blocks of rows in threads
+(``n_jobs``).
 
 An ensemble does not build one ``SeedSequence`` and one generator per
 trajectory.  ``_philox_keys`` runs SeedSequence's entropy mixing (M. E.
@@ -49,9 +57,11 @@ O'Neill's seed_seq alternative, pcg-random.org 2015, as numpy implements it
 with a pool of four 32-bit words) as uint64 array arithmetic masked to 32
 bits, which gives the Philox key of every trajectory of the ensemble in a
 few numpy calls.  One reused Philox generator is then reset to counter 0
-and each key in turn, and draws that trajectory's uniforms.  The stream is
-the one ``make_rng(seed)`` draws, bit for bit; ``make_rng`` stays the
-single-trajectory API and the oracle of the batched keys.
+and each key in turn, and the sampler draws that trajectory's uniforms from
+it into one reused buffer.  The stream is the one ``make_rng(seed)`` draws,
+bit for bit, however the draws are split; ``make_rng`` stays the
+single-trajectory API and the oracle of the batched keys, and
+``child_seed`` that of the batched seeds.
 """
 
 from __future__ import annotations
@@ -156,6 +166,21 @@ def child_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _child_seeds(master_seed: int, n: int) -> np.ndarray:
+    """``child_seed(master_seed, i)`` for every ``i < n``, as uint64.
+
+    The prefix ``<master_seed>:`` is hashed once and each index appended to
+    a copy of that hash, so the bytes hashed, and the seeds, are the same.
+    """
+    prefix = hashlib.sha256(f"{master_seed}:".encode())
+    digests = []
+    for i in range(n):
+        h = prefix.copy()
+        h.update(b"%d" % i)
+        digests.append(h.digest()[:8])
+    return np.frombuffer(b"".join(digests), dtype="<u8")
+
+
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """``init * mult**k mod 2**32`` for ``k = 0 .. count - 1``, as a uint64 column."""
     consts = [init]
@@ -208,16 +233,23 @@ def _philox_keys(seeds) -> np.ndarray:
 
 
 def _seeded_uniforms(seeds, n: int):
-    """Yield ``make_rng(seed).random(n)`` for each seed, in one reused buffer."""
+    """Yield ``(gen, eps)`` for each seed: ``gen`` draws the stream of ``make_rng(seed)``.
+
+    ``gen`` is one reused generator, reset to the start of each seed's stream,
+    and ``eps`` one reused buffer of ``n`` values, which the caller fills
+    from ``gen`` as far as it reads.
+    """
     bit_gen = np.random.Philox(key=0)
     gen = np.random.Generator(bit_gen)
     state = bit_gen.state   # counter 0 and an empty output buffer
+    # the state setter reads Python lists of ints in half the time it takes for arrays
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     eps = np.empty(n)
-    for key in _philox_keys(seeds):
+    for key in _philox_keys(seeds).tolist():
         state["state"]["key"] = key
         bit_gen.state = state
-        gen.random(out=eps)
-        yield eps
+        yield gen, eps
 
 
 def _p_excited(alpha: complex) -> float:
@@ -255,11 +287,14 @@ class _Path(NamedTuple):
 
     ``p1[j]`` is the click probability of step ``j``; ``p_e[0]`` is the
     occupation of the starting state and ``p_e[j + 1]`` the occupation after
-    step ``j``, given that none of the steps ``0..j`` clicked.
+    step ``j``, given that none of the steps ``0..j`` clicked.  ``live`` is
+    the index after the last nonzero ``p1``: from step ``live`` on the path
+    cannot click (0 for an undriven path in the ground state).
     """
 
     p1: np.ndarray
     p_e: np.ndarray
+    live: int
 
 
 def _no_click_path(alpha: complex, beta: complex, n: int, a_bar, geff_dt, cw, sw) -> _Path:
@@ -273,7 +308,8 @@ def _no_click_path(alpha: complex, beta: complex, n: int, a_bar, geff_dt, cw, sw
         p_e[j + 1] = _p_excited(alpha)
     p1.flags.writeable = False
     p_e.flags.writeable = False
-    return _Path(p1, p_e)
+    nonzero = np.flatnonzero(p1)
+    return _Path(p1, p_e, int(nonzero[-1]) + 1 if nonzero.size else 0)
 
 
 def _paths(alpha: complex, beta: complex, cfg: DriveConfig,
@@ -305,24 +341,55 @@ def _layout_paths(initial: AtomState, cfg: DriveConfig,
                  check_contraction(a_bar_dt, "a_bar_dt"))
 
 
-def _sample(eps: np.ndarray, start: _Path, after_click: _Path, p_e: np.ndarray) -> list[int]:
-    """Fill ``p_e`` (length ``len(eps) + 1``) from the uniforms ``eps``.
+#: uniforms drawn at a time in a layout with a dark path, where a trajectory
+#: reads its stream only up to the block of its last possible click
+DRAW_BLOCK = 256
+
+
+def _sample(gen: np.random.Generator, eps: np.ndarray, start: _Path, after_click: _Path,
+            p_e: np.ndarray) -> list[int]:
+    """Fill ``p_e`` (length ``len(eps) + 1``) from the uniforms of ``gen``.
 
     Returns the steps that registered a photon.  Each segment between clicks
     is one slice of a path; its end is the first step whose uniform falls
     below the path's click probability (``argmax`` of the comparison, which
-    is 0 when none does).
+    is 0 when none does).  A segment from ``k0`` is searched over its live
+    steps ``k0 .. k0 + path.live - 1`` alone, since no later step can click.
+
+    ``eps`` (length ``n``) receives ``gen``'s stream in order, so ``eps[k]``
+    is always the ``k``-th variate, but only as far as the search reads it:
+    all ``n`` in one draw when neither path goes dark, else ``DRAW_BLOCK``
+    at a time when the search reaches the end of what is drawn.
     """
     n = len(eps)
+    drawn = 0
+    if start.live == n and after_click.live == n - 1:
+        gen.random(out=eps)
+        drawn = n
     path, k0, clicks = start, 0, []
-    while k0 < n:
-        below = eps[k0:] < path.p1[:n - k0]
-        j = int(below.argmax())
-        if not below[j]:
-            break
-        p_e[k0:k0 + j + 1] = path.p_e[:j + 1]
-        clicks.append(k0 + j)
-        path, k0 = after_click, k0 + j + 1
+    while True:
+        end = k0 + path.live
+        if end > n:
+            end = n
+        k = k0
+        while k < end:
+            if k == drawn:
+                drawn += DRAW_BLOCK
+                if drawn > n:
+                    drawn = n
+                gen.random(out=eps[k:drawn])
+            stop = end if end < drawn else drawn
+            below = eps[k:stop] < path.p1[k - k0:stop - k0]
+            j = int(below.argmax())
+            if below[j]:
+                break
+            k = stop
+        else:
+            break   # no click in the live steps: the path runs to the end
+        k += j
+        p_e[k0:k + 1] = path.p_e[:k + 1 - k0]
+        clicks.append(k)
+        path, k0 = after_click, k + 1
     p_e[k0:] = path.p_e[:n + 1 - k0]
     return clicks
 
@@ -331,14 +398,14 @@ def simulate_trajectory(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
                         seed: int) -> TrajectoryRecord:
     """Run ``cfg.n_steps`` Monte-Carlo steps from ``initial`` with a fixed seed.
 
-    The uniform stream is drawn in one batch from the seeded generator, one
-    variate per step, so identical seeds give bit-identical records.
+    Step ``k`` reads the ``k``-th uniform of the seeded generator's stream,
+    drawn only as far as a click is still possible, so identical seeds give
+    bit-identical records.
     """
     start, after_click = _layout_paths(initial, cfg, a_bar_dt)
-    eps = make_rng(seed).random(cfg.n_steps)
     p_e = np.empty(cfg.n_steps + 1)
     jumps = np.zeros(cfg.n_steps, dtype=bool)
-    jumps[_sample(eps, start, after_click, p_e)] = True
+    jumps[_sample(make_rng(seed), np.empty(cfg.n_steps), start, after_click, p_e)] = True
     return TrajectoryRecord(dt_step=cfg.dt_step, p_e=p_e, jumps=jumps, seed=seed)
 
 
@@ -377,8 +444,8 @@ class EnsembleResult:
 def _fill_rows(start: _Path, after_click: _Path, seeds, p_e: np.ndarray,
                counts: np.ndarray):
     """Sample the trajectory of ``seeds[r]`` into ``p_e[r]`` and ``counts[r]``."""
-    for row, eps in enumerate(_seeded_uniforms(seeds, len(start.p1))):
-        counts[row] = len(_sample(eps, start, after_click, p_e[row]))
+    for row, (gen, eps) in enumerate(_seeded_uniforms(seeds, len(start.p1))):
+        counts[row] = len(_sample(gen, eps, start, after_click, p_e[row]))
 
 
 def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
@@ -402,7 +469,7 @@ def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
     start, after_click = _layout_paths(initial, cfg, a_bar_dt)
     p_e = np.empty((n_traj, cfg.n_steps + 1))
     counts = np.empty(n_traj, dtype=np.int64)
-    seeds = [child_seed(master_seed, i) for i in range(n_traj)]
+    seeds = _child_seeds(master_seed, n_traj)
     if n_jobs <= 1 or n_traj < 2:
         _fill_rows(start, after_click, seeds, p_e, counts)
     else:

@@ -214,6 +214,37 @@ class TestNumericRoutes:
                 route(k, 1.0)
         assert rates._panel_count(1.0, c=-0.9) == rates.PANELS_PER_UNIT
 
+    @pytest.mark.parametrize("x", [0.05, 0.5])
+    def test_wide_flat_table_meets_the_rectangle(self, x):
+        # a flat table of width W is the rectangle at W x; on the |c| grid alone
+        # W = 1600 missed it by 1.9e-6 relative at x = 0.05 and 2.1e-7 at 0.5
+        width = 1600.0
+        w = np.linspace(-width / 2, width / 2, 5)
+        k = MemoryKernel(SpectralDensity.tabulated(1.0, 1.0, np.column_stack([w, np.ones(5)])))
+        expected = gamma_rectangular(width * x)
+        for route in (gamma_numeric, single_integral_rate):
+            assert route(k, x) == pytest.approx(expected, rel=1e-7, abs=0)
+
+    @pytest.mark.parametrize("c, x, n", [(0.0, 20.0, 40960), (0.3, 20.0, 40960),
+                                         (-1.7, 20.0, 69632), (0.0, 0.05, 104)])
+    def test_rectangle_keeps_its_grid(self, c, x, n):
+        k = kernel_for(Shape.RECTANGULAR, c=c)
+        assert rates._panel_count(x, c, k.compact_support) == n
+
+    @pytest.mark.parametrize("x, n", [(0.97, 1988), (1.0, 2048), (20.0, 40960)])
+    def test_benchmark_table_keeps_its_grid(self, x, n):
+        w = np.linspace(-8.0, 8.0, 8001)
+        table = np.column_stack([w, np.exp(-0.5 * w ** 2)])
+        k = MemoryKernel(SpectralDensity.tabulated(1.0, 1.0, table))
+        assert rates._panel_count(x, 0.0, k.compact_support) == n
+
+    def test_wide_grid_over_the_panel_cap_names_the_support(self):
+        w = np.linspace(-800.0, 800.0, 5)
+        k = MemoryKernel(SpectralDensity.tabulated(1.0, 1.0, np.column_stack([w, np.ones(5)])))
+        with pytest.raises(ValueError, match=r"x = 20 at detuning c = 0 on the support "
+                                             r"\[-800, 800\] needs 2\.048e\+06"):
+            gamma_numeric(k, 20.0)
+
     def test_rate_vanishes_towards_zero(self):
         for shape in ALL_NAMED:
             k = kernel_for(shape)

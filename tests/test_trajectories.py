@@ -27,7 +27,8 @@ from zenoscope import (
     simulate_trajectory,
 )
 from zenoscope import trajectories
-from zenoscope.trajectories import _advance, _philox_keys, _seeded_uniforms
+from zenoscope.trajectories import (DRAW_BLOCK, _advance, _child_seeds, _philox_keys,
+                                    _seeded_uniforms)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -474,7 +475,7 @@ class TestPathCache:
         record = simulate_trajectory(AtomState.excited(), cfg, a_bar, seed=4)
         paths = trajectories._layout_paths(AtomState.excited(), cfg, a_bar)
         assert len(builds) == 2
-        arrays = [a for path in paths for a in path]
+        arrays = [a for path in paths for a in (path.p1, path.p_e)]
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -512,7 +513,10 @@ class TestBatchedSeeding:
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_uniforms_match_make_rng(self, n, block):
         seeds = (self.EDGE_SEEDS + [child_seed(n, i) for i in range(block)])[:block]
-        rows = [eps.copy() for eps in _seeded_uniforms(seeds, n)]
+        rows = []
+        for gen, eps in _seeded_uniforms(seeds, n):
+            gen.random(out=eps)
+            rows.append(eps.copy())
         assert len(rows) == block
         for seed, eps in zip(seeds, rows):
             assert np.array_equal(eps, make_rng(seed).random(n)), seed
@@ -525,6 +529,147 @@ class TestBatchedSeeding:
                    for i in range(n_traj)]
         assert np.array_equal(result.p_e_mean, np.mean([r.p_e for r in records], axis=0))
         assert np.array_equal(result.jump_counts, [r.jump_count for r in records])
+
+
+class CountingGenerator:
+    """Forwards ``random(out=...)`` to ``gen`` and counts the variates drawn."""
+
+    def __init__(self, gen):
+        self.gen, self.drawn, self.calls = gen, 0, 0
+
+    def random(self, *, out):
+        self.drawn += out.size
+        self.calls += 1
+        return self.gen.random(out=out)
+
+
+def dark_midway_layout():
+    """Undriven from a superposition: ``p1`` underflows to 0 at step 14470 of 16000."""
+    return DriveConfig(omega=0.0, gamma_eff=0.5, dt_step=0.1, n_steps=16000), math.sqrt(0.95)
+
+
+class TestLazyDraws:
+    """A trajectory reads its Philox stream only as far as a click is still possible."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        """Poison the reused buffer before each row and count each row's draws.
+
+        A value of -1.0 lies below every click probability, dark steps' zeros
+        included, so a read of a value not drawn for this row clicks.
+        """
+        counters, seeded = [], trajectories._seeded_uniforms
+
+        def poisoned(seeds, n):
+            for gen, eps in seeded(seeds, n):
+                eps[:] = -1.0
+                counters.append(CountingGenerator(gen))
+                yield counters[-1], eps
+
+        monkeypatch.setattr(trajectories, "_seeded_uniforms", poisoned)
+        return counters
+
+    @pytest.mark.parametrize("initial, cfg, a_bar", [
+        (AtomState.excited(), *detection_config(x=2.0, omega=1.0, t_max=10.0)),
+        (AtomState.excited(), *ac7_config()),
+        (AtomState.ground(), *detection_config(x=2.0, omega=1.0, t_max=10.0)),
+        (AtomState.ground(), *ac7_config()),
+        (AtomState(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)), *dark_midway_layout()),
+    ], ids=["driven", "undriven", "driven-ground", "undriven-ground", "dark-midway"])
+    def test_poisoned_buffer_matches_single_trajectories(self, rows, initial, cfg, a_bar):
+        n_traj = 8 if cfg.n_steps > 10_000 else 40
+        result = run_ensemble(initial, cfg, a_bar, n_traj, master_seed=6)
+        records = [simulate_trajectory(initial, cfg, a_bar, child_seed(6, i))
+                   for i in range(n_traj)]
+        p_e = np.array([r.p_e for r in records])
+        assert len(rows) == n_traj
+        assert np.array_equal(result.p_e_mean, p_e.mean(axis=0))
+        assert np.array_equal(result.p_e_stderr, p_e.std(axis=0, ddof=1) / math.sqrt(n_traj))
+        assert np.array_equal(result.jump_counts, [r.jump_count for r in records])
+
+    def test_dark_midway_path_is_searched_to_its_live_end(self, rows):
+        # the start path goes dark before the end: a row that does not click
+        # reads the live steps of its stream and no further
+        cfg, a_bar = dark_midway_layout()
+        s = 1.0 / math.sqrt(2.0)
+        start, after_click = trajectories._layout_paths(AtomState(s, s), cfg, a_bar)
+        assert (start.live, after_click.live) == (14470, 0)
+        assert start.p1[start.live - 1] > 0 and not start.p1[start.live:].any()
+        result = run_ensemble(AtomState(s, s), cfg, a_bar, 8, master_seed=6)
+        quiet = [c.drawn for c, k in zip(rows, result.jump_counts) if k == 0]
+        assert quiet and all(d == math.ceil(14470 / DRAW_BLOCK) * DRAW_BLOCK for d in quiet)
+        for seed in (child_seed(6, 0), child_seed(6, 1)):
+            record = simulate_trajectory(AtomState(s, s), cfg, a_bar, seed)
+            assert np.array_equal(record.p_e, stepwise_trajectory(AtomState(s, s), cfg, a_bar,
+                                                                  seed)[0])
+
+    @pytest.mark.parametrize("initial, omega, live", [
+        (AtomState.excited(), 0.0, (20, 0)),
+        (AtomState.ground(), 0.0, (0, 0)),
+        (AtomState.excited(), 0.4, (20, 19)),
+        (AtomState.ground(), 0.4, (20, 19)),
+    ])
+    def test_live_marks_where_the_path_goes_dark(self, initial, omega, live):
+        start, after_click = trajectories._layout_paths(initial, layout(omega=omega), 0.98)
+        assert (start.live, after_click.live) == live
+        for path in (start, after_click):
+            assert not path.p1[path.live:].any()
+            assert path.live == 0 or path.p1[path.live - 1] > 0
+
+    @pytest.mark.parametrize("split", [1, 3, 4, 5, 255, 256, 257, 1603])
+    def test_split_draws_continue_the_stream(self, split):
+        n, seeds = 1604, [child_seed(3, i) for i in range(3)]
+        for seed in seeds:
+            gen, eps = make_rng(seed), np.empty(n)
+            gen.random(out=eps[:split])
+            gen.random(out=eps[split:])
+            assert np.array_equal(eps, make_rng(seed).random(n)), seed
+        # the reused generator: a row left mid-stream does not leak into the next
+        for seed, (gen, eps) in zip(seeds, _seeded_uniforms(seeds, n)):
+            gen.random(out=eps[:split])
+            head = eps[:split].copy()
+            gen.random(out=eps[split:])
+            assert np.array_equal(head, make_rng(seed).random(split)), seed
+            assert np.array_equal(eps, make_rng(seed).random(n)), seed
+
+    def test_dark_start_draws_nothing(self, rows):
+        cfg, a_bar = ac7_config()
+        result = run_ensemble(AtomState.ground(), cfg, a_bar, 16, master_seed=2)
+        assert len(rows) == 16 and all(c.drawn == 0 for c in rows)
+        assert not result.jump_counts.any()
+        assert not result.p_e_mean.any() and not result.p_e_stderr.any()
+
+    def test_undriven_rows_draw_to_their_first_click(self, rows):
+        cfg, a_bar = ac7_config()
+        n_traj = 64
+        result = run_ensemble(AtomState.excited(), cfg, a_bar, n_traj, master_seed=2017)
+        first = [simulate_trajectory(AtomState.excited(), cfg, a_bar,
+                                     child_seed(2017, i)).jumps.argmax() for i in range(n_traj)]
+        assert all(result.jump_counts == 1)   # the post-click path is dark
+        drawn = [c.drawn for c in rows]
+        for d, k in zip(drawn, first):
+            assert k < d <= k + DRAW_BLOCK
+        assert sum(drawn) <= n_traj * (max(first) + DRAW_BLOCK)
+        assert sum(drawn) < n_traj * cfg.n_steps / 3
+
+    @pytest.mark.parametrize("x", [0.02, 2.0])
+    def test_driven_rows_draw_their_whole_stream_at_once(self, rows, x):
+        # neither path goes dark: one draw of every step, however long the layout
+        cfg, a_bar = detection_config(x=x, omega=1.0, t_max=30.0)
+        assert cfg.n_steps > 2 * DRAW_BLOCK
+        run_ensemble(AtomState.excited(), cfg, a_bar, 16, master_seed=2)
+        assert [(c.drawn, c.calls) for c in rows] == [(cfg.n_steps, 1)] * 16
+
+    @pytest.mark.parametrize("master_seed", [0, 2017, 2 ** 64 - 1])
+    def test_batched_seeds_match_child_seed(self, master_seed):
+        seeds = _child_seeds(master_seed, 256)
+        assert seeds.dtype == np.uint64 and seeds.shape == (256,)
+        assert [int(s) for s in seeds] == [child_seed(master_seed, i) for i in range(256)]
+
+    def test_batched_seeds_match_child_seed_at_far_indices(self):
+        seeds = _child_seeds(7, 10 ** 6 + 1)
+        for i in (0, 9, 10, 255, 10 ** 6):
+            assert int(seeds[i]) == child_seed(7, i), i
 
 
 def ensemble_digest(result):

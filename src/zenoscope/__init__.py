@@ -19,7 +19,6 @@ from .rates import (
     RateCurve,
     RateSource,
     gamma_closed_form,
-    gamma_double_lorentzian,
     gamma_eff,
     gamma_gaussian,
     gamma_lorentzian,

@@ -16,42 +16,49 @@ All three agree for every supported spectrum; the test suite exercises the
 mutual equalities as well as the width-independence of the numeric routes.
 
 Both numeric routes take a whole curve in one pass (:func:`_numeric_rates`).
-``g`` is sampled once, on the uniform grid of ``PANELS_PER_UNIT`` panels per
-unit of ``max(1, |c|) x`` out to the largest ``x`` (so that the phase
-``e^{icx}`` of ``g`` is resolved; a compact support reaching further than
-``RESOLVED_REACH`` from ``c`` scales the panels with its reach instead, and
-a grid over ``MAX_PANELS`` panels is rejected), through
+``g`` is sampled once, on the uniform grid of ``PANELS_PER_UNIT = 256``
+panels per unit of ``u x`` out to the largest ``x``, where ``u`` is the
+kernel's bandwidth, ``u = max(1, |c| + |b|, R)``: the phase ``e^{icx}``,
+the double peak's ``cos(b x)`` (``b = 0`` for the other shapes) and a
+compact support's frequencies up to its reach ``R = max(|lo - c|, |hi - c|)``
+are then all resolved.  A grid over ``MAX_PANELS`` panels is rejected:
+``x > 4096`` at ``u = 1``, ``x = 1`` at ``c = 1e4``, ``x = 20`` at
+``b = 1e5``.  The samples come from
 :func:`~zenoscope.spectral.uniform_kernel_g`.  For compact-support
 quadrature kernels (rectangular, tabulated) that is one chirp-z transform
 of the Simpson sum instead of one Simpson sum per grid point; it agrees
 with the point-by-point sums to at most 1.5e-15 Gamma, and an ``x`` past
 the Simpson rule's alias bound ``pi/(2h)`` (12868 for the rectangle) is
-rejected.  Every rate is then
-read off cumulative Simpson sums of those samples: the inner integral ``I``
-of ``g`` and the outer integral of ``I`` on the double route, the moments
-``G0 = int g`` and ``G1 = int x' g`` on the single-integral route,
-``(2i/x)(x G0 - G1)``; each cumulative sum is one numpy pass over the
-complex samples (:func:`_cumulative_simpson`).
+rejected.  Every rate is then read off cumulative integrals of those
+samples: the inner integral ``I`` of ``g`` and the outer integral of ``I``
+on the double route, the moments ``G0 = int g`` and ``G1 = int x' g`` on
+the single-integral route, ``(2i/x)(x G0 - G1)``.  Each cumulative integral
+is Gregory's rule (:func:`_cumulative_gregory`): the running sum of the
+samples less Gregory's end corrections through fourth differences, with
+the exact weights of the degree-5 interpolant through nodes 0-5 on nodes
+1-4.  It integrates quintics exactly, so its error is ``O((h u)^6)``.
 
-The remainder rule: each ``x`` is read at the last even node ``t_m <= x``,
-where the cumulative sums are the composite Simpson rule, and every
-integral is closed from ``t_m`` to ``x`` (``d = x - t_m < 2h``) by a
-two-panel Simpson rule on ``[t_m, x]``.  Its samples of ``g`` at
-``t_m + d/4``, ``t_m + d/2`` and ``x`` are read off the grid samples by a
-six-node Lagrange interpolant (:func:`_remainder_samples`), so a curve
-samples ``g`` exactly once.  The interpolant's error is of order
-``(h u)^6`` for a profile reaching frequency ``u``, below the ``(h u)^4``
-the cumulative sums already carry, and it enters only through the tail.
-The inner integral at the midpoint ``t_m + d/2`` takes its own two-panel
-rule.  An ``x`` on an even node has ``d = 0`` and no tail, so
+The remainder rule: each ``x`` is read at the last node ``t_m <= x`` and
+every integral is closed from ``t_m`` to ``x`` (``d = x - t_m < h``) by
+Boole's rule on four panels of ``d/4``.  Its samples of ``g`` at
+``t_m + k d/4`` are read off the grid samples by a six-node Lagrange
+interpolant (:func:`_remainder_samples`), so a curve samples ``g`` exactly
+once; the interpolant's error is of order ``(h u)^6``.  The nested route
+takes the inner integral at those nodes from the degree-4 interpolant
+through them.  Boole's error is of order ``d^7``: on this grid the
+two-panel Simpson rule's ``d^5`` missed the closed forms by up to 3.1e-10
+relative for ``x`` in the first panel, where the rate is itself of order
+``x``.  An ``x`` on a node has ``d = 0`` and no tail, so
 :func:`gamma_numeric` and a one-point :func:`rate_curve` integrate on
 exactly the grid of ``x`` itself.
 
-Measured agreement (named shapes at ``lam = 1``, 200 points on
-``[0.01, 20]``): the curves meet the closed forms to 8.3e-13 relative and
-the two routes each other to 1.9e-14; against per-``x`` evaluation on each
-point's own grid they agree to 1.9e-12, and to 3e-15 on a 1601-row
-tabulated profile.
+Measured agreement (200 points on ``[0.01, 20]``, the named shapes, the
+Lorentzian at ``c = 0.7`` and the double peak at ``c = 0.3``, ``b = 2.5``,
+all at ``lam = 1``): the curves meet the closed forms to 1.4e-12 relative
+and the two routes each other to 7.6e-14.  Against the composite Simpson
+rule at 2048 panels per unit of ``u`` they agree to 8.4e-13 on analytic
+kernels and to 4.3e-12 on tabulated Gaussians on ``[-8, 8]``, where the
+running sums over 40961 nodes carry that much round-off.
 """
 
 from __future__ import annotations
@@ -74,7 +81,6 @@ __all__ = [
     "gamma_lorentzian",
     "gamma_gaussian",
     "gamma_rectangular",
-    "gamma_double_lorentzian",
     "gamma_closed_form",
     "gamma_eff",
     "rate_curve",
@@ -87,34 +93,34 @@ class RateSource(enum.Enum):
     KK_INTEGRAL = "kk_integral"
 
 
-#: Simpson panels per unit of x (per unit of |c| x once |c| > 1, see _panel_count)
-#: for the rate integrals
-PANELS_PER_UNIT = 2048
+#: panels per unit of ``u x`` for the rate integrals, ``u`` the kernel's bandwidth
+#: (see _panel_count)
+PANELS_PER_UNIT = 256
 #: most panels one rate grid may take; a grid that needs more is rejected
 MAX_PANELS = 2 ** 20
-#: a compact support reaching further than this from ``c`` takes panels in
-#: proportion to its reach; nearer ones (a [-8, 8] table, W <= 16 flat tables,
-#: which meet the rectangle's closed form to 1e-12) keep the grid of ``|c|``
-RESOLVED_REACH = 16.0
 
 
-def _panel_count(x: float, c: float = 0.0, support: tuple[float, float] | None = None) -> int:
-    """Even panel count for ``[0, x]``: ``PANELS_PER_UNIT`` per unit of ``s x``.
+def _panel_count(x: float, c: float = 0.0, support: tuple[float, float] | None = None,
+                 b: float = 0.0) -> int:
+    """Even panel count for ``[0, x]``: ``PANELS_PER_UNIT`` per unit of ``u x``.
 
-    The phase ``e^{icx}`` of ``g`` turns ``|c|`` times per unit of ``x``, and
-    a profile on the compact ``support = (lo, hi)`` adds frequencies up to its
-    reach ``R = max(|lo - c|, |hi - c|)``, so ``s = max(1, |c|, R/RESOLVED_REACH)``;
-    ``ValueError`` if more than ``MAX_PANELS`` are needed.
+    ``g`` carries the phase ``e^{icx}``, the double peak's ``cos(b x)`` and a
+    compact ``support = (lo, hi)``'s frequencies up to its reach
+    ``R = max(|lo - c|, |hi - c|)``, so its bandwidth is
+    ``u = max(1, |c| + |b|, R)``; ``ValueError`` if more than ``MAX_PANELS``
+    are needed.
     """
-    scale = max(1.0, abs(c))
+    bandwidth = max(1.0, abs(c) + abs(b))
     where = f"at detuning c = {c:.6g}"
+    if b:
+        where += f" and split b = {b:.6g}"
     if support is not None:
         lo, hi = support
-        scale = max(scale, max(abs(lo - c), abs(hi - c)) / RESOLVED_REACH)
+        bandwidth = max(bandwidth, abs(lo - c), abs(hi - c))
         where += f" on the support [{lo:.6g}, {hi:.6g}]"
-    need = PANELS_PER_UNIT * x * scale
+    need = PANELS_PER_UNIT * x * bandwidth
     if not need <= MAX_PANELS:
-        raise ValueError(f"x = {x:.6g} {where} needs {need:.4g} Simpson panels, "
+        raise ValueError(f"x = {x:.6g} {where} needs {need:.4g} panels, "
                          f"more than the {MAX_PANELS} a rate grid may take")
     n = max(math.ceil(need), 32)
     if n % 2:
@@ -122,19 +128,36 @@ def _panel_count(x: float, c: float = 0.0, support: tuple[float, float] | None =
     return n
 
 
-def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative Simpson integral from 0 of the odd-length samples ``y`` with spacing ``h``.
+#: weights, in units of ``h``, of ``int_0^{mh}`` (rows m = 1..4) over the nodes 0..5: the
+#: integrals of the degree-5 interpolant through them
+_START = np.array([[475.0, 1427.0, -798.0, 482.0, -173.0, 27.0],
+                   [448.0, 2064.0, 224.0, 224.0, -96.0, 16.0],
+                   [459.0, 1971.0, 1026.0, 1026.0, -189.0, 27.0],
+                   [448.0, 2048.0, 768.0, 2048.0, 448.0, 0.0]]) / 1440.0
+#: ``1 - w_j`` for Gregory's end weights ``w = 95/288, 317/240, 23/30, 793/720, 157/160``
+#: (the trapezoid's corrections through fourth differences) at ``j`` nodes from either end
+_GREGORY_DEFICIT = np.array([193.0 / 288.0, -77.0 / 240.0, 7.0 / 30.0, -73.0 / 720.0,
+                             3.0 / 160.0])
 
-    Even node ``2k + 2`` adds the panel pair ``h/3 (a + 4b + c)`` of
-    ``a, b, c = y[2k : 2k + 3]`` to node ``2k``; odd node ``2k + 1`` adds
-    ``h/12 (5a + 8b - c)``, the rule SciPy's ``cumulative_simpson`` takes
-    there.  Complex samples take one pass, where SciPy takes only real data.
+
+def _cumulative_gregory(y: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative integral from 0 of the samples ``y`` (at least six) with spacing ``h``.
+
+    Node ``m >= 5`` takes the sum of ``y[:m + 1]`` less ``_GREGORY_DEFICIT``
+    at both ends, Gregory's rule through fourth differences; nodes 1-4 take
+    the exact ``_START`` weights.  Both integrate degree-5 polynomials
+    exactly, so the error is ``O(h^6)``.  Complex samples take one running
+    sum and five passes of the end correction.
     """
-    a, b, c = y[:-2:2], y[1::2], y[2::2]
-    out = np.empty_like(y)
+    out = np.cumsum(y)
+    tail = out[5:]
+    tail -= _GREGORY_DEFICIT @ y[:5]
+    # slice by slice: numpy's complex convolution takes about three times as long
+    for j, deficit in enumerate(_GREGORY_DEFICIT):
+        tail -= deficit * y[5 - j:y.size - j]
     out[0] = 0.0
-    np.cumsum(h / 3.0 * (a + 4.0 * b + c), out=out[2::2])
-    out[1::2] = out[:-1:2] + h / 12.0 * (5.0 * a + 8.0 * b - c)
+    out[1:5] = _START @ y[:6]
+    out *= h
     return out
 
 
@@ -143,50 +166,57 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
 _STENCIL = np.arange(6)
 _OTHERS = ~np.eye(6, dtype=bool)[:, :, None, None]
 _STENCIL_SCALE = np.array([-120.0, 24.0, -12.0, 12.0, -24.0, 120.0])[:, None, None]
+#: the remainder's nodes ``t_m + k d/4``, k = 0..4, as fractions of ``d``
+_QUARTERS = np.linspace(0.0, 1.0, 5)[:, None]
+#: weights, in units of ``d/4``, of the integrals from ``t_m`` to ``t_m + k d/4`` (rows
+#: k = 1..4) of the degree-4 interpolant through the remainder's nodes; the last row is
+#: Boole's rule
+_TAIL = np.array([[251.0, 646.0, -264.0, 106.0, -19.0],
+                  [232.0, 992.0, 192.0, 32.0, -8.0],
+                  [243.0, 918.0, 648.0, 378.0, -27.0],
+                  [224.0, 1024.0, 384.0, 1024.0, 224.0]]) / 720.0
 
 
-def _remainder_samples(grid, g, m, x, d):
-    """``g`` at ``t_m + d/4``, ``t_m + d/2`` and ``x`` as a ``(3, points)`` array.
+def _remainder_samples(grid, g, m, d):
+    """``g`` at the remainder's nodes ``t_m + k d/4``, k = 0..4, as a ``(5, points)`` array.
 
-    Each ``x`` reads its three points off the Lagrange polynomial through the
-    six grid samples from node ``m - 2``, a stencil clamped to ``[0, n]``
-    (``_panel_count`` gives ``n >= 32``).  A point on a node gets its sample.
+    Node 0 is the grid sample at ``t_m``; each ``x`` reads the others off the
+    Lagrange polynomial through the six grid samples from node ``m - 2``, a
+    stencil clamped to ``[0, n]`` (``_panel_count`` gives ``n >= 32``).  A
+    point on a node gets its sample.
     """
-    t_m = grid[m]
     first = np.clip(m - 2, 0, grid.size - 6)
-    steps = (np.stack([t_m + 0.25 * d, t_m + 0.5 * d, x]) - grid[first]) / grid[1]
+    steps = (grid[m] + d * _QUARTERS[1:] - grid[first]) / grid[1]
     # weight i at each point: prod_{k != i} (steps - k) / prod_{k != i} (i - k)
     factors = np.where(_OTHERS, steps - _STENCIL[:, None, None], 1.0)
     weights = factors.prod(axis=1) / _STENCIL_SCALE
-    return np.sum(weights * g[first + _STENCIL[:, None]][:, None], axis=0)
+    tail = np.sum(weights * g[first + _STENCIL[:, None]][:, None], axis=0)
+    return np.concatenate([g[m][None], tail])
 
 
 # The routes below hold the only reference to ``g`` and drop it as soon as
-# its last cumulative sum is taken: a 40k-node curve then never holds more
-# than two node-length complex arrays besides the half-length panel sums.
+# its last cumulative sum is taken: a curve then never holds more than three
+# node-length complex arrays.
 
 
 def _nested_integral(grid, g, m, x, d):
-    """``int_0^x dx' int_0^x' g`` by cumulative Simpson of ``g``, then of ``I = int g``."""
-    h, g_m = grid[1], g[m]
-    g_quarter, g_half, g_x = _remainder_samples(grid, g, m, x, d)
-    inner = _cumulative_simpson(g, h)
+    """``int_0^x dx' int_0^x' g`` by the cumulative rule on ``g``, then on ``I = int g``."""
+    h, tail = grid[1], _remainder_samples(grid, g, m, d)
+    inner = _cumulative_gregory(g, h)
     del g
     i_m = inner[m]
-    i_half = i_m + d / 12.0 * (g_m + 4.0 * g_quarter + g_half)
-    i_x = i_m + d / 6.0 * (g_m + 4.0 * g_half + g_x)
-    return _cumulative_simpson(inner, h)[m] + d / 6.0 * (i_m + 4.0 * i_half + i_x)
+    i_tail = np.concatenate([i_m[None], i_m + 0.25 * d * (_TAIL @ tail)])
+    return _cumulative_gregory(inner, h)[m] + 0.25 * d * (_TAIL[-1] @ i_tail)
 
 
 def _moment_integral(grid, g, m, x, d):
     """``int_0^x (x - x') g(x') dx' = x G0(x) - G1(x)`` from the moments of ``g``."""
-    h, g_m, t_m = grid[1], g[m], grid[m]
-    _, g_half, g_x = _remainder_samples(grid, g, m, x, d)
-    g0 = _cumulative_simpson(g, h)[m]
+    h, tail = grid[1], _remainder_samples(grid, g, m, d)
+    g0 = _cumulative_gregory(g, h)[m]
     g = grid * g  # x' g(x'); drops g itself
-    g1 = _cumulative_simpson(g, h)[m]
-    m0 = g0 + d / 6.0 * (g_m + 4.0 * g_half + g_x)
-    m1 = g1 + d / 6.0 * (t_m * g_m + 4.0 * (t_m + 0.5 * d) * g_half + x * g_x)
+    g1 = _cumulative_gregory(g, h)[m]
+    m0 = g0 + 0.25 * d * (_TAIL[-1] @ tail)
+    m1 = g1 + 0.25 * d * (_TAIL[-1] @ ((grid[m] + d * _QUARTERS) * tail))
     return x * m0 - m1
 
 
@@ -200,11 +230,10 @@ _ROUTES = {
 def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource) -> np.ndarray:
     """``gamma`` at every ``x`` of ``xs`` from one sampling of ``g``.
 
-    ``g`` is sampled once on the uniform grid of ``_panel_count(X, c, support)``
+    ``g`` is sampled once on the uniform grid of ``_panel_count(X, c, support, b)``
     panels over ``[0, X]``, ``X = max(xs)``, and each rate is read off
-    cumulative Simpson sums of those samples at the last even node
-    ``t_m <= x``, closed to ``x`` by the two-panel remainder rule of the
-    module docstring.
+    cumulative sums of those samples at the last node ``t_m <= x``, closed
+    to ``x`` by the four-panel remainder rule of the module docstring.
     Negative, infinite and NaN entries raise ``ValueError`` before anything
     is sampled; ``x = 0`` gives exactly ``0j``.
     """
@@ -218,10 +247,10 @@ def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource) -> np.ndarray:
         return out
     x = xs[positive]
     x_max = float(x.max())
-    n = _panel_count(x_max, kernel.density.c, kernel.compact_support)
+    density = kernel.density
+    n = _panel_count(x_max, density.c, kernel.compact_support, density.split)
     grid = np.linspace(0.0, x_max, n + 1)
     m = np.searchsorted(grid, x, side="right") - 1
-    m -= m % 2
     out[positive] = 2j / x * route(grid, uniform_kernel_g(kernel, x_max, n), m, x, x - grid[m])
     return out
 
@@ -229,8 +258,8 @@ def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource) -> np.ndarray:
 def gamma_numeric(kernel: MemoryKernel, x: float) -> complex:
     """Effective rate from the nested double integral of ``g``.
 
-    The inner antiderivative is accumulated with a cumulative Simpson rule
-    and the outer integral with another one over it, so the route is
+    The inner antiderivative is accumulated with the cumulative rule and
+    the outer integral with another pass of it over the first, so the route is
     genuinely a double quadrature, independent of ``RateSource.KK_INTEGRAL``.
     The one-point case of :func:`rate_curve`: ``x`` is the last grid node.
     """
@@ -286,11 +315,6 @@ def gamma_rectangular(x, gamma: float = 1.0):
     """``(2 gamma/pi) [Si(x/2) + (2/x) cos(x/2) - 2/x]`` (zero at x = 0)."""
     return _closed_form(x, gamma, _RECTANGULAR_SERIES, lambda x: 2.0 * gamma / math.pi * (
         sici(0.5 * x)[0] + 2.0 / x * (np.cos(0.5 * x) - 1.0)))
-
-
-def gamma_double_lorentzian(x, gamma: float = 1.0):
-    """``gamma (1 - e^{-x} sin(x)/x)``: two Lorentzian rates detuned by ``+-1``."""
-    return gamma_lorentzian(x, 1.0, gamma) + gamma_lorentzian(x, -1.0, gamma)
 
 
 def _at_zero_detuning(form):

@@ -256,6 +256,12 @@ class SpectralDensity:
         return self.gamma / (2.0 * math.pi)
 
     @property
+    def split(self) -> float:
+        """Distance ``b`` of the double peak's centres from ``c``; 0 for a single peak."""
+        split = _SHAPES[self.shape].split
+        return 0.0 if split is None else split(self)
+
+    @property
     def energy_offset(self) -> float:
         """Offset of the transition energy from the spectral centre, ``E = c*lam``."""
         return self.c * self.lam
@@ -382,9 +388,11 @@ def _gaussian_g(d: SpectralDensity, x, phase):
     return -1j * d.gamma / math.sqrt(2.0 * math.pi) * phase * np.exp(-0.5 * x * x)
 
 
-#: what a :class:`Shape` is: ``profile(d, w)``, the analytic ``kernel(d, x, e^{icx})`` and the
-#: compact ``support(d) -> (lo, hi)`` of a density ``d``; ``None`` where the shape has none
-_ShapeRecord = namedtuple("_ShapeRecord", "profile kernel support", defaults=(None, None))
+#: what a :class:`Shape` is: ``profile(d, w)``, the analytic ``kernel(d, x, e^{icx})``, the
+#: compact ``support(d) -> (lo, hi)`` and the ``split(d)`` of its peaks from ``c`` of a density
+#: ``d``; ``None`` where the shape has none
+_ShapeRecord = namedtuple("_ShapeRecord", "profile kernel support split",
+                          defaults=(None, None, None))
 
 #: the one record of every shape
 _SHAPES = {
@@ -401,7 +409,8 @@ _SHAPES = {
     Shape.DOUBLE_LORENTZIAN: _ShapeRecord(
         profile=lambda d, w: 1.0 / (1.0 + (w - d.b) ** 2) + 1.0 / (1.0 + (w + d.b) ** 2),
         kernel=lambda d, x, phase: -1j * d.gamma * phase * np.exp(-x) * np.cos(
-            d.b * clip_phase(x, d.b))),
+            d.b * clip_phase(x, d.b)),
+        split=lambda d: d.b),
     Shape.TABULATED: _ShapeRecord(
         profile=lambda d, w: np.interp(w, d.table[:, 0], d.table[:, 1], left=0.0, right=0.0),
         support=lambda d: (float(d.table[0, 0]), float(d.table[-1, 0]))),

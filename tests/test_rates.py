@@ -14,7 +14,6 @@ from zenoscope import (
     Shape,
     SpectralDensity,
     gamma_closed_form,
-    gamma_double_lorentzian,
     gamma_eff,
     gamma_gaussian,
     gamma_lorentzian,
@@ -27,7 +26,16 @@ from zenoscope import (
     uniform_kernel_g,
 )
 
+from zenoscope.verify import RATE_GRID
+
 ALL_NAMED = (Shape.LORENTZIAN, Shape.GAUSSIAN, Shape.RECTANGULAR, Shape.DOUBLE_LORENTZIAN)
+
+
+def gamma_double_lorentzian(x, gamma=1.0):
+    """The double peak's closed form at ``c = 0``, ``b = 1``: two Lorentzian rates at ``+-1``."""
+    return gamma_closed_form(SpectralDensity.double_lorentzian(gamma, 1.0), x)
+
+
 CLOSED_FORMS = {
     Shape.LORENTZIAN: gamma_lorentzian,
     Shape.GAUSSIAN: gamma_gaussian,
@@ -208,11 +216,29 @@ class TestNumericRoutes:
                                    gamma_lorentzian(np.array(xs), c=c), rtol=1e-6, atol=0)
 
     def test_grid_over_the_panel_cap_is_rejected(self):
-        k = kernel_for(Shape.LORENTZIAN, c=1e3)
+        k = kernel_for(Shape.LORENTZIAN, c=1e4)
         for route in (gamma_numeric, single_integral_rate):
-            with pytest.raises(ValueError, match="x = 1 at detuning c = 1000 needs"):
+            with pytest.raises(ValueError, match="x = 1 at detuning c = 10000 needs"):
                 route(k, 1.0)
         assert rates._panel_count(1.0, c=-0.9) == rates.PANELS_PER_UNIT
+
+    def test_split_peak_grid_over_the_panel_cap_names_b(self):
+        k = kernel_for(Shape.DOUBLE_LORENTZIAN, c=0.5, b=1e5)
+        for route in (gamma_numeric, single_integral_rate):
+            with pytest.raises(ValueError, match=r"x = 20 at detuning c = 0\.5 and split "
+                                                 r"b = 100000 needs 5\.12e\+08 panels"):
+                route(k, 20.0)
+
+    @pytest.mark.parametrize("b", [100.0, 300.0, 1000.0])
+    @pytest.mark.parametrize("source", [RateSource.DOUBLE_INTEGRAL, RateSource.KK_INTEGRAL],
+                             ids=lambda s: s.value)
+    def test_split_peak_grid_resolves_cos_bx(self, source, b):
+        # a grid of max(1, |c|) per unit ignored the cos(b x) of the kernel and missed the
+        # closed form by 1.0e-7, 8.8e-6 and 2.0e-3 relative at b = 100, 300 and 1000
+        density = SpectralDensity.double_lorentzian(1.0, 1.0, c=0.0, b=b)
+        xs = np.linspace(0.01, 2.0, 50)
+        np.testing.assert_allclose(rate_curve(MemoryKernel(density), xs, source).values,
+                                   gamma_closed_form(density, xs), rtol=1e-8, atol=0)
 
     @pytest.mark.parametrize("x", [0.05, 0.5])
     def test_wide_flat_table_meets_the_rectangle(self, x):
@@ -225,8 +251,8 @@ class TestNumericRoutes:
         for route in (gamma_numeric, single_integral_rate):
             assert route(k, x) == pytest.approx(expected, rel=1e-7, abs=0)
 
-    @pytest.mark.parametrize("c, x, n", [(0.0, 20.0, 40960), (0.3, 20.0, 40960),
-                                         (-1.7, 20.0, 69632), (0.0, 0.05, 104)])
+    @pytest.mark.parametrize("c, x, n", [(0.0, 20.0, 5120), (0.3, 20.0, 5120),
+                                         (-1.7, 20.0, 8704), (0.0, 0.05, 32)])
     def test_rectangle_keeps_its_grid(self, c, x, n):
         k = kernel_for(Shape.RECTANGULAR, c=c)
         assert rates._panel_count(x, c, k.compact_support) == n
@@ -242,7 +268,7 @@ class TestNumericRoutes:
         w = np.linspace(-800.0, 800.0, 5)
         k = MemoryKernel(SpectralDensity.tabulated(1.0, 1.0, np.column_stack([w, np.ones(5)])))
         with pytest.raises(ValueError, match=r"x = 20 at detuning c = 0 on the support "
-                                             r"\[-800, 800\] needs 2\.048e\+06"):
+                                             r"\[-800, 800\] needs 4\.096e\+06"):
             gamma_numeric(k, 20.0)
 
     def test_rate_vanishes_towards_zero(self):
@@ -267,11 +293,11 @@ class TestNumericRoutes:
                 gamma_gaussian(x), rel=1e-3)
 
 
-#: a curve out to X = 5: 10240 panels of h = 5/10240.  2048 h, 5000 h and X
-#: are even nodes, read off the cumulative sums alone; 37 h is an odd node
-#: and the other points fall between nodes, so those take a remainder
+#: a curve out to X = 5: 1280 panels of h = 5/1280.  37 h, 256 h, 625 h and X
+#: are nodes of both parities, read off the cumulative sums alone; the other
+#: points fall between nodes, so those take a remainder
 CURVE_X = 5.0
-CURVE_NODES = CURVE_X / 10240 * np.array([37.0, 2048.0, 5000.0])
+CURVE_NODES = CURVE_X / 1280 * np.array([37.0, 256.0, 625.0])
 CURVE_GRID = np.sort(np.concatenate([[1e-5, 0.01, 0.3, 1.2345, 3.3], CURVE_NODES, [CURVE_X]]))
 PER_X = {RateSource.DOUBLE_INTEGRAL: gamma_numeric, RateSource.KK_INTEGRAL: single_integral_rate}
 NUMERIC = tuple(PER_X)
@@ -372,8 +398,87 @@ class TestSinglePass:
         monkeypatch.setattr(spectral, "_compact_g", no_other_sampling)
         monkeypatch.setattr(spectral, "_simpson_g", no_other_sampling)
         grid = np.linspace(0.01, 20.0, 200)
-        rate_curve(tabulated_gaussian_kernel(), grid, source)
-        assert calls == [(20.0, rates._panel_count(20.0))]
+        kernel = tabulated_gaussian_kernel()
+        rate_curve(kernel, grid, source)
+        assert calls == [(20.0, rates._panel_count(20.0, 0.0, kernel.compact_support))]
+
+
+def cumulative_simpson(y, h):
+    """Cumulative Simpson integral from 0 of the odd-length samples ``y`` with spacing ``h``.
+
+    Even node ``2k + 2`` adds the panel pair ``h/3 (a + 4b + c)`` of
+    ``a, b, c = y[2k : 2k + 3]`` to node ``2k``; odd node ``2k + 1`` adds
+    ``h/12 (5a + 8b - c)``, the rule SciPy's ``cumulative_simpson`` takes
+    there.  The rate curves took this rule at 2048 panels per unit of ``u x``
+    before Gregory's; it stays here as that rule's oracle.
+    """
+    a, b, c = y[:-2:2], y[1::2], y[2::2]
+    out = np.empty_like(y)
+    out[0] = 0.0
+    np.cumsum(h / 3.0 * (a + 4.0 * b + c), out=out[2::2])
+    out[1::2] = out[:-1:2] + h / 12.0 * (5.0 * a + 8.0 * b - c)
+    return out
+
+
+def simpson_rates(kernel, xs, source):
+    """``rates._numeric_rates`` on cumulative Simpson sums at 2048 panels per unit of ``u x``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rates, "_cumulative_gregory", cumulative_simpson)
+        patch.setattr(rates, "PANELS_PER_UNIT", 2048)
+        # a [-60, 60] table to x = 20 takes 2.5e6 panels at that density
+        patch.setattr(rates, "MAX_PANELS", 2 ** 22)
+        return rates._numeric_rates(kernel, xs, source)
+
+
+def table_kernel(w, profile):
+    return MemoryKernel(SpectralDensity.tabulated(1.0, 1.0, np.column_stack([w, profile(w)])))
+
+
+class TestCumulativeRule:
+    """Gregory's sixth-order rule on the bandwidth grid against the Simpson rule it replaced."""
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_integrates_quintics_exactly(self, degree):
+        t = np.arange(40) * 0.1
+        got = rates._cumulative_gregory(t ** degree + 0j, 0.1)
+        np.testing.assert_allclose(got, t ** (degree + 1) / (degree + 1), rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("kernel", [
+        tabulated_gaussian_kernel(),
+        tabulated_gaussian_kernel(c=0.3),
+        table_kernel(np.linspace(-8.0, 8.0, 8001), lambda w: np.exp(-0.5 * w * w)),
+        table_kernel(np.linspace(-60.0, 60.0, 241), lambda w: 1.0 / (1.0 + w * w)),
+        kernel_for(Shape.GAUSSIAN, c=0.7),
+    ], ids=["gaussian-table", "gaussian-table-c0.3", "benchmark-table", "lorentzian-table",
+            "gaussian-c0.7"])
+    @pytest.mark.parametrize("source", NUMERIC, ids=lambda s: s.value)
+    def test_matches_the_simpson_oracle(self, kernel, source):
+        np.testing.assert_allclose(rate_curve(kernel, RATE_GRID, source).values,
+                                   simpson_rates(kernel, RATE_GRID, source), rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("density", [
+        *(SpectralDensity(shape, 1.0, 1.0) for shape in ALL_NAMED),
+        SpectralDensity.lorentzian(1.0, 1.0, c=0.7),
+        SpectralDensity.double_lorentzian(1.0, 1.0, c=0.3, b=2.5),
+    ], ids=[s.value for s in ALL_NAMED] + ["lorentzian-c0.7", "double-peak-c0.3-b2.5"])
+    def test_curves_meet_the_closed_forms(self, density):
+        # at 2048 Simpson panels per unit the worst case read 4.5e-12
+        closed = gamma_closed_form(density, RATE_GRID)
+        double, single = (rate_curve(MemoryKernel(density), RATE_GRID, source).values
+                          for source in NUMERIC)
+        np.testing.assert_allclose(double, closed, rtol=5e-12, atol=0)
+        np.testing.assert_allclose(single, closed, rtol=5e-12, atol=0)
+        np.testing.assert_allclose(single, double, rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("shape", [Shape.LORENTZIAN, Shape.DOUBLE_LORENTZIAN])
+    @pytest.mark.parametrize("source", NUMERIC, ids=lambda s: s.value)
+    def test_first_panels_meet_the_closed_forms(self, shape, source):
+        # x in the first few panels of a curve to 20 (h = 1/256): a two-panel Simpson tail
+        # missed by up to 3.1e-10 relative there, where the rate is itself of order x
+        xs = np.concatenate([np.linspace(5e-4, 0.02, 40), [20.0]])
+        density = SpectralDensity(shape, 1.0, 1.0)
+        np.testing.assert_allclose(rate_curve(MemoryKernel(density), xs, source).values,
+                                   gamma_closed_form(density, xs), rtol=5e-12, atol=0)
 
 
 def wide_lorentzian_table_kernel():
@@ -391,17 +496,16 @@ def wide_lorentzian_table_kernel():
 ], ids=["rectangular-c0.3", "tabulated-c4", "wide-table"])
 def test_remainder_samples_match_exact_samples(kernel, first_bound, bound):
     x_max = 6.0
-    n = rates._panel_count(x_max, kernel.density.c)
+    n = rates._panel_count(x_max, kernel.density.c, kernel.compact_support)
     grid = np.linspace(0.0, x_max, n + 1)
     h = grid[1]
     x = np.array([0.3 * h, 1.7 * h, grid[n // 2] + 0.9 * h, grid[n - 2] + 0.6 * h,
-                  grid[n - 2] + 1.95 * h])
+                  grid[n - 1] + 0.95 * h])
     m = np.searchsorted(grid, x, side="right") - 1
-    m -= m % 2
-    assert list(m) == [0, 0, n // 2, n - 2, n - 2]
+    assert list(m) == [0, 1, n // 2, n - 2, n - 1]
     d = x - grid[m]
-    tail = rates._remainder_samples(grid, uniform_kernel_g(kernel, x_max, n), m, x, d)
-    exact = scaled_kernel_g(kernel, np.stack([grid[m] + 0.25 * d, grid[m] + 0.5 * d, x]))
+    tail = rates._remainder_samples(grid, uniform_kernel_g(kernel, x_max, n), m, d)
+    exact = scaled_kernel_g(kernel, grid[m] + d * np.linspace(0.0, 1.0, 5)[:, None])
     dev = np.abs(tail - exact)
     assert np.max(dev[:, :2]) <= first_bound * kernel.density.gamma
     assert np.max(dev[:, 2:]) <= bound * kernel.density.gamma

@@ -608,7 +608,8 @@ class TestUniformKernelG:
 
     @pytest.mark.parametrize("profile, c", [("rectangular", 0.3), ("tabulated", -0.7)])
     def test_largest_rate_grid(self, profile, c):
-        # x = 20 at the default 2048 panels per unit: 40961 points
+        # x = 20 on the rate grid of a [-8, 8] table (256 panels per unit of its reach 8):
+        # 40961 points
         assert self.compare(compact_kernel(profile, c), 20.0, 40960, stride=97) < 1e-12 * GAMMA
 
     @pytest.mark.parametrize("kernel", [

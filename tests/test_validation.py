@@ -34,7 +34,6 @@ from zenoscope import (
     analytic_lorentzian_a,
     child_seed,
     gamma_closed_form,
-    gamma_double_lorentzian,
     gamma_eff,
     gamma_gaussian,
     gamma_lorentzian,
@@ -75,6 +74,11 @@ def closed_form_curve(x_grid):
 
 def kk_curve(x_grid):
     return rate_curve(LORENTZIAN, [0.5, x_grid], RateSource.KK_INTEGRAL)
+
+
+def gamma_double_lorentzian(x, gamma=1.0):
+    """The double peak's closed form at ``c = 0``, ``b = 1``, from its density."""
+    return gamma_closed_form(SpectralDensity.double_lorentzian(gamma, 1.0), x)
 
 
 # argument kinds -> the fixed bad values each is replaced with; every kind

@@ -38,19 +38,22 @@ samples less Gregory's end corrections through fourth differences, with
 the exact weights of the degree-5 interpolant through nodes 0-5 on nodes
 1-4.  It integrates quintics exactly, so its error is ``O((h u)^6)``.
 
-The remainder rule: each ``x`` is read at the last node ``t_m <= x`` and
-every integral is closed from ``t_m`` to ``x`` (``d = x - t_m < h``) by
-Boole's rule on four panels of ``d/4``.  Its samples of ``g`` at
-``t_m + k d/4`` are read off the grid samples by a six-node Lagrange
-interpolant (:func:`_remainder_samples`), so a curve samples ``g`` exactly
-once; the interpolant's error is of order ``(h u)^6``.  The nested route
-takes the inner integral at those nodes from the degree-4 interpolant
-through them.  Boole's error is of order ``d^7``: on this grid the
-two-panel Simpson rule's ``d^5`` missed the closed forms by up to 3.1e-10
-relative for ``x`` in the first panel, where the rate is itself of order
-``x``.  An ``x`` on a node has ``d = 0`` and no tail, so
+The remainder rule: each ``x`` is read at the last node ``t_m <= x``, and
+both routes share one remainder from there, ``R = int_{t_m}^x (x - x') g(x')
+dx'`` (:func:`_remainder`): the nested route is ``O(t_m) + d I(t_m) + R``
+with ``O`` the outer integral and ``d = x - t_m < h``, the single-integral
+route ``x G0(t_m) - G1(t_m) + R``, so the two differ only in their on-grid
+sums.  ``R`` is taken exactly on the degree-5 Lagrange interpolant through
+six grid samples of ``g`` around ``t_m``: ``h^2`` times the samples against
+fixed polynomials in ``d/h`` (``_REMAINDER_COEFFS``).  A curve thus samples
+``g`` exactly once, and the remainder's error is the interpolant's, of
+order ``d^2 (h u)^6``; written in powers of ``d/h``, the weights do not
+cancel for ``x`` in the first panel, where the rate is itself of order
+``x``.  An ``x`` on a node has ``d = 0`` and no remainder, so
 :func:`gamma_numeric` and a one-point :func:`rate_curve` integrate on
-exactly the grid of ``x`` itself.
+exactly the grid of ``x`` itself.  The remainder is checked by the closed
+forms and, in the tests, for exactness on quintics at every stencil offset
+and against Gauss-Legendre quadrature of point-by-point samples of ``g``.
 
 Measured agreement (200 points on ``[0.01, 20]``, the named shapes, the
 Lorentzian at ``c = 0.7`` and the double peak at ``c = 0.3``, ``b = 2.5``,
@@ -64,6 +67,7 @@ running sums over 40961 nodes carry that much round-off.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,66 +165,69 @@ def _cumulative_gregory(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-#: nodes of the remainder interpolant, in steps from its first node; ``_OTHERS[i, k]`` is
-#: ``k != i``, and ``_STENCIL_SCALE[i]`` the denominator ``prod_{k != i} (i - k)`` of weight ``i``
-_STENCIL = np.arange(6)
-_OTHERS = ~np.eye(6, dtype=bool)[:, :, None, None]
-_STENCIL_SCALE = np.array([-120.0, 24.0, -12.0, 12.0, -24.0, 120.0])[:, None, None]
-#: the remainder's nodes ``t_m + k d/4``, k = 0..4, as fractions of ``d``
-_QUARTERS = np.linspace(0.0, 1.0, 5)[:, None]
-#: weights, in units of ``d/4``, of the integrals from ``t_m`` to ``t_m + k d/4`` (rows
-#: k = 1..4) of the degree-4 interpolant through the remainder's nodes; the last row is
-#: Boole's rule
-_TAIL = np.array([[251.0, 646.0, -264.0, 106.0, -19.0],
-                  [232.0, 992.0, 192.0, 32.0, -8.0],
-                  [243.0, 918.0, 648.0, 378.0, -27.0],
-                  [224.0, 1024.0, 384.0, 1024.0, 224.0]]) / 720.0
+def _remainder_table() -> np.ndarray:
+    """``[s, i, j]``: the ``delta^(j+2)`` coefficient of ``int_0^delta (delta - v) l_i(s + v) dv``.
+
+    ``l_i`` is the Lagrange basis on the nodes 0..5.  The numerator of
+    ``l_i(s + v)`` is the integer polynomial ``prod_{k != i} (v + s - k)``;
+    each coefficient is divided once by the integer ``prod_{k != i} (i - k)``
+    times ``(j + 1)(j + 2)``, so every entry is its exact rational value,
+    correctly rounded.
+    """
+    # (j + 1)(j + 2): int_0^delta (delta - v) v^j dv = delta^(j+2) / that
+    scale = np.arange(1.0, 7.0) * np.arange(2.0, 8.0)
+    table = np.empty((6, 6, 6))
+    for s in range(6):
+        for i in range(6):
+            others = [k for k in range(6) if k != i]
+            numerator = functools.reduce(np.convolve, ([s - k, 1.0] for k in others))
+            table[s, i] = numerator / (math.prod(i - k for k in others) * scale)
+    return table
 
 
-def _remainder_samples(grid, g, m, d):
-    """``g`` at the remainder's nodes ``t_m + k d/4``, k = 0..4, as a ``(5, points)`` array.
+#: ``int_{t_m}^{t_m + d} (t_m + d - t) g(t) dt`` over the interpolant through the nodes
+#: ``first..first + 5`` is ``h^2 sum_i g[first + i] sum_j _REMAINDER_COEFFS[m - first, i, j]
+#: (d/h)^(j+2)``
+_REMAINDER_COEFFS = _remainder_table()
+_NODES = np.arange(6)
 
-    Node 0 is the grid sample at ``t_m``; each ``x`` reads the others off the
-    Lagrange polynomial through the six grid samples from node ``m - 2``, a
-    stencil clamped to ``[0, n]`` (``_panel_count`` gives ``n >= 32``).  A
-    point on a node gets its sample.
+
+def _remainder(grid, g, m, d):
+    """``int_{t_m}^x (x - t) g(t) dt`` at every ``x = t_m + d``, ``t_m = grid[m]``, ``d < h``.
+
+    ``g`` between the nodes is the degree-5 Lagrange polynomial through the six
+    samples from node ``first = m - 2``, a stencil clamped to ``[0, n]``
+    (``_panel_count`` gives ``n >= 32``), and the integral is taken exactly
+    on it; its error is that of the interpolant, of order ``d^2 (h u)^6``.  A
+    point on a node has ``d = 0`` and no remainder.
     """
     first = np.clip(m - 2, 0, grid.size - 6)
-    steps = (grid[m] + d * _QUARTERS[1:] - grid[first]) / grid[1]
-    # weight i at each point: prod_{k != i} (steps - k) / prod_{k != i} (i - k)
-    factors = np.where(_OTHERS, steps - _STENCIL[:, None, None], 1.0)
-    weights = factors.prod(axis=1) / _STENCIL_SCALE
-    tail = np.sum(weights * g[first + _STENCIL[:, None]][:, None], axis=0)
-    return np.concatenate([g[m][None], tail])
+    h = grid[1]
+    powers = (d / h)[:, None] ** (_NODES + 2.0)
+    weights = np.einsum("pij,pj->pi", _REMAINDER_COEFFS[m - first], powers)
+    return h * h * np.sum(weights * g[first[:, None] + _NODES], axis=1)
 
 
-# The routes below hold the only reference to ``g`` and drop it as soon as
-# its last cumulative sum is taken: a curve then never holds more than three
-# node-length complex arrays.
+# The routes below take the cumulative sums to the last node ``t_m <= x``;
+# _numeric_rates adds the one remainder both routes share from there to ``x``.
 
 
 def _nested_integral(grid, g, m, x, d):
-    """``int_0^x dx' int_0^x' g`` by the cumulative rule on ``g``, then on ``I = int g``."""
-    h, tail = grid[1], _remainder_samples(grid, g, m, d)
+    """``int_0^{t_m} dx' int_0^x' g + d I(t_m)``, ``I = int g``, by the cumulative rule on
+    ``g``, then on ``I``."""
+    h = grid[1]
     inner = _cumulative_gregory(g, h)
-    del g
-    i_m = inner[m]
-    i_tail = np.concatenate([i_m[None], i_m + 0.25 * d * (_TAIL @ tail)])
-    return _cumulative_gregory(inner, h)[m] + 0.25 * d * (_TAIL[-1] @ i_tail)
+    return _cumulative_gregory(inner, h)[m] + d * inner[m]
 
 
 def _moment_integral(grid, g, m, x, d):
-    """``int_0^x (x - x') g(x') dx' = x G0(x) - G1(x)`` from the moments of ``g``."""
-    h, tail = grid[1], _remainder_samples(grid, g, m, d)
+    """``x G0(t_m) - G1(t_m)`` from the moments ``G0 = int g`` and ``G1 = int x' g``."""
+    h = grid[1]
     g0 = _cumulative_gregory(g, h)[m]
-    g = grid * g  # x' g(x'); drops g itself
-    g1 = _cumulative_gregory(g, h)[m]
-    m0 = g0 + 0.25 * d * (_TAIL[-1] @ tail)
-    m1 = g1 + 0.25 * d * (_TAIL[-1] @ ((grid[m] + d * _QUARTERS) * tail))
-    return x * m0 - m1
+    return x * g0 - _cumulative_gregory(grid * g, h)[m]
 
 
-#: numeric route -> ``int_0^x (x - x') g(x') dx'`` at every ``x`` from one grid
+#: numeric route -> ``int_0^{t_m} (x - x') g(x') dx'`` at every ``x`` from one grid
 _ROUTES = {
     RateSource.DOUBLE_INTEGRAL: _nested_integral,
     RateSource.KK_INTEGRAL: _moment_integral,
@@ -231,9 +238,9 @@ def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource) -> np.ndarray:
     """``gamma`` at every ``x`` of ``xs`` from one sampling of ``g``.
 
     ``g`` is sampled once on the uniform grid of ``_panel_count(X, c, support, b)``
-    panels over ``[0, X]``, ``X = max(xs)``, and each rate is read off
-    cumulative sums of those samples at the last node ``t_m <= x``, closed
-    to ``x`` by the four-panel remainder rule of the module docstring.
+    panels over ``[0, X]``, ``X = max(xs)``, and each rate is read off the
+    route's cumulative sums of those samples at the last node ``t_m <= x``
+    plus the remainder both routes share, :func:`_remainder`, from ``t_m`` to ``x``.
     Negative, infinite and NaN entries raise ``ValueError`` before anything
     is sampled; ``x = 0`` gives exactly ``0j``.
     """
@@ -251,7 +258,9 @@ def _numeric_rates(kernel: MemoryKernel, xs, source: RateSource) -> np.ndarray:
     n = _panel_count(x_max, density.c, kernel.compact_support, density.split)
     grid = np.linspace(0.0, x_max, n + 1)
     m = np.searchsorted(grid, x, side="right") - 1
-    out[positive] = 2j / x * route(grid, uniform_kernel_g(kernel, x_max, n), m, x, x - grid[m])
+    d = x - grid[m]
+    g = uniform_kernel_g(kernel, x_max, n)
+    out[positive] = 2j / x * (route(grid, g, m, x, d) + _remainder(grid, g, m, d))
     return out
 
 
@@ -301,7 +310,7 @@ def gamma_lorentzian(x, c: float = 0.0, gamma: float = 1.0):
     # past |c x| = 1e300 the phase of e^{-z} is round-off, and its term below 1e-300
     z = lambda x: x - 1j * (c * clip_phase(x, c))
     return _closed_form(x, gamma, _LORENTZIAN_SERIES,
-                        lambda x: gamma / kappa * (1.0 - (1.0 - np.exp(-z(x))) / z(x)), kappa)
+                        lambda x: gamma / kappa * (1.0 + np.expm1(-z(x)) / z(x)), kappa)
 
 
 def gamma_gaussian(x, gamma: float = 1.0):

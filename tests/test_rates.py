@@ -1,6 +1,7 @@
 """Effective decay rates: closed forms, quadrature routes, and their equalities."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -126,6 +127,16 @@ class TestClosedForms:
         got = CLOSED_FORMS[shape](xs, **kw)
         ref = np.array([reference_rate(shape, x, c) for x in xs])
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-11
+
+    @pytest.mark.parametrize("shape, c", [(Shape.LORENTZIAN, 0.0), (Shape.LORENTZIAN, 0.7),
+                                          (Shape.DOUBLE_LORENTZIAN, 0.0)])
+    def test_just_above_the_series_switch(self, shape, c):
+        # 1 - e^{-z} in plain arithmetic missed by 1.1e-12 at x = 0.01, c = 0 (1.4e-12 at
+        # c = 0.7); -expm1(-z) leaves the cancellation of 1 against (1 - e^{-z})/z
+        kw = {"c": c} if shape is Shape.LORENTZIAN else {}
+        for x in (0.01, 0.02, 0.05):
+            ref = reference_rate(shape, x, c)
+            assert abs(CLOSED_FORMS[shape](x, **kw) - ref) <= 5e-14 * abs(ref)
 
     def test_lorentzian_stays_finite_for_any_finite_detuning(self):
         # kappa^2 overflowed: gamma_lorentzian(1.0, c=1e160) was nan+nanj
@@ -486,15 +497,69 @@ def wide_lorentzian_table_kernel():
     return MemoryKernel(SpectralDensity.tabulated(1.0, 1.0, np.column_stack([w, 1 / (1 + w * w)])))
 
 
-@pytest.mark.parametrize("kernel, first_bound, bound", [
+def lagrange_basis(i, shift):
+    """Coefficients, lowest first, of ``l_i(shift + v)`` in ``v`` as fractions: the Lagrange
+    basis polynomial on the nodes 0..5 that is one at node ``i``."""
+    coeffs = [Fraction(1)]
+    for k in range(6):
+        if k != i:
+            # times (v + shift - k) / (i - k)
+            root = Fraction(shift - k)
+            coeffs = [(a * root + b) / (i - k) for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+class TestExactWeights:
+    """The start-up and remainder weights are the correctly rounded exact integrals."""
+
+    def test_start_weights(self):
+        # row m - 1, column i: int_0^m l_i(v) dv
+        exact = [[float(sum(a * m ** (j + 1) / (j + 1) for j, a in enumerate(lagrange_basis(i, 0))))
+                  for i in range(6)] for m in range(1, 5)]
+        np.testing.assert_array_equal(rates._START, exact)
+
+    def test_remainder_coefficients(self):
+        # [s, i, j]: int_0^delta (delta - v) v^j dv = delta^(j+2) / ((j+1)(j+2))
+        exact = [[[float(a / ((j + 1) * (j + 2))) for j, a in enumerate(lagrange_basis(i, s))]
+                  for i in range(6)] for s in range(6)]
+        np.testing.assert_array_equal(rates._REMAINDER_COEFFS, exact)
+
+
+#: remainder points on a 32-panel grid: the last node ``m`` below each and ``d`` in units of
+#: ``h``; ``m = 0, 1`` and ``n - 2 .. n`` take the clamped stencil offsets 0, 1 and 3-5
+TAIL_NODES = np.array([0, 1, 16, 30, 31, 32])
+TAIL_STEPS = np.array([3.0, 11.0, 7.0, 13.0, 1.0, 15.0]) / 16.0
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_remainder_is_exact_on_quintics(degree):
+    grid = np.linspace(0.0, 4.0, 33)
+    h = grid[1]
+    d = TAIL_STEPS * h
+    first = np.clip(TAIL_NODES - 2, 0, grid.size - 6)
+    assert list(TAIL_NODES - first) == list(range(6))
+    g = grid ** degree + 0j
+    got = rates._remainder(grid, g, TAIL_NODES, d)
+    # int_a^x (x - t) t^k dt in exact arithmetic; every grid point, d and x is a binary fraction.
+    # Round-off scales with the stencil's samples: in the first panel the quintic's remainder
+    # is 4e-9 of d^2/2 times the largest of them, and the six terms cancel to it
+    k = degree
+    for value, a, step, start in zip(got, grid[TAIL_NODES], d, first):
+        a, x = Fraction(a), Fraction(a) + Fraction(step)
+        exact = (x ** (k + 2) / ((k + 1) * (k + 2)) - x * a ** (k + 1) / (k + 1)
+                 + a ** (k + 2) / (k + 2))
+        scale = 0.5 * step * step * np.max(np.abs(g[start:start + 6]))
+        assert abs(value - float(exact)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("kernel, bound", [
     (MemoryKernel(SpectralDensity.rectangular(1.0, 1.0, c=0.3), mode=KernelMode.QUADRATURE),
-     1e-15, 1e-15),
-    (tabulated_gaussian_kernel(801, c=4.0), 1e-15, 1e-15),
-    # the table's cusp-like g near x = 0 is where the one-sided stencil of the first panel is
-    # least accurate: 4.7e-11 Gamma there, against 5.6e-14 further out
-    (wide_lorentzian_table_kernel(), 1e-10, 2e-13),
+     1e-15),
+    (tabulated_gaussian_kernel(801, c=4.0), 1e-15),
+    # the largest deviation, 2.2e-16 Gamma, is in the first panel of this table's cusp-like g
+    (wide_lorentzian_table_kernel(), 2e-15),
 ], ids=["rectangular-c0.3", "tabulated-c4", "wide-table"])
-def test_remainder_samples_match_exact_samples(kernel, first_bound, bound):
+def test_remainder_matches_gauss_legendre(kernel, bound):
     x_max = 6.0
     n = rates._panel_count(x_max, kernel.density.c, kernel.compact_support)
     grid = np.linspace(0.0, x_max, n + 1)
@@ -504,11 +569,13 @@ def test_remainder_samples_match_exact_samples(kernel, first_bound, bound):
     m = np.searchsorted(grid, x, side="right") - 1
     assert list(m) == [0, 1, n // 2, n - 2, n - 1]
     d = x - grid[m]
-    tail = rates._remainder_samples(grid, uniform_kernel_g(kernel, x_max, n), m, d)
-    exact = scaled_kernel_g(kernel, grid[m] + d * np.linspace(0.0, 1.0, 5)[:, None])
-    dev = np.abs(tail - exact)
-    assert np.max(dev[:, :2]) <= first_bound * kernel.density.gamma
-    assert np.max(dev[:, 2:]) <= bound * kernel.density.gamma
+    got = rates._remainder(grid, uniform_kernel_g(kernel, x_max, n), m, d)
+    # 8-point Gauss-Legendre on [t_m, x] of (x - t) g(t), g sampled point by point
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    t = grid[m] + 0.5 * d * (1.0 + nodes[:, None])
+    exact = 0.5 * d * np.sum(weights[:, None] * (x - t) * scaled_kernel_g(kernel, t), axis=0)
+    # the interpolant's error in g, integrated against x - t: at most d^2/2 times its largest
+    assert np.max(np.abs(got - exact) / (0.5 * d * d)) <= bound * kernel.density.gamma
 
 
 class TestGammaEff:

@@ -343,7 +343,7 @@ class TestCompactBatches:
 
     @pytest.mark.parametrize("profile", ["rectangular", "tabulated"])
     def test_small_batches_take_the_per_point_sum(self, profile):
-        # the three remainder samples of a one-point rate, for instance, and a small uniform grid
+        # a few scattered points and a small uniform grid
         kernel = compact_kernel(profile, 0.3)
         for xs in (np.array([0.4, 3.0, 17.5]), np.linspace(0.0, 2.0, 3)):
             np.testing.assert_array_equal(scaled_kernel_g(kernel, xs), per_point_sums(kernel, xs))

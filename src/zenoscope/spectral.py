@@ -45,19 +45,22 @@ are handled by numerical Fourier quadrature, by one method per support type:
   double-Lorentzian as ``2 cos(b x)`` times the Lorentzian's sum.  The sums
   at steps ``h`` and ``h/2`` give an error estimate for each ``x``; only
   the points that miss ``DE_TOL`` are refined, and a point that does not
-  converge raises ``ValueError``.
+  converge raises ``ValueError``.  The rules of each step are built once
+  and kept, read-only: at most ``DE_HALVINGS + 1`` steps, 1.3 MB in all.
 
 Measured on a 2-CPU KVM guest (one BLAS thread), for 200 points on
 ``[0, 20]``: 0.6-1.0 ms for the rectangle on ``np.linspace(0, 20, 200)``
 with a new chirp-z plan and 0.3-0.5 ms with a cached one, against
-60-120 ms for the point-by-point sums, and 2-8 ms for an
-infinite-support profile against 140-540 ms for QUADPACK.  The chirp-z
-transform meets the point-by-point Simpson sums to 1e-15 ``Gamma``; the
-double-exponential sums meet the closed-form kernels to 2e-15 ``Gamma``
-for ``x`` in ``{0} U [1e-300, 50]`` (``b = 1.4`` for the double peak).
-QUADPACK (``_quad_g``) stays in the module as the reference path of the
-tests, and the per-point sums (``_simpson_g``) as theirs and as the path
-of arbitrary ``x``.
+60-120 ms for the point-by-point sums, and 0.5-1.0 ms for an
+infinite-support profile (Lorentzian 0.5-0.7 ms, Gaussian 0.8-1.0 ms)
+against 140-540 ms for QUADPACK.  The chirp-z transform meets the
+point-by-point Simpson sums to 1e-15 ``Gamma``; the double-exponential
+sums meet the closed-form kernels to 2e-15 ``Gamma`` for ``x`` in
+``{0} U [1e-300, 50]`` (``b = 1.4`` for the double peak).  The per-point
+sums (``_simpson_g``) stay in the module as the reference path of the
+tests and as the path of arbitrary ``x``; the QUADPACK reference of the
+double-exponential sums lives in the tests, so the package never imports
+``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -457,21 +460,11 @@ def _simpson_g(kernel: MemoryKernel, x: float) -> complex:
     return complex(-1j * density.d0 * integral)
 
 
-def _quad_g(kernel: MemoryKernel, x: float) -> complex:
-    """``g(x)`` of an infinite-support kernel by adaptive QUADPACK quadrature at one ``x``.
-
-    ``2 int_0^inf d_tilde(w) cos(w x) dw`` over the positive half-axis (every
-    such profile is even); the reference for the double-exponential rule.
-    """
-    # imported here: only the tests call the oracle, and scipy.integrate is slow to import
-    from scipy.integrate import quad
-    density = kernel.density
-    f = lambda w: float(_profile(density, w))
-    if x == 0.0:
-        val, _ = quad(f, 0.0, np.inf, limit=200)
-    else:
-        val, _ = quad(f, 0.0, np.inf, weight="cos", wvar=x, limlst=200, limit=200)
-    return complex(-1j * density.d0 * 2.0 * val * np.exp(1j * density.c * x))
+def _read_only(*arrays):
+    """``arrays`` as a tuple, each made read-only, so that a cached plan or rule stays as built."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 #: a chirp-z plan: the chirp ``exp(-i theta k^2/2)``, the FFT of its conjugate and their length
@@ -486,10 +479,7 @@ def _chirp_z_plan(n: int, m: int, theta: float) -> _ChirpZPlan:
     filt = np.zeros(size, dtype=complex)
     filt[:m] = chirp[:m].conj()
     filt[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    filt = fft.fft(filt)
-    chirp.flags.writeable = False
-    filt.flags.writeable = False
-    return _ChirpZPlan(chirp, filt, size)
+    return _ChirpZPlan(*_read_only(chirp, fft.fft(filt)), size)
 
 
 #: longest convolution whose chirp-z plan is cached: a chirp and a filter of
@@ -549,9 +539,9 @@ def _compact_g(kernel: MemoryKernel, xs: np.ndarray) -> np.ndarray:
 # I(x) = int_0^inf d_tilde(w) cos(w x) dw, with g(x) = -2i D0 I(x) exp(i c x).
 
 #: first step of the double-exponential rules; each refinement halves it
-DE_STEP = 0.025
-#: refinements before an unconverged ``x`` is rejected
-DE_HALVINGS = 6
+DE_STEP = 0.05
+#: refinements before an unconverged ``x`` is rejected: the finest step is ``0.025/64``
+DE_HALVINGS = 7
 #: a sum is accepted once it differs from the sum at twice its step by at most
 #: ``DE_TOL I(0)``; the error of a DE sum roughly squares when its step halves
 DE_TOL = 1e-13
@@ -559,33 +549,34 @@ DE_TOL = 1e-13
 DE_K = 6.0
 #: below this ``x``, ``I(x) = I(0)`` to round-off: ``|I(x) - I(0)| <= pi x``
 DE_FLAT_X = 1e-16
+#: largest ``|t|`` of the Ooura-Mori rule (see :func:`_fourier_rule`)
+DE_REACH = 3.5
 #: largest temporary ``(points x nodes)`` float array of a DE sum, in bytes: one
 #: that stays in cache, which also keeps the sums' peak memory small
 DE_CHUNK_BYTES = 2 ** 17
 
 
+@functools.lru_cache(maxsize=DE_HALVINGS + 1)
 def _exp_sinh_rule(h: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes ``w_n`` and weights of the exp-sinh rule ``w = exp(pi/2 sinh t)`` on ``(0, inf)``.
 
     ``|t| <= 4.5`` spans ``w`` from ``e^-71`` to ``e^71``, beyond which the
-    terms of the three profiles are below ``1e-30`` of their sum.
+    terms of the three profiles are below ``1e-30`` of their sum.  Built once
+    per step and kept, read-only, like :func:`_fourier_rule`.
     """
     t = h * np.arange(-math.ceil(4.5 / h), math.ceil(4.5 / h) + 1)
     w = np.exp(0.5 * math.pi * np.sinh(t))
-    return w, h * 0.5 * math.pi * np.cosh(t) * w
+    return _read_only(w, h * 0.5 * math.pi * np.cosh(t) * w)
 
 
-def _fourier_rule(h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ooura-Mori nodes ``A_n`` and weights ``B_n``: ``I(x) ~ sum_n f(A_n/x) B_n / x``.
+def _ooura_mori(n: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ooura-Mori nodes ``A_n`` and weights ``B_n`` at ``t_n = (n - 1/2) h``.
 
-    ``w = M phi(t)/x`` with ``M h = pi`` and ``t_n = (n - 1/2) h``, where
+    ``w = M phi(t)/x`` with ``M h = pi``, where
     ``cos(M phi(t_n)) = (-1)^n sin(M t_n e/(1 - e))``, ``e = exp(-K sinh t_n)``,
-    vanishes double-exponentially for large ``t_n``.  Past ``|t| = 5.5``,
-    ``K sinh t > 734`` and every weight underflows to zero; nodes whose
-    weight is zero are dropped.
+    vanishes double-exponentially for large ``t_n``.
     """
     big_m = math.pi / h
-    n = np.arange(math.floor(-5.5 / h), math.ceil(5.5 / h) + 1)
     t = (n - 0.5) * h
     s, c = DE_K * np.sinh(t), DE_K * np.cosh(t)
     phi, slope, cosine = np.empty_like(t), np.empty_like(t), np.empty_like(t)
@@ -600,9 +591,35 @@ def _fourier_rule(h: float) -> tuple[np.ndarray, np.ndarray]:
     phi[~left] = tr / one_e
     slope[~left] = (one_e - tr * c[~left] * e) / one_e ** 2
     cosine[~left] = np.where(n[~left] % 2, -1.0, 1.0) * np.sin(big_m * tr * e / one_e)
-    weight = math.pi * slope * cosine
-    keep = weight != 0.0
-    return big_m * phi[keep], weight[keep]
+    return big_m * phi, math.pi * slope * cosine
+
+
+@functools.lru_cache(maxsize=DE_HALVINGS + 1)
+def _fourier_rule(h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Ooura-Mori rule of step ``h`` on ``|t| <= DE_REACH``: ``I(x) ~ sum f(A_n/x) B_n/x``.
+
+    Past ``|t| = 3.5``, ``K sinh |t| > 99``, so ``q`` and ``e`` are below ``1e-43``:
+
+    * left, the smallest node ``A = M |t| q`` is below ``3e-39`` at the
+      finest step (``M = 8042``).  The sum leaves out about
+      ``int_0^{A/x} f = f(0) A/x``: at most ``3e-23 f(0)`` at
+      ``x = DE_FLAT_X``, 1e-10 of ``DE_TOL I(0)`` (``I(0) >= 1.25 f(0)``
+      for the Lorentzian and the Gaussian, the profiles :func:`_fourier_g`
+      sums);
+    * right, every weight left out, about ``pi M t e``, is below ``1e-38``.
+      Since ``w f(w) <= 1`` for both profiles, ``f(A/x)/x <= 1/A``, so
+      every term left out is below ``1e-42``, and doubly exponentially
+      smaller the further out.
+
+    ``A/DE_FLAT_X <= DE_TOL`` alone needs ``K sinh |t| >= 77``, from
+    ``|t| = 3.25`` on: at ``|t| = 3.0`` the Gaussian and the Lorentzian do
+    not converge at ``x <= 1e-11``.  The margin past 3.25 keeps the sums
+    within round-off of the rule out to ``|t| = 5.5``, where every weight
+    underflows, with 36% fewer nodes.  Built once per step and kept,
+    read-only, so a sampling builds no rule at a step sampled before.
+    """
+    n = np.arange(math.floor(-DE_REACH / h), math.ceil(DE_REACH / h) + 1)
+    return _read_only(*_ooura_mori(n, h))
 
 
 def _de_sums(density: SpectralDensity, xs: np.ndarray, nodes, weights) -> np.ndarray:

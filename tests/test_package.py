@@ -124,7 +124,8 @@ def test_one_stepper_and_one_single_integral_route():
 @pytest.mark.parametrize("module", ["zenoscope", "zenoscope.cli"])
 def test_import_leaves_scipy_integrate_unloaded(module):
     # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg, about 0.3 s and
-    # 25 MB of every process; only the QUADPACK test oracle spectral._quad_g needs it
+    # 25 MB of every process; only the tests' QUADPACK oracle of the double-exponential
+    # sums needs it, and it lives in tests/test_spectral.py
     code = f"import sys, {module}; print('scipy.integrate' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
 import zenoscope
 from zenoscope import spectral
@@ -481,6 +483,34 @@ def infinite_kernels(shape, c=0.45):
     return MemoryKernel(density, mode=KernelMode.QUADRATURE), MemoryKernel(density)
 
 
+def quad_g(kernel, x):
+    """``g(x)`` of an infinite-support kernel by adaptive QUADPACK quadrature at one ``x``.
+
+    ``2 int_0^inf d_tilde(w) cos(w x) dw`` over the positive half-axis (every
+    such profile is even); the reference for the double-exponential rule.
+    """
+    density = kernel.density
+    f = lambda w: float(spectral._profile(density, w))
+    if x == 0.0:
+        val, _ = quad(f, 0.0, np.inf, limit=200)
+    else:
+        val, _ = quad(f, 0.0, np.inf, weight="cos", wvar=x, limlst=200, limit=200)
+    return complex(-1j * density.d0 * 2.0 * val * np.exp(1j * density.c * x))
+
+
+def untrimmed_fourier_rule(h):
+    """The Ooura-Mori rule of step ``h`` out to ``|t| = 5.5``, where every weight underflows."""
+    n = np.arange(math.floor(-5.5 / h), math.ceil(5.5 / h) + 1)
+    nodes, weights = spectral._ooura_mori(n, h)
+    keep = weights != 0.0
+    return nodes[keep], weights[keep]
+
+
+#: ``I(0) = int_0^inf d_tilde`` of each infinite-support profile
+I_ZERO = {Shape.LORENTZIAN: math.pi / 2, Shape.GAUSSIAN: math.sqrt(math.pi / 2),
+          Shape.DOUBLE_LORENTZIAN: math.pi}
+
+
 class TestDoubleExponential:
     """Ooura-Mori sums of the infinite-support profiles against closed forms and QUADPACK."""
 
@@ -502,7 +532,7 @@ class TestDoubleExponential:
         xs = np.concatenate([[0.0], np.geomspace(1e-2, 50.0, 15)])
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
-            oracle = np.array([spectral._quad_g(quadrature, x) for x in xs])
+            oracle = np.array([quad_g(quadrature, x) for x in xs])
         assert np.max(np.abs(scaled_kernel_g(quadrature, xs) - oracle)) <= 5e-11 * GAMMA
 
     @pytest.mark.parametrize("shape", INFINITE, ids=lambda s: s.value)
@@ -517,8 +547,8 @@ class TestDoubleExponential:
         assert scaled_kernel_g(quadrature, xs.reshape(3, 3)).shape == (3, 3)
 
     def test_unconverged_points_are_rejected(self, monkeypatch):
-        # the Gaussian at x = 1e-6 takes three halvings; allowed two, it is rejected
-        monkeypatch.setattr(spectral, "DE_HALVINGS", 2)
+        # the Gaussian at x = 1e-6 takes four halvings; allowed three, it is rejected
+        monkeypatch.setattr(spectral, "DE_HALVINGS", 3)
         kernel = MemoryKernel(named_density(Shape.GAUSSIAN), mode=KernelMode.QUADRATURE)
         scaled_kernel_g(kernel, [2.0, 1e-3])
         with pytest.raises(ValueError, match="did not converge at x = 1e-06"):
@@ -532,6 +562,77 @@ class TestDoubleExponential:
         quadrature = scaled_kernel_g(MemoryKernel(density, mode=KernelMode.QUADRATURE), xs)
         analytic = scaled_kernel_g(MemoryKernel(density), xs)
         assert np.max(np.abs(quadrature - analytic)) <= 1e-13 * GAMMA
+
+    @given(st.sampled_from(INFINITE), st.floats(-40.0, 40.0), st.floats(0.1, 300.0),
+           st.lists(st.floats(-300.0, math.log10(50.0)), min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_against_analytic_kernel(self, shape, c, b, exponents):
+        density = named_density(shape, c=c, b=b)
+        xs = 10.0 ** np.array(exponents)
+        quadrature = scaled_kernel_g(MemoryKernel(density, mode=KernelMode.QUADRATURE), xs)
+        analytic = scaled_kernel_g(MemoryKernel(density), xs)
+        assert np.max(np.abs(quadrature - analytic)) <= 1e-13 * GAMMA
+
+    def test_finest_step(self):
+        assert spectral.DE_STEP / 2 ** spectral.DE_HALVINGS == 0.025 / 64
+
+    @pytest.mark.parametrize("shape", INFINITE, ids=lambda s: s.value)
+    def test_trimmed_rule_matches_untrimmed(self, shape):
+        # the sums of the rule cut at |t| = DE_REACH against those of the rule out to 5.5,
+        # at every step the refinement can reach
+        density = named_density(shape, c=0.45, b=1.4)
+        xs = np.geomspace(1e-16, 50.0, 40)
+        for level in range(spectral.DE_HALVINGS + 1):
+            h = spectral.DE_STEP / 2 ** level
+            trimmed = spectral._de_sums(density, xs, *spectral._fourier_rule(h))
+            untrimmed = spectral._de_sums(density, xs, *untrimmed_fourier_rule(h))
+            assert np.max(np.abs(trimmed - untrimmed)) <= 1e-15 * I_ZERO[shape], h
+
+
+def rule_caches():
+    return spectral._fourier_rule, spectral._exp_sinh_rule
+
+
+class TestRuleCache:
+    """Each step's double-exponential rules are built once, kept read-only, and change no bit."""
+
+    @pytest.fixture(autouse=True)
+    def cold_rules(self):
+        for cache in rule_caches():
+            cache.cache_clear()
+        yield
+        for cache in rule_caches():
+            cache.cache_clear()
+
+    @pytest.mark.parametrize("shape", INFINITE, ids=lambda s: s.value)
+    def test_warm_rules_give_the_cold_bits(self, shape):
+        quadrature, _ = infinite_kernels(shape, c=-0.7)
+        xs = np.concatenate([[0.0, 1e-17], np.geomspace(1e-12, 50.0, 60)])
+        cold = scaled_kernel_g(quadrature, xs)
+        np.testing.assert_array_equal(scaled_kernel_g(quadrature, xs), cold)
+
+    def test_second_sampling_builds_no_rule(self):
+        quadrature, _ = infinite_kernels(Shape.GAUSSIAN)
+        xs = np.linspace(0.0, 20.0, 200)
+        scaled_kernel_g(quadrature, xs)
+        built = [cache.cache_info().misses for cache in rule_caches()]
+        assert min(built) >= 1
+        scaled_kernel_g(quadrature, xs)
+        assert [cache.cache_info().misses for cache in rule_caches()] == built
+        assert all(cache.cache_info().hits >= 1 for cache in rule_caches())
+
+    def test_every_step_is_kept(self):
+        for level in range(spectral.DE_HALVINGS + 1):
+            for cache in rule_caches():
+                cache(spectral.DE_STEP / 2 ** level)
+        for cache in rule_caches():
+            assert cache.cache_info().currsize == spectral.DE_HALVINGS + 1
+
+    @pytest.mark.parametrize("rule", rule_caches(), ids=lambda rule: rule.__name__)
+    def test_cached_rules_are_read_only(self, rule):
+        for array in rule(spectral.DE_STEP):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 #: every kernel but the compact-support quadrature one, which rejects x past its alias bound

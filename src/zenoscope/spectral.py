@@ -34,10 +34,13 @@ are handled by numerical Fourier quadrature, by one method per support type:
   IEEE Trans. Audio Electroacoust. 17, 1969) in Bluestein's FFT form
   (Bluestein, IEEE Trans. Audio Electroacoust. 18, 1970).
   :func:`scaled_kernel_g` takes that one transform for an ``x`` array of
-  more than three points that is exactly ``np.linspace(0, x_max, points)``,
-  with a step fine enough for the profile's width, and the point-by-point
-  sums for every other array.  The rate integrals and the Volterra solver
-  sample ``g`` on their own uniform grids, through :func:`uniform_kernel_g`.
+  more than ``MAX_PER_POINT_SUMS = 3`` points that is exactly
+  ``np.linspace(0, x_max, points)``, with a step fine enough for the
+  profile's width, and the point-by-point sums for every other array.  The
+  rate integrals and the Volterra solver sample ``g`` on their own uniform
+  grids, through :func:`uniform_kernel_g`; a rate at a few points instead
+  integrates each term of the sum twice in time in closed form, from the
+  samples of :func:`simpson_samples`.
 * Infinite support (Lorentzian, Gaussian, double-Lorentzian; all even):
   ``2 int_0^inf d_tilde(w) cos(w x) dw`` by the double-exponential rule for
   Fourier integrals of Ooura & Mori (J. Comput. Appl. Math. 112, 1999), as
@@ -509,18 +512,22 @@ def _chirp_z(a: np.ndarray, m: int, theta: float) -> np.ndarray:
     return chirp[:m] * conv[:m]
 
 
+#: most points of a uniform batch from 0 that :func:`_compact_g` takes by the per-point
+#: Simpson sums rather than one chirp-z transform.  On the rectangle (2-CPU KVM guest, one
+#: BLAS thread) three sums cost 0.52-0.63 ms and four 0.83 ms, against 0.67-0.69 ms for the
+#: transform with a cold plan and 0.31-0.33 ms with a warm one (see :func:`_chirp_z`): the
+#: sums beat a cold plan up to three points, and three-point batches keep their bits
+MAX_PER_POINT_SUMS = 3
+
+
 def _compact_g(kernel: MemoryKernel, xs: np.ndarray) -> np.ndarray:
     """``g`` at every ``x`` of the 1-D ``xs`` from the Simpson sum of a compact-support kernel.
 
-    A batch of more than three points that is exactly
+    A batch of more than ``MAX_PER_POINT_SUMS`` points that is exactly
     ``np.linspace(0, x_max, points)``, with a step ``x_max/(points - 1)`` of
     at most ``1/(hi - lo)``, is the grid of :func:`uniform_kernel_g` and
     takes its one transform.  Every other batch takes :func:`_simpson_g` at
-    each point.  On the rectangle (2-CPU KVM guest, one BLAS thread), three
-    such sums cost 0.52-0.63 ms and four 0.83 ms, against 0.67-0.69 ms for
-    the transform with a cold plan and 0.31-0.33 ms with a warm one (see
-    :func:`_chirp_z`).  The cut stays at three points, where the sums beat a
-    cold plan, and three-point batches keep the per-point sums' bits.
+    each point.
     """
     if not xs.size:
         return np.empty(0, dtype=complex)
@@ -529,7 +536,7 @@ def _compact_g(kernel: MemoryKernel, xs: np.ndarray) -> np.ndarray:
     lo, hi = kernel.compact_support
     # past that step the chirp phases h dx k^2/2 grow, and a [-8, 8] table on 200 points to
     # x = 20 read 2.2e-15 Gamma against the per-point sums
-    if (xs.size > 3 and xs[0] == 0.0 and 0.0 < (hi - lo) * x_max <= xs.size - 1
+    if (xs.size > MAX_PER_POINT_SUMS and xs[0] == 0.0 and 0.0 < (hi - lo) * x_max <= xs.size - 1
             and np.array_equal(xs, np.linspace(0.0, x_max, xs.size))):
         return uniform_kernel_g(kernel, x_max, xs.size - 1)
     return np.array([_simpson_g(kernel, x) for x in xs.tolist()], dtype=complex)
@@ -723,11 +730,23 @@ def uniform_kernel_g(kernel: MemoryKernel, x_max: float, n: int) -> np.ndarray:
     support = kernel.compact_support
     if support is None:
         return scaled_kernel_g(kernel, xs)
-    _check_resolved(kernel, x_max, "x_max")
     density = kernel.density
-    nodes, h, weights = _simpson_rule(*support)
-    sums = _chirp_z(weights * _profile(density, nodes), n + 1, h * (x_max / n))
+    _, h, samples = simpson_samples(kernel, x_max)
+    sums = _chirp_z(samples, n + 1, h * (x_max / n))
     return -1j * density.d0 * (h / 3.0) * np.exp(-1j * (support[0] - density.c) * xs) * sums
+
+
+def simpson_samples(kernel: MemoryKernel, x_max: float):
+    """Nodes ``w_k``, panel width ``h`` and samples ``a_k`` of the Simpson sum of a compact kernel.
+
+    ``a_k`` is the profile ``d_tilde(w_k)`` times the 1-4-2-...-4-1 weight, so
+    ``g(x) = -i D0 (h/3) sum_k a_k exp(-i (w_k - c) x)`` at every ``x`` up to
+    ``x_max``: the samples :func:`uniform_kernel_g` transforms.  ``ValueError``
+    if ``x_max`` is past ``pi/(2h)``, the largest ``x`` the sum resolves.
+    """
+    _check_resolved(kernel, x_max, "x_max")
+    nodes, h, weights = _simpson_rule(*kernel.compact_support)
+    return nodes, h, weights * _profile(kernel.density, nodes)
 
 
 def kernel_value(kernel: MemoryKernel, u):

@@ -6,6 +6,9 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_spectral import counted_transforms
 
 from zenoscope import (
     KernelMode,
@@ -412,6 +415,101 @@ class TestSinglePass:
         kernel = tabulated_gaussian_kernel()
         rate_curve(kernel, grid, source)
         assert calls == [(20.0, rates._panel_count(20.0, 0.0, kernel.compact_support))]
+
+
+@st.composite
+def compact_kernels(draw):
+    """The quadrature rectangle or a random table, uniform or not, at ``|c| <= 3``."""
+    c = draw(st.floats(-3.0, 3.0))
+    layout = draw(st.sampled_from(["rectangle", "uniform", "non-uniform"]))
+    if layout == "rectangle":
+        return MemoryKernel(SpectralDensity.rectangular(1.0, 1.0, c=c),
+                            mode=KernelMode.QUADRATURE)
+    rows = draw(st.integers(2, 400))
+    lo, width = draw(st.floats(-8.0, 1.0)), draw(st.floats(0.05, 16.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gaps = np.ones(rows - 1) if layout == "uniform" else rng.uniform(0.05, 1.0, rows - 1)
+    w = lo + width * np.concatenate([[0.0], np.cumsum(gaps)]) / gaps.sum()
+    table = np.column_stack([w, rng.uniform(0.0, 1.0, rows)])
+    return MemoryKernel(SpectralDensity.tabulated(1.0, 1.0, table, c=c))
+
+
+def largest_x(kernel):
+    """The largest ``x`` both the panel cap and the Simpson sum's alias bound admit."""
+    lo, hi = kernel.compact_support
+    c = kernel.density.c
+    bandwidth = max(1.0, abs(c), abs(lo - c), abs(hi - c))
+    return min(rates.MAX_PANELS / (rates.PANELS_PER_UNIT * bandwidth),
+               math.pi * spectral.N_PANELS / (2.0 * (hi - lo)))
+
+
+def phi_reference(z):
+    """``phi(z) = (1 - iz - e^{-iz})/z^2`` in 40-digit arithmetic, part by part."""
+    with mp.workdps(40):
+        z = mp.mpf(z)
+        return 2 * mp.sin(z / 2) ** 2 / z ** 2, (mp.sin(z) - z) / z ** 2
+
+
+class TestPerXRates:
+    """A few double-integral rates of a compact quadrature kernel, both time integrals exact."""
+
+    @given(compact_kernels(), st.lists(st.floats(math.log(1e-6), 0.0), min_size=1,
+                                       max_size=rates.MAX_PER_X_RATES, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_fuzzed_against_the_grid(self, kernel, logs):
+        # log-uniform x over six decades up to 1/16 of what the panel cap and the alias bound
+        # admit, so that a reference takes at most 2^16 panels; each x is a point of a grid
+        # curve longer than the cut, which samples g on the bandwidth grid
+        xs = np.unique(largest_x(kernel) / 16.0 * np.exp(logs))
+        per_x = rate_curve(kernel, xs, RateSource.DOUBLE_INTEGRAL).values
+        grid = np.union1d(xs, np.linspace(xs[-1] / 8.0, xs[-1], rates.MAX_PER_X_RATES + 1))
+        for source in NUMERIC:
+            curve = rate_curve(kernel, grid, source).values
+            np.testing.assert_allclose(per_x, curve[np.isin(grid, xs)], rtol=1e-11, atol=0)
+
+    def test_phi_meets_mpmath(self):
+        # |z| log-uniform from 1e-8 to 1e3 on both sides of the series switch, and the
+        # switch itself; measured at most 3 ulps in either part
+        rng = np.random.default_rng(17)
+        size = np.exp(rng.uniform(math.log(1e-8), math.log(1e3), 1500))
+        edge = [rates.PHI_SERIES, np.nextafter(rates.PHI_SERIES, 0.0)]
+        z = np.sort(np.concatenate([size, edge, -size, np.negative(edge)]))
+        assert np.any(np.abs(z) < rates.PHI_SERIES) and np.any(np.abs(z) >= rates.PHI_SERIES)
+        got = rates._phi(z)
+        reference = np.array([[float(part) for part in phi_reference(v)] for v in z])
+        for part, exact in zip((got.real, got.imag), reference.T):
+            assert np.max(np.abs(part - exact) / np.spacing(np.abs(exact))) <= 5.0
+        assert rates._phi(np.zeros(1))[0] == 0.5
+
+    @pytest.mark.parametrize("kernel, x, panels, message", [
+        (MemoryKernel(SpectralDensity.rectangular(1.0, 1.0), mode=KernelMode.QUADRATURE),
+         4097.0, rates.MAX_PANELS, r"needs 1\.049e\+06 panels"),
+        (tabulated_gaussian_kernel(), 805.0, 2 ** 22, r"exceeds 804\.24772"),
+    ], ids=["panel-cap", "alias-bound"])
+    def test_rejects_what_the_grid_rejects(self, kernel, x, panels, message, monkeypatch):
+        # the panel cap binds before the alias bound on every compact kernel, so the alias
+        # case lifts the cap
+        monkeypatch.setattr(rates, "MAX_PANELS", panels)
+        errors = []
+        for xs in ([x], np.linspace(1.0, x, 200)):
+            with pytest.raises(ValueError, match=message) as caught:
+                rate_curve(kernel, xs, RateSource.DOUBLE_INTEGRAL)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("points", [1, 2, 3])
+    def test_takes_no_transform(self, points, monkeypatch):
+        spectral._cached_chirp_z_plan.cache_clear()
+        calls = counted_transforms(monkeypatch)
+        kernel = tabulated_gaussian_kernel(801)
+        xs = np.linspace(0.0, 2.5, points + 1)
+        values = rate_curve(kernel, xs, RateSource.DOUBLE_INTEGRAL).values
+        assert values[0] == 0j and np.all(values[1:] != 0)
+        assert gamma_numeric(kernel, 0.97) != 0 and gamma_numeric(kernel, 0.0) == 0j
+        assert calls == [] and spectral._cached_chirp_z_plan.cache_info().misses == 0
+        assert rates._numeric_rates(kernel, np.linspace(0.5, 2.5, 4),
+                                    RateSource.DOUBLE_INTEGRAL).size == 4
+        assert calls == [rates._panel_count(2.5, 0.0, kernel.compact_support) + 1]
 
 
 def cumulative_simpson(y, h):

@@ -11,7 +11,9 @@ variable ``x = lam * tau``.  The rate admits three independent evaluations:
   both time integrals exact on each term of its Simpson sum
   (:func:`_simpson_double_integral`),
 * closed forms for the four named spectral shapes (at any ``c`` and ``b``
-  for the Lorentzian and the double peak, at ``c = 0`` for the others), and
+  for the Lorentzian and the double peak, at ``c = 0`` for the others;
+  the Gaussian's ``erf`` and the rectangle's ``Si`` are ported from Cephes,
+  bit for bit, :func:`_erf` and :func:`_si`), and
 * an equivalent single integral ``(2i/x) int_0^x (x - x') g(x') dx'``
   obtained from the short-time expansion around the initial state
   (the Kofman-Kurizki route, ``RateSource.KK_INTEGRAL``), always on the grid.
@@ -91,11 +93,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import erf, sici
 
 from .spectral import (MemoryKernel, Shape, SpectralDensity, check_contraction, check_finite,
                        check_points, check_positive, clip_phase, simpson_samples,
@@ -303,10 +306,8 @@ def _simpson_double_integral(kernel: MemoryKernel, xs: np.ndarray) -> np.ndarray
 
 
 #: most positive ``x`` a double-integral request on a compact quadrature kernel takes by
-#: :func:`_simpson_double_integral` rather than on a grid.  At ``x`` near 1 (2-CPU KVM guest,
-#: one BLAS thread, median of 150) three points cost 0.56 ms on the rectangle and 0.67 ms on
-#: the 8001-row table and four 0.75 and 0.88 ms, against 0.60 and 0.81 ms for the grid with
-#: a cold chirp-z plan; near ``x = 20`` the grid costs 1.1 and 6.6 ms, four points 0.85 and 0.92
+#: :func:`_simpson_double_integral` rather than on a grid: near ``x = 1``, up to three points
+#: cost less than the grid with a cold chirp-z plan, and both meet to 1.3e-13 relative
 MAX_PER_X_RATES = 3
 
 
@@ -361,6 +362,196 @@ def gamma_numeric(kernel: MemoryKernel, x: float) -> complex:
     return complex(_numeric_rates(kernel, [x], RateSource.DOUBLE_INTEGRAL)[0])
 
 
+# -- erf and Si, ported from Cephes (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989: erf and erfc of ndtr.c, the Si half of sici.c) with its coefficients, branch
+# cuts and order of operations, so that every value has the bits of scipy.special's erf and
+# sici: each Horner step rounds its product and its sum apart (no FMA), and exp, sin and cos
+# are libm's, through ``math``, as the compiled routines take them
+
+#: one rational ``p/q`` of Cephes: ``p`` and ``q`` highest order first, and both packed into
+#: complex ``p + iq`` for arrays.  A ``q`` that Cephes sums by ``p1evl`` carries its leading
+#: 1.0 (``1.0 z + c = z + c``), and the shorter of the two leading zeros (``0 z + c = c``), so
+#: neither changes a bit; ``z`` is real and finite, so no step mixes the two parts
+_Rational = namedtuple("_Rational", "p q packed")
+
+
+def _rational(p, q) -> _Rational:
+    size = max(len(p), len(q))
+    padded = [[0.0] * (size - len(c)) + c for c in (p, q)]
+    return _Rational(p, q, [complex(a, b) for a, b in zip(*padded)])
+
+
+def _horner(coefs, z: float) -> float:
+    """``sum_k coefs[k] z^(d - k)`` by Horner's rule, a rounding for each product and sum."""
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * z + c
+    return acc
+
+
+def _ratio(rational: _Rational, z):
+    """Numerator and denominator of ``rational`` at a float ``z`` or at every entry of an array,
+    there by one Horner pass over ``p + iq``, in place."""
+    if isinstance(z, float):
+        return _horner(rational.p, z), _horner(rational.q, z)
+    z = z.astype(complex)
+    both = np.full(z.shape, rational.packed[0])
+    for c in rational.packed[1:]:
+        both *= z
+        both += c
+    return both.real, both.imag
+
+
+def _libm(f, x):
+    """``f`` from ``math`` at a float ``x`` or at every entry of a 1-D array."""
+    if isinstance(x, float):
+        return f(x)
+    return np.fromiter(map(f, x.tolist()), float, x.size)
+
+
+#: ``ln(2^1024)``: past ``x^2 = MAXLOG`` Cephes takes ``erfc(x)`` as 0, and ``erf`` as 1
+_MAXLOG = 7.09782712893383996843e2
+#: ``erf(x) = 1`` past this ``|x|``, where ``erfc`` underflows; ``1 - erfc`` rounds to 1 from
+#: ``|x| = 6`` on, so the cut moves no bit
+_ERF_ONE = math.sqrt(_MAXLOG)
+#: ``erf(x) = x T(x^2)/U(x^2)`` for ``|x| <= 1``
+_ERF_NEAR = _rational(
+    [9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+     7.00332514112805075473e3, 5.55923013010394962768e4],
+    [1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+     2.26290000613890934246e4, 4.92673942608635921086e4])
+#: ``erfc(x) = e^{-x^2} P(x)/Q(x)`` for ``1 < x < 8``
+_ERFC_MID = _rational(
+    [2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+     4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2],
+    [1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+     1.65666309194161350182e3, 5.57535340817727675546e2])
+#: ``erfc(x) = e^{-x^2} R(x)/S(x)`` for ``x >= 8``
+_ERFC_FAR = _rational(
+    [5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+     6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0],
+    [1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+     1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0])
+#: ``Si(x) = x SN(x^2)/SD(x^2)`` for ``|x| <= 4``
+_SI_NEAR = _rational(
+    [-8.39167827910303881427e-11, 4.62591714427012837309e-8, -9.75759303843632795789e-6,
+     9.76945438170435310816e-4, -4.13470316229406538752e-2, 1.00000000000000000302e0],
+    [2.03269266195951942049e-12, 1.27997891179943299903e-9, 4.41827842801218905784e-7,
+     9.96412122043875552487e-5, 1.42085239326149893930e-2, 9.99999999999999996984e-1])
+#: the auxiliary ``f = FN(z)/(x FD(z))`` and ``g = z GN(z)/GD(z)``, ``z = 1/x^2``, of
+#: ``Si(x) = pi/2 - f cos x - g sin x`` for ``4 < x < 8``
+_SI_MID = (
+    _rational([4.23612862892216586994e0, 5.45937717161812843388e0, 1.62083287701538329132e0,
+               1.67006611831323023771e-1, 6.81020132472518137426e-3, 1.08936580650328664411e-4,
+               5.48900223421373614008e-7],
+              [1.0, 8.16496634205391016773e0, 7.30828822505564552187e0, 1.86792257950184183883e0,
+               1.78792052963149907262e-1, 7.01710668322789753610e-3, 1.10034357153915731354e-4,
+               5.48900252756255700982e-7]),
+    _rational([8.71001698973114191777e-2, 6.11379109952219284151e-1, 3.97180296392337498885e-1,
+               7.48527737628469092119e-2, 5.38868681462177273157e-3, 1.61999794598934024525e-4,
+               1.97963874140963632189e-6, 7.82579040744090311069e-9],
+              [1.0, 1.64402202413355338886e0, 6.66296701268987968381e-1, 9.88771761277688796203e-2,
+               6.22396345441768420760e-3, 1.73221081474177119497e-4, 2.02659182086343991969e-6,
+               7.82579218933534490868e-9]))
+#: the same ``f`` and ``g`` from ``x = 8`` on.  Cephes's asymptote ``pi/2 - cos(x)/x`` past
+#: ``x = 1e9`` sets only ``Ci`` in SciPy's copy, whose ``Si`` goes on to these, as here
+_SI_FAR = (
+    _rational([4.55880873470465315206e-1, 7.13715274100146711374e-1, 1.60300158222319456320e-1,
+               1.16064229408124407915e-2, 3.49556442447859055605e-4, 4.86215430826454749482e-6,
+               3.20092790091004902806e-8, 9.41779576128512936592e-11, 9.70507110881952024631e-14],
+              [1.0, 9.17463611873684053703e-1, 1.78685545332074536321e-1, 1.22253594771971293032e-2,
+               3.58696481881851580297e-4, 4.92435064317881464393e-6, 3.21956939101046018377e-8,
+               9.43720590350276732376e-11, 9.70507110881952025725e-14]),
+    _rational([6.97359953443276214934e-1, 3.30410979305632063225e-1, 3.84878767649974295920e-2,
+               1.71718239052347903558e-3, 3.48941165502279436777e-5, 3.47131167084116673800e-7,
+               1.70404452782044526189e-9, 3.85945925430276600453e-12, 3.14040098946363334640e-15],
+              [1.0, 1.68548898811011640017e0, 4.87852258695304967486e-1, 4.67913194259625806320e-2,
+               1.90284426674399523638e-3, 3.68475504442561108162e-5, 3.57043223443740838771e-7,
+               1.72693748966316146736e-9, 3.87830166023954706752e-12, 3.14040098946363335242e-15]))
+#: a larger ``x``, infinity too, is taken as this one: ``x^2`` stays finite, and ``Si`` is
+#: ``pi/2`` to the last bit from ``x = 1e17`` on, as Cephes returns at ``inf``
+_BIG = 1e154
+
+
+def _erf_near(x):
+    num, den = _ratio(_ERF_NEAR, x * x)
+    return x * num / den
+
+
+def _erf_tail(a, rational):
+    """``1 - erfc(a)``, ``1 < a <= sqrt(MAXLOG)``."""
+    num, den = _ratio(rational, a)
+    return 1.0 - _libm(math.exp, -a * a) * num / den
+
+
+def _si_near(x):
+    num, den = _ratio(_SI_NEAR, x * x)
+    return x * num / den
+
+
+def _si_tail(a, rationals):
+    """``Si(a)`` by its auxiliary functions, ``4 < a <= _BIG``."""
+    z = 1.0 / (a * a)
+    f_num, f_den = _ratio(rationals[0], z)
+    g_num, g_den = _ratio(rationals[1], z)
+    f = f_num / (a * f_den)
+    g = z * g_num / g_den
+    return 0.5 * math.pi - f * _libm(math.cos, a) - g * _libm(math.sin, a)
+
+
+def _erf(x):
+    """``erf(x)`` as Cephes takes it: a float for a real number ``x``, else an array of ``x``'s
+    shape.
+
+    ``erf(x) = x T(x^2)/U(x^2)`` up to ``|x| = 1``, then ``1 - erfc(|x|)`` with the sign of
+    ``x``, ``erfc`` by ``P/Q`` below 8 and ``R/S`` from 8 on, and 1 past ``sqrt(MAXLOG)``,
+    where Cephes's ``erfc`` underflows.
+    """
+    if isinstance(x, numbers.Real):
+        x = float(x)
+        a = abs(x)
+        if not a > 1.0:                     # NaN too
+            return _erf_near(x)
+        if a > _ERF_ONE:
+            return math.copysign(1.0, x)
+        return math.copysign(_erf_tail(a, _ERFC_MID if a < 8.0 else _ERFC_FAR), x)
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    out = np.ones_like(a)
+    near = ~(a > 1.0)
+    out[near] = _erf_near(x[near])
+    for part, rational in (((a > 1.0) & (a < 8.0), _ERFC_MID),
+                           ((a >= 8.0) & (a <= _ERF_ONE), _ERFC_FAR)):
+        out[part] = _erf_tail(a[part], rational)
+    return np.copysign(out, x)
+
+
+def _si(x):
+    """The sine integral ``Si(x)`` as Cephes's ``sici`` takes it: a float for a real number
+    ``x``, else an array of ``x``'s shape.
+
+    ``Si(x) = x SN(x^2)/SD(x^2)`` up to ``|x| = 4``, then ``pi/2 - f cos|x| - g sin|x|``
+    with the sign of ``x``, by the auxiliary rationals below 8 and from 8 on;
+    ``Si(-0) = +0``, as in Cephes.
+    """
+    if isinstance(x, numbers.Real):
+        x = float(x)
+        a = min(abs(x), _BIG)
+        if a > 4.0:
+            return math.copysign(_si_tail(a, _SI_MID if a < 8.0 else _SI_FAR), x)
+        return _si_near(x) + 0.0            # NaN too; + 0.0 takes -0 to +0
+    x = np.asarray(x, dtype=float)
+    a = np.minimum(np.abs(x), _BIG)
+    out = np.empty_like(a)
+    near = ~(a > 4.0)
+    out[near] = _si_near(x[near]) + 0.0
+    for part, rationals in (((a > 4.0) & (a < 8.0), _SI_MID), (a >= 8.0, _SI_FAR)):
+        out[part] = np.copysign(_si_tail(a[part], rationals), x[part])
+    return out
+
+
 # -- closed forms (c = 0 for the Gaussian and the rectangle; the double peak is two Lorentzians)
 
 #: below this ``|kappa| x`` (``kappa = 1`` but for the Lorentzian) the closed forms cancel
@@ -402,14 +593,14 @@ def gamma_lorentzian(x, c: float = 0.0, gamma: float = 1.0):
 def gamma_gaussian(x, gamma: float = 1.0):
     """``gamma [erf(x/sqrt 2) + 2/(sqrt(2 pi) x) (e^{-x^2/2} - 1)]`` (zero at x = 0)."""
     return _closed_form(x, gamma, _GAUSSIAN_SERIES, lambda x: gamma * (
-        erf(x / math.sqrt(2.0))
+        _erf(x / math.sqrt(2.0))
         + 2.0 / (math.sqrt(2.0 * math.pi) * x) * (np.exp(-0.5 * x ** 2) - 1.0)))
 
 
 def gamma_rectangular(x, gamma: float = 1.0):
     """``(2 gamma/pi) [Si(x/2) + (2/x) cos(x/2) - 2/x]`` (zero at x = 0)."""
     return _closed_form(x, gamma, _RECTANGULAR_SERIES, lambda x: 2.0 * gamma / math.pi * (
-        sici(0.5 * x)[0] + 2.0 / x * (np.cos(0.5 * x) - 1.0)))
+        _si(0.5 * x) + 2.0 / x * (np.cos(0.5 * x) - 1.0)))
 
 
 def _at_zero_detuning(form):

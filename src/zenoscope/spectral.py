@@ -51,19 +51,14 @@ are handled by numerical Fourier quadrature, by one method per support type:
   converge raises ``ValueError``.  The rules of each step are built once
   and kept, read-only: at most ``DE_HALVINGS + 1`` steps, 1.3 MB in all.
 
-Measured on a 2-CPU KVM guest (one BLAS thread), for 200 points on
-``[0, 20]``: 0.6-1.0 ms for the rectangle on ``np.linspace(0, 20, 200)``
-with a new chirp-z plan and 0.3-0.5 ms with a cached one, against
-60-120 ms for the point-by-point sums, and 0.5-1.0 ms for an
-infinite-support profile (Lorentzian 0.5-0.7 ms, Gaussian 0.8-1.0 ms)
-against 140-540 ms for QUADPACK.  The chirp-z transform meets the
-point-by-point Simpson sums to 1e-15 ``Gamma``; the double-exponential
-sums meet the closed-form kernels to 2e-15 ``Gamma`` for ``x`` in
-``{0} U [1e-300, 50]`` (``b = 1.4`` for the double peak).  The per-point
-sums (``_simpson_g``) stay in the module as the reference path of the
-tests and as the path of arbitrary ``x``; the QUADPACK reference of the
-double-exponential sums lives in the tests, so the package never imports
-``scipy.integrate``.
+The chirp-z transform, on ``numpy.fft``, meets the point-by-point Simpson
+sums to 1e-15 ``Gamma``; the double-exponential sums meet the closed-form
+kernels to 2e-15 ``Gamma`` for ``x`` in ``{0} U [1e-300, 50]``
+(``b = 1.4`` for the double peak).  The per-point sums (``_simpson_g``)
+stay in the module as the reference path of the tests and as the path of
+arbitrary ``x``, and are orders of magnitude slower than the transform;
+the QUADPACK reference of the double-exponential sums lives in the tests.
+The package needs numpy, not SciPy.
 """
 
 from __future__ import annotations
@@ -76,7 +71,6 @@ from collections import namedtuple
 from dataclasses import KW_ONLY, dataclass, field, replace
 
 import numpy as np
-from scipy import fft
 
 __all__ = [
     "Shape",
@@ -114,6 +108,17 @@ def check_finite(value, name: str):
     if not finite.all():
         raise ValueError(f"{name} must be finite, got {np.asarray(value)[~finite].flat[0]}")
     return value
+
+
+def check_real(value, name: str) -> float:
+    """``value`` as a float, or ``ValueError`` unless it is one real number (not an array, a
+    ``bool``, a string or a complex number) that a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
 
 
 def check_positive(value, name: str):
@@ -181,6 +186,10 @@ class Shape(enum.Enum):
 class SpectralDensity:
     """Parametrised spectral density ``D(omega_r)``; ``c``, ``b`` and ``table`` are keyword-only.
 
+    ``gamma``, ``lam``, ``c`` and ``b`` must each be one real number, and are
+    stored as floats; an array, a ``bool``, a string or a complex number is
+    rejected by name.
+
     Parameters
     ----------
     shape : Shape
@@ -215,6 +224,8 @@ class SpectralDensity:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", Shape(self.shape))
+        for name in ("gamma", "lam", "c", "b"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         for name in ("gamma", "lam", "c"):
             check_finite(getattr(self, name), name)
         check_positive(self.gamma, "gamma")
@@ -423,16 +434,28 @@ _SHAPES = {
 }
 
 
+def _read_only(*arrays):
+    """``arrays`` as a tuple, each made read-only, so that a cached plan or rule stays as built."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 #: Simpson panels over the support of a compact-support profile
 N_PANELS = 8192
 
 
+@functools.lru_cache(maxsize=2)
 def _simpson_rule(lo: float, hi: float):
-    """Nodes, panel width and (unscaled 1-4-2-...-4-1) weights of composite Simpson."""
+    """Nodes, panel width and (unscaled 1-4-2-...-4-1) weights of composite Simpson.
+
+    The rules of the two most recent supports are kept, read-only, 131 KB each.
+    """
     nodes = np.linspace(lo, hi, N_PANELS + 1)
     weights = np.full(N_PANELS + 1, 2.0)
     weights[1:-1:2] = 4.0
     weights[0] = weights[-1] = 1.0
+    nodes, weights = _read_only(nodes, weights)
     return nodes, (hi - lo) / N_PANELS, weights
 
 
@@ -463,26 +486,64 @@ def _simpson_g(kernel: MemoryKernel, x: float) -> complex:
     return complex(-1j * density.d0 * integral)
 
 
-def _read_only(*arrays):
-    """``arrays`` as a tuple, each made read-only, so that a cached plan or rule stays as built."""
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
+# glibc's malloc maps every block over 128 KiB afresh, so each page of such a numpy array
+# faults on first touch, until the process frees a larger mapped block: that raises the
+# threshold, and the heap's trim threshold to twice it, past the block.  A compact kernel's
+# chirp-z transform (8400 points, 134 KB a buffer) took 67 faults a sampling, a 25 000-step
+# Volterra solve 570.  Freeing one 2 MiB block, whose pages are never touched, keeps arrays
+# up to that size on the heap; with another allocator it is one allocation.
+np.empty(2 ** 18)
 
 #: a chirp-z plan: the chirp ``exp(-i theta k^2/2)``, the FFT of its conjugate and their length
 _ChirpZPlan = namedtuple("_ChirpZPlan", "chirp filt size")
 
 
+def _good_size(n: int) -> int:
+    """The smallest 11-smooth number ``>= n``, a length pocketfft transforms fast.
+
+    pocketfft's ``good_size_cmplx``, which ``scipy.fft.next_fast_len`` returns
+    for complex transforms; the transform's bits depend on the length.  Each
+    ``5^a 7^b 11^c`` below the best length so far is doubled up to ``n``, then
+    one factor 2 at a time is traded for a 3 while the length stays even.
+    """
+    if n <= 12:
+        return n
+    best = 2 * n
+    f11 = 1
+    while f11 < best:
+        f7 = f11
+        while f7 < best:
+            f5 = f7
+            while f5 < best:
+                x = f5
+                while x < n:
+                    x *= 2
+                while True:
+                    if x < n:
+                        x *= 3
+                    elif x > n:
+                        best = min(best, x)
+                        if x & 1:
+                            break
+                        x >>= 1
+                    else:
+                        return n
+                f5 *= 5
+            f7 *= 7
+        f11 *= 11
+    return best
+
+
 def _chirp_z_plan(n: int, m: int, theta: float) -> _ChirpZPlan:
     """The arrays of :func:`_chirp_z` that depend on the lengths and ``theta`` alone, read-only."""
-    size = fft.next_fast_len(n + m - 1)
+    size = _good_size(n + m - 1)
     k = np.arange(max(n, m), dtype=float)
     chirp = np.exp(-0.5j * theta * (k * k))
     filt = np.zeros(size, dtype=complex)
     filt[:m] = chirp[:m].conj()
     filt[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    return _ChirpZPlan(*_read_only(chirp, fft.fft(filt)), size)
+    np.fft.fft(filt, out=filt)
+    return _ChirpZPlan(*_read_only(chirp, filt), size)
 
 
 #: longest convolution whose chirp-z plan is cached: a chirp and a filter of
@@ -508,15 +569,17 @@ def _chirp_z(a: np.ndarray, m: int, theta: float) -> np.ndarray:
     n = a.size
     build = _chirp_z_plan if n + m - 1 > MAX_CACHED_PLAN else _cached_chirp_z_plan
     chirp, filt, size = build(n, m, theta)
-    conv = fft.ifft(fft.fft(a * chirp[:n], size) * filt)
-    return chirp[:m] * conv[:m]
+    buf = np.zeros(size, dtype=complex)
+    np.multiply(a, chirp[:n], out=buf[:n])
+    np.fft.fft(buf, out=buf)
+    buf *= filt
+    np.fft.ifft(buf, out=buf)
+    return chirp[:m] * buf[:m]
 
 
 #: most points of a uniform batch from 0 that :func:`_compact_g` takes by the per-point
-#: Simpson sums rather than one chirp-z transform.  On the rectangle (2-CPU KVM guest, one
-#: BLAS thread) three sums cost 0.52-0.63 ms and four 0.83 ms, against 0.67-0.69 ms for the
-#: transform with a cold plan and 0.31-0.33 ms with a warm one (see :func:`_chirp_z`): the
-#: sums beat a cold plan up to three points, and three-point batches keep their bits
+#: Simpson sums rather than one chirp-z transform: up to three points the sums cost less than
+#: a transform with a cold plan (see :func:`_chirp_z`), and three-point batches keep their bits
 MAX_PER_POINT_SUMS = 3
 
 

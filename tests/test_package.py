@@ -122,15 +122,27 @@ def test_one_stepper_and_one_single_integral_route():
 
 
 @pytest.mark.parametrize("module", ["zenoscope", "zenoscope.cli"])
-def test_import_leaves_scipy_integrate_unloaded(module):
-    # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg, about 0.3 s and
-    # 25 MB of every process; only the tests' QUADPACK oracle of the double-exponential
-    # sums needs it, and it lives in tests/test_spectral.py
-    code = f"import sys, {module}; print('scipy.integrate' in sys.modules)"
+def test_import_loads_no_scipy(module):
+    # the package runs on numpy alone: scipy.special and scipy.fft cost about 0.25 s and 300
+    # modules of every process, scipy.integrate and scipy.signal more; SciPy is the tests'
+    # oracle (QUADPACK, the special functions, the FFT)
+    code = (f"import sys, {module}; "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("suite", ["rates", "appendix-a", "fig4"])
+def test_verify_suites_run_without_scipy(suite):
+    # with sys.modules["scipy"] = None every import of scipy fails, as if it were not
+    # installed; the suites read every closed form, kernel and sampler
+    code = ("import sys; sys.modules['scipy'] = None; from zenoscope.cli import main; "
+            f"main(['verify', '{suite}'])")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def shape_comparisons(tree, scope=""):

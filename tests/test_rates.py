@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_spectral import counted_transforms
@@ -171,6 +172,63 @@ class TestClosedForms:
         tab = SpectralDensity.tabulated(1.0, 1.0, [[-1, 1], [0, 1], [1, 1]])
         with pytest.raises(ValueError, match="closed-form"):
             gamma_closed_form(tab, 1.0)
+
+
+#: the ports from Cephes -> their oracles in scipy.special
+PORTS = {"erf": (rates._erf, scipy.special.erf),
+         "si": (rates._si, lambda x: scipy.special.sici(x)[0])}
+
+
+def branch_points():
+    """0, five floats on either side of each branch cut (Cephes's ``Si`` asymptote at 1e9,
+    which SciPy's copy does not take, and the port's clip at ``_BIG`` too), and the largest
+    and infinite ``x``; each with both signs."""
+    xs = [0.0, np.finfo(float).max, math.inf]
+    for cut in (1.0, 4.0, 8.0, math.sqrt(rates._MAXLOG), 1e9, rates._BIG):
+        for direction in (0.0, math.inf):
+            x = cut
+            for _ in range(5):
+                xs.append(x)
+                x = math.nextafter(x, direction)
+    return np.array(xs + [-x for x in xs])
+
+
+def port_points():
+    """:func:`branch_points` and 1e5 log-uniform ``x`` on ``[1e-300, 1e12]``, both signs."""
+    spread = np.exp(np.random.default_rng(32).uniform(math.log(1e-300), math.log(1e12), 100_000))
+    return np.concatenate([branch_points(), spread, -spread])
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestCephesPorts:
+    """``erf`` and ``Si``, ported from Cephes, have scipy.special's bits on every branch."""
+
+    POINTS = port_points()
+
+    @pytest.mark.parametrize("name", sorted(PORTS))
+    def test_arrays_have_the_scipy_bits(self, name):
+        port, oracle = PORTS[name]
+        np.testing.assert_array_equal(bits(port(self.POINTS)), bits(oracle(self.POINTS)))
+
+    @pytest.mark.parametrize("name", sorted(PORTS))
+    def test_scalars_have_the_scipy_bits(self, name):
+        port, oracle = PORTS[name]
+        xs = np.concatenate([branch_points(), self.POINTS[::10]])
+        got = [port(x) for x in xs.tolist()]
+        assert {type(value) for value in got} == {float}
+        np.testing.assert_array_equal(bits(got), bits(oracle(xs)))
+        assert type(port(np.float64(0.5))) is float
+
+    @pytest.mark.parametrize("name", sorted(PORTS))
+    def test_nan_and_shape(self, name):
+        port, _ = PORTS[name]
+        assert math.isnan(port(math.nan))
+        grid = np.array([[math.nan, 0.5, 3.0], [6.0, 20.0, 2e9]])
+        out = port(grid)
+        assert out.shape == grid.shape and np.isnan(out[0, 0]) and np.isfinite(out[:, 1:]).all()
 
 
 class TestNumericRoutes:

@@ -1,19 +1,15 @@
 """Spectral-density models, memory kernels, and the rescaled kernel g(x)."""
 
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-import zenoscope
 from zenoscope import spectral
 from zenoscope import (
     DecaySeries,
@@ -475,6 +471,73 @@ class TestChirpZPlans:
         assert (plan_cache().misses, plan_cache().hits) == (1, 1)
 
 
+def scipy_chirp_z(a, m, theta):
+    """The chirp-z transform on ``scipy.fft``: the oracle of the bits of
+    :func:`spectral._chirp_z`, which takes it on ``numpy.fft``."""
+    n = a.size
+    size = scipy.fft.next_fast_len(n + m - 1)
+    k = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(-0.5j * theta * (k * k))
+    filt = np.zeros(size, dtype=complex)
+    filt[:m] = chirp[:m].conj()
+    filt[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    conv = scipy.fft.ifft(scipy.fft.fft(a * chirp[:n], size) * scipy.fft.fft(filt))
+    return chirp[:m] * conv[:m]
+
+
+class TestNumpyFFT:
+    """The chirp-z transform on ``numpy.fft`` has the bits it had on ``scipy.fft``."""
+
+    @pytest.fixture(autouse=True)
+    def cold_plans(self):
+        spectral._cached_chirp_z_plan.cache_clear()
+        yield
+        spectral._cached_chirp_z_plan.cache_clear()
+
+    # a rectangle's 200-point kernel grid, rate grids, a short table and, past
+    # MAX_CACHED_PLAN, plans built on every call, one of them at an 11-smooth length
+    @pytest.mark.parametrize("n, m", [
+        (spectral.N_PANELS + 1, 200), (spectral.N_PANELS + 1, 2049), (801, 64),
+        (spectral.N_PANELS + 1, spectral.MAX_CACHED_PLAN - spectral.N_PANELS + 1),
+        (spectral.N_PANELS + 1, 77_000 - spectral.N_PANELS)])
+    def test_chirp_z_gives_the_scipy_fft_bits(self, n, m):
+        rng = np.random.default_rng(n + m)
+        a = rng.uniform(0.0, 4.0, n)
+        theta = rng.uniform(1e-5, 1e-3)
+        expected = scipy_chirp_z(a, m, theta)
+        for _ in range(2):          # cold plan, then warm where it is kept
+            np.testing.assert_array_equal(spectral._chirp_z(a, m, theta), expected)
+
+    def test_good_size_is_next_fast_len(self):
+        rng = np.random.default_rng(11)
+        sizes = list(range(1, 4097)) + rng.integers(4097, 2 * 10 ** 7, 400).tolist()
+        assert [spectral._good_size(n) for n in sizes] == [
+            scipy.fft.next_fast_len(n) for n in sizes]
+
+
+class TestSimpsonRuleCache:
+    """The Simpson rules of the last two supports are kept, read-only, and change no bit."""
+
+    @pytest.fixture(autouse=True)
+    def cold_rules(self):
+        spectral._simpson_rule.cache_clear()
+        yield
+        spectral._simpson_rule.cache_clear()
+
+    def test_a_support_builds_one_rule(self):
+        kernel = compact_kernel("rectangular", 0.3)
+        cold = scaled_kernel_g(kernel, np.linspace(0.0, 20.0, 200))
+        np.testing.assert_array_equal(scaled_kernel_g(kernel, np.linspace(0.0, 20.0, 200)), cold)
+        info = spectral._simpson_rule.cache_info()
+        assert (info.maxsize, info.misses, info.hits) == (2, 1, 1)
+
+    def test_cached_rules_are_read_only(self):
+        nodes, _, weights = spectral._simpson_rule(-0.5, 0.5)
+        for array in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
 INFINITE = (Shape.LORENTZIAN, Shape.GAUSSIAN, Shape.DOUBLE_LORENTZIAN)
 
 
@@ -786,12 +849,3 @@ def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "out.csv", {"t": [0.0, 1.0], "p_e": [1.0]})
 
-
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal would add most of a second to every import of the package
-    code = "import sys, zenoscope; print('scipy.signal' in sys.modules)"
-    src = str(Path(zenoscope.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"

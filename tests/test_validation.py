@@ -15,6 +15,7 @@ solvers return (``DecaySeries``, ``RateCurve``, ``TrajectoryRecord``,
 import dataclasses
 import enum
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -57,7 +58,8 @@ from zenoscope import (
 )
 from zenoscope import rates
 from zenoscope.spectral import (MAX_RATE_DT, check_contraction, check_count, check_finite,
-                                check_grid, check_points, check_positive, check_step)
+                                check_grid, check_points, check_positive, check_real,
+                                check_step)
 from zenoscope.verify import check_ensemble_vs_lindblad, check_zeno_jump_ordering
 
 NAN, INF = math.nan, math.inf
@@ -245,6 +247,29 @@ def test_holes_are_closed(call, name):
         call()
 
 
+#: what a density parameter once took that is not one real number
+NOT_REAL = {"array-1": np.array([1.0]), "array-2": np.array([1.0, 2.0]), "array-0d": np.array(1.0),
+            "bool": True, "numpy-bool": np.bool_(True), "string": "1.0", "complex": 1.0 + 0j,
+            "none": None, "huge-int": 10 ** 400}
+
+
+@pytest.mark.parametrize("value", NOT_REAL.values(), ids=NOT_REAL.keys())
+@pytest.mark.parametrize("name", ["gamma", "lam", "c", "b"])
+def test_density_parameters_are_real_numbers(name, value):
+    # gamma = np.array([1.0]) was stored as given, and gamma_closed_form then raised numpy's
+    # "only 0-dimensional arrays" TypeError; gamma = True ran as 1; gamma = "1.0" raised
+    # numpy's isfinite TypeError
+    args = {**dict(gamma=1.0, lam=1.0, c=0.0, b=1.0), name: value}
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        SpectralDensity(Shape.LORENTZIAN, **args)
+
+
+def test_density_parameters_are_stored_as_floats():
+    density = SpectralDensity(Shape.GAUSSIAN, Fraction(1, 2), np.float32(2.0), c=np.int64(0), b=1)
+    assert [type(getattr(density, name)) for name in ("gamma", "lam", "c", "b")] == [float] * 4
+    assert gamma_closed_form(density, 1.0) == gamma_gaussian(1.0, gamma=0.5)
+
+
 @pytest.mark.parametrize("shape", list(Shape))
 def test_shape_value_works_like_its_member(shape):
     # a value string was stored as given: scaled_kernel_g then found no analytic kernel
@@ -286,6 +311,15 @@ class TestInputRules:
     def test_finite_returns_its_argument(self):
         value = np.array([1.0, -2.0])
         assert check_finite(value, "v") is value
+
+    @pytest.mark.parametrize("value", [np.array([1.0]), True, "1", 1j])
+    def test_real(self, value):
+        with pytest.raises(ValueError, match="v must be a real number"):
+            check_real(value, "v")
+
+    def test_real_returns_a_float(self):
+        assert [check_real(v, "v") for v in (np.float64(2.5), np.int64(2), Fraction(1, 4))] == [
+            2.5, 2.0, 0.25]
 
     @pytest.mark.parametrize("value", [NAN, 0.0, -1.0])
     def test_positive(self, value):

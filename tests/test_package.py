@@ -134,6 +134,18 @@ def test_import_loads_no_scipy(module):
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["zenoscope", "zenoscope.cli"])
+def test_import_leaves_scipy_integrate_unloaded(module):
+    # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg, about 0.3 s and
+    # 25 MB of every process; only the tests' QUADPACK oracle of the double-exponential
+    # sums needs it, and it lives in tests/test_spectral.py
+    code = f"import sys, {module}; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("suite", ["rates", "appendix-a", "fig4"])
 def test_verify_suites_run_without_scipy(suite):
     # with sys.modules["scipy"] = None every import of scipy fails, as if it were not

@@ -1,7 +1,11 @@
 """Spectral-density models, memory kernels, and the rescaled kernel g(x)."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
+import zenoscope
 from zenoscope import spectral
 from zenoscope import (
     DecaySeries,
@@ -849,3 +854,12 @@ def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "out.csv", {"t": [0.0, 1.0], "p_e": [1.0]})
 
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal would add most of a second to every import of the package
+    code = "import sys, zenoscope; print('scipy.signal' in sys.modules)"
+    src = str(Path(zenoscope.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

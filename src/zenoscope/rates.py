@@ -98,7 +98,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .spectral import (MemoryKernel, Shape, SpectralDensity, check_contraction, check_finite,
                        check_points, check_positive, clip_phase, simpson_samples,
@@ -263,10 +262,11 @@ _ROUTES = {
 #: below this ``|z|``, ``phi(z)`` is summed as its Taylor series: above it the direct
 #: ``sin z - z`` loses at most a factor 6.3 to cancellation (3 ulps measured on [1, 1.5])
 PHI_SERIES = 1.0
-# Taylor coefficients in z^2, lowest order first, of Re phi, (-1)^k/(2k + 2)!, and of
-# -Im phi / z, (-1)^k/(2k + 3)!; below PHI_SERIES the first term left out is under 1e-18
-_PHI_REAL_SERIES = [(-1) ** k / math.factorial(2 * k + 2) for k in range(9)]
-_PHI_IMAG_SERIES = [(-1) ** k / math.factorial(2 * k + 3) for k in range(9)]
+# Taylor coefficients in z^2, highest order first (as _horner reads them), of Re phi,
+# (-1)^k/(2k + 2)!, and of -Im phi / z, (-1)^k/(2k + 3)!; below PHI_SERIES the first
+# term left out is under 1e-18
+_PHI_REAL_SERIES = [(-1) ** k / math.factorial(2 * k + 2) for k in range(9)][::-1]
+_PHI_IMAG_SERIES = [(-1) ** k / math.factorial(2 * k + 3) for k in range(9)][::-1]
 
 
 def _phi(z: np.ndarray) -> np.ndarray:
@@ -286,8 +286,8 @@ def _phi(z: np.ndarray) -> np.ndarray:
         out.imag[part] = (np.sin(wide) - wide) / (wide * wide)
     near = z[first:last]
     square = near * near
-    out.real[first:last] = polyval(square, _PHI_REAL_SERIES)
-    out.imag[first:last] = -near * polyval(square, _PHI_IMAG_SERIES)
+    out.real[first:last] = _horner(_PHI_REAL_SERIES, square)
+    out.imag[first:last] = -near * _horner(_PHI_IMAG_SERIES, square)
     return out
 
 
@@ -381,8 +381,9 @@ def _rational(p, q) -> _Rational:
     return _Rational(p, q, [complex(a, b) for a, b in zip(*padded)])
 
 
-def _horner(coefs, z: float) -> float:
-    """``sum_k coefs[k] z^(d - k)`` by Horner's rule, a rounding for each product and sum."""
+def _horner(coefs, z):
+    """``sum_k coefs[k] z^(d - k)`` by Horner's rule, a rounding for each product and sum;
+    ``z`` is a number or an array, and ``coefs`` run from the highest order down."""
     acc = coefs[0]
     for c in coefs[1:]:
         acc = acc * z + c
@@ -557,13 +558,14 @@ def _si(x):
 #: below this ``|kappa| x`` (``kappa = 1`` but for the Lorentzian) the closed forms cancel
 X_SERIES = 0.01
 
-# Taylor coefficients, lowest order first: of [1 - (1 - e^{-z})/z] in z, and of
-# gamma_G and gamma_R in x, for gamma = 1
-_LORENTZIAN_SERIES = [0.0] + [(-1) ** (k + 1) / math.factorial(k + 1) for k in range(1, 11)]
+# Taylor coefficients, highest order first (as _horner reads them): of
+# [1 - (1 - e^{-z})/z] in z, and of gamma_G and gamma_R in x, for gamma = 1
+_LORENTZIAN_SERIES = ([0.0] + [(-1) ** (k + 1) / math.factorial(k + 1)
+                               for k in range(1, 11)])[::-1]
 _GAUSSIAN_SERIES = [(-1) ** (k // 2) * math.sqrt(2.0 / math.pi) / (2 ** (k // 2) * k * (k + 1)
-                    * math.factorial(k // 2)) if k % 2 else 0.0 for k in range(12)]
+                    * math.factorial(k // 2)) if k % 2 else 0.0 for k in range(12)][::-1]
 _RECTANGULAR_SERIES = [(-1) ** (k // 2) / (math.pi * 4 ** (k // 2) * k * (k + 1)
-                       * math.factorial(k)) if k % 2 else 0.0 for k in range(10)]
+                       * math.factorial(k)) if k % 2 else 0.0 for k in range(10)][::-1]
 
 
 def _closed_form(x, gamma, series, direct, kappa=1.0):
@@ -572,7 +574,7 @@ def _closed_form(x, gamma, series, direct, kappa=1.0):
     xs = check_points(x, "x")
     check_finite(check_positive(gamma, "gamma"), "gamma")
     small = xs < X_SERIES / abs(kappa)
-    out = np.where(small, gamma / kappa * polyval(kappa * np.where(small, xs, 0.0), series),
+    out = np.where(small, gamma / kappa * _horner(series, kappa * np.where(small, xs, 0.0)),
                    direct(np.where(small, 1.0, xs))) + 0.0j
     return complex(out) if np.isscalar(x) else out
 

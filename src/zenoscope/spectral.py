@@ -121,6 +121,17 @@ def check_real(value, name: str) -> float:
         raise ValueError(f"{name} must be finite, got {value!r}") from None
 
 
+def check_number(value, name: str) -> complex:
+    """``value`` as a complex number, or ``ValueError`` unless it is one real or complex
+    number (not an array, a ``bool`` or a string) that a complex can hold."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise ValueError(f"{name} must be one number, got {value!r}")
+    try:
+        return complex(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
+
+
 def check_positive(value, name: str):
     """``value`` itself, or ``ValueError`` unless ``value > 0``."""
     if not value > 0:
@@ -129,8 +140,8 @@ def check_positive(value, name: str):
 
 
 def check_count(n, name: str, minimum: int):
-    """``n`` itself, or ``ValueError`` unless it is an integer ``>= minimum``."""
-    if not (isinstance(n, numbers.Integral) and n >= minimum):
+    """``n`` itself, or ``ValueError`` unless it is an integer ``>= minimum`` (not a ``bool``)."""
+    if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= minimum):
         raise ValueError(f"{name} must be >= {minimum} and an integer, got {n!r}")
     return n
 

@@ -51,6 +51,14 @@ can be recomputed independently, and reduce the trajectories in index
 order, also when ``run_ensemble`` fills blocks of rows in threads
 (``n_jobs``).
 
+Memory: a driven ensemble fills and reduces one ``(n_traj, n_steps + 1)``
+matrix of rows.  Where the post-click path stays in ``|g>`` (every
+undriven layout), a row clicks at most once and is the initial path up to
+that click and zeros after it, so ``run_ensemble`` keeps only each row's
+click step and sums the rows from those, in the same index order and with
+the same bits: O(n_traj + n_steps) memory instead of O(n_traj * n_steps).
+There ``n_jobs`` has no rows to split, and the rows are sampled serially.
+
 An ensemble does not build one ``SeedSequence`` and one generator per
 trajectory.  ``_philox_keys`` runs SeedSequence's entropy mixing (M. E.
 O'Neill's seed_seq alternative, pcg-random.org 2015, as numpy implements it
@@ -69,7 +77,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,7 +84,8 @@ import numpy as np
 
 from .rates import gamma_eff as _gamma_eff_of
 from .spectral import (MAX_RATE_DT, MemoryKernel, check_contraction, check_count, check_finite,
-                       check_points, check_positive, check_size, check_step, write_csv)
+                       check_points, check_positive, check_real, check_size, check_step,
+                       write_csv)
 from .volterra import AtomState, interval_amplitude, null_conditioned_power
 
 __all__ = [
@@ -99,7 +107,8 @@ class DriveConfig:
 
     ``gamma_eff * dt_step`` and ``omega * dt_step`` are both capped at
     ``MAX_RATE_DT`` (``check_step``) so that at most one photon is
-    registered per step and the drive rotation stays small.
+    registered per step and the drive rotation stays small.  ``omega``,
+    ``gamma_eff`` and ``dt_step`` are stored as floats.
     """
 
     omega: float
@@ -108,6 +117,8 @@ class DriveConfig:
     n_steps: int
 
     def __post_init__(self):
+        for name in ("omega", "gamma_eff", "dt_step"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         check_finite(self.omega, "omega")
         check_points(self.gamma_eff, "gamma_eff")
         check_positive(check_finite(self.dt_step, "dt_step"), "dt_step")
@@ -232,6 +243,11 @@ def _philox_keys(seeds) -> np.ndarray:
     return np.stack([words[0] | words[1] << _SHIFT32, words[2] | words[3] << _SHIFT32], axis=1)
 
 
+#: trajectories whose Philox keys are derived at a time, so that an ensemble holds
+#: the keys of one block and not of every trajectory
+KEY_BLOCK = 256
+
+
 def _seeded_uniforms(seeds, n: int):
     """Yield ``(gen, eps)`` for each seed: ``gen`` draws the stream of ``make_rng(seed)``.
 
@@ -246,10 +262,11 @@ def _seeded_uniforms(seeds, n: int):
     state["state"]["counter"] = state["state"]["counter"].tolist()
     state["buffer"] = state["buffer"].tolist()
     eps = np.empty(n)
-    for key in _philox_keys(seeds).tolist():
-        state["state"]["key"] = key
-        bit_gen.state = state
-        yield gen, eps
+    for block in range(0, len(seeds), KEY_BLOCK):
+        for key in _philox_keys(seeds[block:block + KEY_BLOCK]).tolist():
+            state["state"]["key"] = key
+            bit_gen.state = state
+            yield gen, eps
 
 
 def _p_excited(alpha: complex) -> float:
@@ -448,15 +465,87 @@ def _fill_rows(start: _Path, after_click: _Path, seeds, p_e: np.ndarray,
         counts[row] = len(_sample(gen, eps, start, after_click, p_e[row]))
 
 
+def _matrix_statistics(start: _Path, after_click: _Path, seeds, n_jobs: int,
+                       counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over the ``(len(seeds), n + 1)`` matrix of sampled rows.
+
+    ``n_jobs > 1`` fills contiguous blocks of rows in that many threads.
+    """
+    n_traj = len(seeds)
+    p_e = np.empty((n_traj, len(start.p_e)))
+    if n_jobs <= 1 or n_traj < 2:
+        _fill_rows(start, after_click, seeds, p_e, counts)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        blocks = [slice(b[0], b[-1] + 1)
+                  for b in np.array_split(np.arange(n_traj), min(n_jobs, n_traj))]
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            list(pool.map(lambda b: _fill_rows(start, after_click, seeds[b], p_e[b], counts[b]),
+                          blocks))
+    mean = p_e.mean(axis=0)
+    if n_traj == 1:
+        return mean, np.zeros_like(mean)
+    # p_e.std(axis=0, ddof=1) by the same ufuncs in the same order, but in
+    # place of the rows instead of in a second matrix of their size
+    dev = np.subtract(p_e, mean, out=p_e)
+    var = np.add.reduce(np.multiply(dev, dev, out=dev), axis=0) / (n_traj - 1)
+    return mean, np.sqrt(var) / math.sqrt(n_traj)
+
+
+def _dark_statistics(start: _Path, after_click: _Path, seeds,
+                     counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_matrix_statistics`` of a layout whose post-click path stays in ``|g>``, with no matrix.
+
+    A row then clicks at most once: it is ``start.p_e[:k + 1]`` followed by
+    zeros, with ``k`` its click step (``n`` if it never clicks).  The sums
+    over rows are taken row by row in index order, the order of numpy's
+    axis-0 reduction, from ``k`` alone: the mean adds each row's prefix (a
+    zero adds nothing), and the variance adds ``(start.p_e - mean)**2`` up to
+    ``k`` and ``(0 - mean)**2 = mean**2`` after it.  The rows are sampled
+    into one reused buffer.
+    """
+    n_traj, n = len(seeds), len(start.p1)
+    row = np.empty(n + 1)
+    ends = [n + 1] * n_traj   # k + 1 of each row
+    for r, (gen, eps) in enumerate(_seeded_uniforms(seeds, n)):
+        clicks = _sample(gen, eps, start, after_click, row)
+        counts[r] = len(clicks)
+        if clicks:
+            ends[r] = clicks[0] + 1
+    total = np.zeros(n + 1)
+    for end in ends:
+        head = total[:end]
+        np.add(head, start.p_e[:end], out=head)
+    mean = np.divide(total, n_traj, out=total)
+    if n_traj == 1:
+        return mean, np.zeros_like(mean)
+    before = np.subtract(start.p_e, mean, out=row)
+    np.multiply(before, before, out=before)
+    after = mean * mean
+    var = np.zeros(n + 1)
+    for end in ends:
+        head, tail = var[:end], var[end:]
+        np.add(head, before[:end], out=head)
+        np.add(tail, after[end:], out=tail)
+    var /= n_traj - 1
+    return mean, np.sqrt(var) / math.sqrt(n_traj)
+
+
 def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
                  n_traj: int, master_seed: int, n_jobs: int = 1) -> EnsembleResult:
     """Simulate ``n_traj`` seeded trajectories and reduce them by index.
 
     Row ``i`` of the occupation matrix is the trajectory that
     ``simulate_trajectory`` runs from ``child_seed(master_seed, i)``; the
-    statistics are reduced over that index-ordered matrix.  ``n_jobs > 1``
+    statistics are the mean and ``std(ddof=1)/sqrt(n_traj)`` over that
+    index-ordered matrix, summed row by row in index order.  ``n_jobs > 1``
     fills contiguous blocks of rows in that many threads; each row depends
     on its seed alone, so the result is the same for every ``n_jobs``.
+
+    Where the post-click path stays in ``|g>`` (every undriven layout), a
+    row is fixed by its click step, and the sums are taken from the click
+    steps with no matrix: memory is O(n_traj + n_steps) instead of
+    O(n_traj * n_steps), and ``n_jobs`` has no rows to split.
 
     The no-click paths come from the per-layout cache that
     ``simulate_trajectory`` also reads (up to ``MAX_CACHED_STEPS`` steps), so
@@ -467,26 +556,13 @@ def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
     check_count(n_jobs, "n_jobs", 1)
     check_size(n_traj * (cfg.n_steps + 1), "n_traj*(n_steps+1)")
     start, after_click = _layout_paths(initial, cfg, a_bar_dt)
-    p_e = np.empty((n_traj, cfg.n_steps + 1))
     counts = np.empty(n_traj, dtype=np.int64)
     seeds = _child_seeds(master_seed, n_traj)
-    if n_jobs <= 1 or n_traj < 2:
-        _fill_rows(start, after_click, seeds, p_e, counts)
+    if after_click.p_e.any():
+        mean, stderr = _matrix_statistics(start, after_click, seeds, n_jobs, counts)
     else:
-        blocks = [slice(b[0], b[-1] + 1)
-                  for b in np.array_split(np.arange(n_traj), min(n_jobs, n_traj))]
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(lambda b: _fill_rows(start, after_click, seeds[b], p_e[b], counts[b]),
-                          blocks))
-    mean = p_e.mean(axis=0)
-    if n_traj > 1:
-        # p_e.std(axis=0, ddof=1) by the same ufuncs in the same order, but in
-        # place of the rows instead of in a second matrix of their size
-        dev = np.subtract(p_e, mean, out=p_e)
-        var = np.add.reduce(np.multiply(dev, dev, out=dev), axis=0) / (n_traj - 1)
-        stderr = np.sqrt(var) / math.sqrt(n_traj)
-    else:
-        stderr = np.zeros_like(mean)
+        # the post-click path is dark (live == 0) and all zeros: every undriven layout
+        mean, stderr = _dark_statistics(start, after_click, seeds, counts)
     return EnsembleResult(dt_step=cfg.dt_step, p_e_mean=mean, p_e_stderr=stderr,
                           jump_counts=counts, master_seed=master_seed)
 

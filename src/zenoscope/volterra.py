@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (MemoryKernel, check_contraction, check_count, check_finite, check_grid,
-                       check_points, check_positive, check_size, kernel_value, uniform_kernel_g,
-                       write_csv)
+                       check_number, check_points, check_positive, check_size, kernel_value,
+                       uniform_kernel_g, write_csv)
 
 __all__ = [
     "AtomState",
@@ -44,14 +44,15 @@ POWER_BLOCK = 4096
 
 @dataclass(frozen=True)
 class AtomState:
-    """Normalised two-level amplitudes ``alpha |e> + beta |g>``."""
+    """Normalised two-level amplitudes ``alpha |e> + beta |g>``, each stored as a complex."""
 
     alpha: complex
     beta: complex
 
     def __post_init__(self):
-        check_finite(self.alpha, "alpha")
-        check_finite(self.beta, "beta")
+        for name in ("alpha", "beta"):
+            value = check_finite(check_number(getattr(self, name), name), name)
+            object.__setattr__(self, name, value)
         n2 = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(n2 - 1.0) > 1e-9:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {n2!r} differs from 1 beyond 1e-9")

@@ -146,6 +146,19 @@ def test_import_leaves_scipy_integrate_unloaded(module):
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("module", ["zenoscope", "zenoscope.cli"])
+def test_import_leaves_numpy_polynomial_and_futures_unloaded(module):
+    # the closed forms take their Taylor series by rates._horner, and only run_ensemble's
+    # n_jobs > 1 branch imports concurrent.futures; both cost start-up time and memory
+    code = (f"import sys, {module}; "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'concurrent'"
+            " or name.startswith('numpy.polynomial')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("suite", ["rates", "appendix-a", "fig4"])
 def test_verify_suites_run_without_scipy(suite):
     # with sys.modules["scipy"] = None every import of scipy fails, as if it were not

@@ -231,6 +231,26 @@ class TestCephesPorts:
         assert out.shape == grid.shape and np.isnan(out[0, 0]) and np.isfinite(out[:, 1:]).all()
 
 
+class TestHorner:
+    """``rates._horner`` on the Taylor series has the bits of numpy's ``polyval``."""
+
+    @pytest.mark.parametrize("scale", [1.0, complex(1.0, 0.3), complex(1.0, -2.0)],
+                             ids=["real", "c=0.3", "c=-2"])
+    @pytest.mark.parametrize("name", ["_PHI_REAL_SERIES", "_PHI_IMAG_SERIES",
+                                      "_LORENTZIAN_SERIES", "_GAUSSIAN_SERIES",
+                                      "_RECTANGULAR_SERIES"])
+    def test_matches_polyval(self, name, scale):
+        coefs = getattr(rates, name)   # highest order first; polyval takes the lowest first
+        z = scale * np.concatenate([np.random.default_rng(3).uniform(-1.2, 1.2, 20000),
+                                    [0.0, -0.0, 1e-300, -1e-8]])
+        want = np.polynomial.polynomial.polyval(z, coefs[::-1])
+        assert rates._horner(coefs, z).tobytes() == want.tobytes()
+        # the closed forms of a scalar x evaluate the series at a numpy scalar
+        scalars = [rates._horner(coefs, zi) for zi in z[::401]]
+        want = [np.polynomial.polynomial.polyval(zi, coefs[::-1]) for zi in z[::401]]
+        assert np.array(scalars).tobytes() == np.array(want).tobytes()
+
+
 class TestNumericRoutes:
     def test_zero_returns_zero(self):
         k = kernel_for(Shape.GAUSSIAN)

@@ -1,5 +1,6 @@
 """Monte-Carlo trajectory sampler: step rule, seeding, and ensemble statistics."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -700,6 +701,17 @@ class TestEnsembleBitPin:
             "bdc548a97268fac5b1b27d66d2ecb44ead7ee8031f2e88ecb61a86eb88ca2e46")
 
 
+def traced_peak(initial, cfg, a_bar, n_traj):
+    """tracemalloc peak of one ``run_ensemble`` call whose layout's paths are cached."""
+    run_ensemble(initial, cfg, a_bar, 2, master_seed=1)
+    tracemalloc.start()
+    try:
+        run_ensemble(initial, cfg, a_bar, n_traj, master_seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestEnsemble:
     def test_single_trajectory_reduction(self):
         cfg, a_bar = detection_config(t_max=1.0)
@@ -738,17 +750,21 @@ class TestEnsemble:
         np.testing.assert_array_equal(result.jump_counts, counts)
 
     def test_stderr_needs_no_second_row_matrix(self):
-        # the rows are reduced in place: peak memory holds one (n_traj, n_steps + 1) matrix
-        cfg, a_bar = ac7_config()
-        run_ensemble(AtomState.excited(), cfg, a_bar, 2, master_seed=1)   # paths cached
-        tracemalloc.start()
-        try:
-            run_ensemble(AtomState.excited(), cfg, a_bar, 256, master_seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # a driven layout reduces its rows in place: peak memory holds one
+        # (n_traj, n_steps + 1) matrix
+        cfg, a_bar = detection_config(x=2.0, omega=1.0, t_max=30.0)
         rows = 256 * (cfg.n_steps + 1) * 8
-        assert rows < peak < 1.5 * rows
+        assert rows < traced_peak(AtomState.excited(), cfg, a_bar, 256) < 1.5 * rows
+
+    def test_dark_ensemble_holds_no_row_matrix(self):
+        # an undriven layout is reduced from its click steps: its peak stays far below the
+        # 256-row matrix, also at eight times the trajectories, each of which adds a few
+        # words and not a row
+        cfg, a_bar = ac7_config()
+        row = (cfg.n_steps + 1) * 8
+        peaks = [traced_peak(AtomState.excited(), cfg, a_bar, n_traj) for n_traj in (256, 2048)]
+        assert max(peaks) < 256 * row / 8
+        assert (peaks[1] - peaks[0]) / (2048 - 256) < row / 32
 
     def test_jump_counts_increase_with_x(self):
         means = []
@@ -776,6 +792,44 @@ class TestEnsemble:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,p_e_mean,p_e_stderr"
         assert len(lines) == cfg.n_steps + 2
+
+
+class TestDarkReduction:
+    """Undriven ensembles, reduced from their click steps, against stacked single trajectories."""
+
+    @staticmethod
+    def stacked(initial, cfg, a_bar, n_traj, master_seed):
+        """Index-ordered mean, stderr and jump counts of ``simulate_trajectory`` rows."""
+        records = [simulate_trajectory(initial, cfg, a_bar, child_seed(master_seed, i))
+                   for i in range(n_traj)]
+        rows = np.array([r.p_e for r in records])
+        stderr = (rows.std(axis=0, ddof=1) / math.sqrt(n_traj) if n_traj > 1
+                  else np.zeros(cfg.n_steps + 1))
+        return rows.mean(axis=0), stderr, np.array([r.jump_count for r in records])
+
+    @pytest.mark.parametrize("n_jobs", [1, 3])
+    @pytest.mark.parametrize("n_steps", [5, 40, 1604])
+    @pytest.mark.parametrize("initial", [
+        AtomState.excited(), AtomState(math.sqrt(0.3), 1j * math.sqrt(0.7)), AtomState.ground(),
+    ], ids=["excited", "superposition", "ground"])
+    @pytest.mark.parametrize("n_traj", [1, 2, 3, 17, 256])
+    def test_matches_stacked_trajectories(self, n_traj, initial, n_steps, n_jobs):
+        cfg, a_bar = ac7_config()
+        cfg = dataclasses.replace(cfg, n_steps=n_steps)
+        assert not trajectories._layout_paths(initial, cfg, a_bar)[1].p_e.any()
+        result = run_ensemble(initial, cfg, a_bar, n_traj, master_seed=11, n_jobs=n_jobs)
+        mean, stderr, counts = self.stacked(initial, cfg, a_bar, n_traj, 11)
+        assert result.p_e_mean.tobytes() == mean.tobytes()
+        assert result.p_e_stderr.tobytes() == stderr.tobytes()
+        assert result.jump_counts.tobytes() == counts.tobytes()
+
+    @pytest.mark.parametrize("n_steps", [5, 40])
+    def test_short_layouts_have_rows_that_never_click(self, n_steps):
+        # the oracle above covers rows that run to the end without a click
+        cfg, a_bar = ac7_config()
+        cfg = dataclasses.replace(cfg, n_steps=n_steps)
+        counts = run_ensemble(AtomState.excited(), cfg, a_bar, 256, master_seed=11).jump_counts
+        assert 0 < counts.sum() < 256 and set(counts.tolist()) == {0, 1}
 
 
 class TestDriveConfigFactory:

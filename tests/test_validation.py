@@ -264,6 +264,64 @@ def test_density_parameters_are_real_numbers(name, value):
         SpectralDensity(Shape.LORENTZIAN, **args)
 
 
+@pytest.mark.parametrize("value", NOT_REAL.values(), ids=NOT_REAL.keys())
+@pytest.mark.parametrize("name", ["omega", "gamma_eff", "dt_step"])
+def test_drive_parameters_are_real_numbers(name, value):
+    # omega = np.array([0.0]) was stored as given
+    args = {**dict(omega=0.0, gamma_eff=0.1, dt_step=0.01, n_steps=4), name: value}
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        DriveConfig(**args)
+
+
+def test_drive_parameters_are_stored_as_floats():
+    cfg = DriveConfig(omega=np.float32(0.5), gamma_eff=Fraction(1, 10), dt_step=np.int64(1) / 100,
+                      n_steps=4)
+    assert [type(getattr(cfg, name)) for name in ("omega", "gamma_eff", "dt_step")] == [float] * 3
+
+
+#: what a trajectory count or seed once took that is not an integer
+BOOLS = {"bool": True, "numpy-bool": np.bool_(True)}
+
+
+@pytest.mark.parametrize("value", BOOLS.values(), ids=BOOLS.keys())
+@pytest.mark.parametrize("call, name", [
+    # n_traj = True died in np.empty with numpy's TypeError; master_seed = True and
+    # n_steps = True were accepted and stored as True
+    (lambda v: run_ensemble(EXCITED, CFG, 0.99, n_traj=v, master_seed=0), "n_traj"),
+    (lambda v: run_ensemble(EXCITED, CFG, 0.99, n_traj=2, master_seed=v), "master_seed"),
+    (lambda v: run_ensemble(EXCITED, CFG, 0.99, n_traj=2, master_seed=0, n_jobs=v), "n_jobs"),
+    (lambda v: DriveConfig(omega=0.0, gamma_eff=0.1, dt_step=0.01, n_steps=v), "n_steps"),
+    (lambda v: simulate_trajectory(EXCITED, CFG, 0.99, seed=v), "seed"),
+    (lambda v: make_rng(v), "seed"),
+], ids=["ensemble-n_traj", "ensemble-master_seed", "ensemble-n_jobs", "drive-n_steps",
+        "trajectory-seed", "rng-seed"])
+def test_counts_are_not_bools(call, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be >= .* and an integer"):
+        call(value)
+
+
+#: what an amplitude once took that is not one number
+NOT_A_NUMBER = {"array-1": np.array([1.0]), "array-0d": np.array(1.0), "bool": True,
+                "numpy-bool": np.bool_(True), "string": "1.0", "none": None}
+
+
+@pytest.mark.parametrize("value", NOT_A_NUMBER.values(), ids=NOT_A_NUMBER.keys())
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_amplitudes_are_one_number(name, value):
+    # AtomState(np.array([1.0]), 0j) was accepted, and its p_excited returned an array
+    args = {**dict(alpha=1.0 + 0j, beta=0j), name: value}
+    with pytest.raises(ValueError, match=f"{name} must be one number"):
+        AtomState(**args)
+
+
+def test_amplitudes_are_stored_as_complex():
+    state = AtomState(np.float64(0.6), Fraction(4, 5))
+    assert (type(state.alpha), type(state.beta)) == (complex, complex)
+    assert isinstance(state.p_excited, float)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        AtomState(10 ** 400, 0j)
+
+
 def test_density_parameters_are_stored_as_floats():
     density = SpectralDensity(Shape.GAUSSIAN, Fraction(1, 2), np.float32(2.0), c=np.int64(0), b=1)
     assert [type(getattr(density, name)) for name in ("gamma", "lam", "c", "b")] == [float] * 4
@@ -330,6 +388,11 @@ class TestInputRules:
     def test_count(self, value):
         with pytest.raises(ValueError, match="n must be >= 2 and an integer"):
             check_count(value, "n", 2)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+    def test_count_rejects_bools(self, value):
+        with pytest.raises(ValueError, match="n must be >= 0 and an integer"):
+            check_count(value, "n", 0)
 
     def test_count_takes_numpy_integers(self):
         assert check_count(np.int64(2), "n", 2) == 2

@@ -57,7 +57,8 @@ undriven layout), a row clicks at most once and is the initial path up to
 that click and zeros after it, so ``run_ensemble`` keeps only each row's
 click step and sums the rows from those, in the same index order and with
 the same bits: O(n_traj + n_steps) memory instead of O(n_traj * n_steps).
-There ``n_jobs`` has no rows to split, and the rows are sampled serially.
+There ``n_jobs`` has no rows to split, and the rows are sampled serially
+for their click steps alone, never copied out of the path.
 
 An ensemble does not build one ``SeedSequence`` and one generator per
 trajectory.  ``_philox_keys`` runs SeedSequence's entropy mixing (M. E.
@@ -364,10 +365,11 @@ DRAW_BLOCK = 256
 
 
 def _sample(gen: np.random.Generator, eps: np.ndarray, start: _Path, after_click: _Path,
-            p_e: np.ndarray) -> list[int]:
+            p_e: np.ndarray | None = None) -> list[int]:
     """Fill ``p_e`` (length ``len(eps) + 1``) from the uniforms of ``gen``.
 
-    Returns the steps that registered a photon.  Each segment between clicks
+    Returns the steps that registered a photon; with ``p_e=None`` only those
+    are found and no occupation is copied.  Each segment between clicks
     is one slice of a path; its end is the first step whose uniform falls
     below the path's click probability (``argmax`` of the comparison, which
     is 0 when none does).  A segment from ``k0`` is searched over its live
@@ -404,10 +406,12 @@ def _sample(gen: np.random.Generator, eps: np.ndarray, start: _Path, after_click
         else:
             break   # no click in the live steps: the path runs to the end
         k += j
-        p_e[k0:k + 1] = path.p_e[:k + 1 - k0]
+        if p_e is not None:
+            p_e[k0:k + 1] = path.p_e[:k + 1 - k0]
         clicks.append(k)
         path, k0 = after_click, k + 1
-    p_e[k0:] = path.p_e[:n + 1 - k0]
+    if p_e is not None:
+        p_e[k0:] = path.p_e[:n + 1 - k0]
     return clicks
 
 
@@ -501,14 +505,13 @@ def _dark_statistics(start: _Path, after_click: _Path, seeds,
     over rows are taken row by row in index order, the order of numpy's
     axis-0 reduction, from ``k`` alone: the mean adds each row's prefix (a
     zero adds nothing), and the variance adds ``(start.p_e - mean)**2`` up to
-    ``k`` and ``(0 - mean)**2 = mean**2`` after it.  The rows are sampled
-    into one reused buffer.
+    ``k`` and ``(0 - mean)**2 = mean**2`` after it.  The rows themselves are
+    never written: only their click steps are sampled.
     """
     n_traj, n = len(seeds), len(start.p1)
-    row = np.empty(n + 1)
     ends = [n + 1] * n_traj   # k + 1 of each row
     for r, (gen, eps) in enumerate(_seeded_uniforms(seeds, n)):
-        clicks = _sample(gen, eps, start, after_click, row)
+        clicks = _sample(gen, eps, start, after_click)
         counts[r] = len(clicks)
         if clicks:
             ends[r] = clicks[0] + 1
@@ -519,7 +522,7 @@ def _dark_statistics(start: _Path, after_click: _Path, seeds,
     mean = np.divide(total, n_traj, out=total)
     if n_traj == 1:
         return mean, np.zeros_like(mean)
-    before = np.subtract(start.p_e, mean, out=row)
+    before = np.subtract(start.p_e, mean)
     np.multiply(before, before, out=before)
     after = mean * mean
     var = np.zeros(n + 1)
@@ -549,7 +552,7 @@ def run_ensemble(initial: AtomState, cfg: DriveConfig, a_bar_dt: complex,
 
     The no-click paths come from the per-layout cache that
     ``simulate_trajectory`` also reads (up to ``MAX_CACHED_STEPS`` steps), so
-    a repeated layout skips their build; the rows are copies of path slices.
+    a repeated layout skips their build; a driven row is a copy of path slices.
     """
     check_count(n_traj, "n_traj", 1)
     check_count(master_seed, "master_seed", 0)

@@ -10,11 +10,20 @@ integrates that equation by a discretised convolution recurrence, provides
 the closed-form solution available for the Lorentzian density as a
 validation reference, and assembles the null-measurement-conditioned
 amplitude ``[a(tau)]**n`` that drives the frequently-observed dynamics.
+
+The survival ``|[a(tau)]**k|**2`` is taken through libm maps, with the bits
+of the scalar power.  A spectrum even about the transition (``c = 0``)
+makes an analytic kernel ``i`` times a real function, so ``a(tau)`` comes
+out exactly real.  A real positive ``a(tau)`` takes libm ``exp`` and ``pow``
+alone: its zero phase makes the ``cos`` factor exactly 1, the ``sin``
+factor a signed zero and the ``hypot`` the modulus itself.  Any other
+``a(tau)`` also maps ``cos``, ``sin`` and ``hypot``.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -100,7 +109,7 @@ def _abs2(re, im, out):
     """
     for lo in range(0, len(out), POWER_BLOCK):
         h = np.hypot(re[lo:lo + POWER_BLOCK], im[lo:lo + POWER_BLOCK]).tolist()
-        out[lo:lo + len(h)] = np.fromiter(map(math.pow, h, [2.0] * len(h)), float, len(h))
+        out[lo:lo + len(h)] = np.fromiter(map(math.pow, h, itertools.repeat(2.0)), float, len(h))
     return out
 
 
@@ -271,6 +280,13 @@ def null_result_survival(kernel: MemoryKernel, tau: float, n_intervals: int,
     ``pow(., 2.0)`` mapped over each block.  Not numpy's ufuncs: its
     ``exp`` and ``abs``, and ``h * h``, differ from libm in the last bit of
     some entries, and its ``sin`` and ``cos`` are SIMD kernels picked by CPU.
+
+    A real positive ``a_tau`` (phase ``+0`` or ``-0``; an analytic kernel at
+    ``c = 0`` gives a real one) maps libm ``exp`` and ``pow`` alone, with the
+    same bits: ``cos(+-0) = 1`` and ``sin(+-0) = +-0`` exactly, so the power
+    is ``mod`` with a signed-zero imaginary part, ``hypot(mod, +-0) = mod``
+    (C99 F.10.4.3), and a ``mod`` at or below ``e**-745`` squares to ``0.0``
+    as the underflow cut sets it.
     """
     check_size(check_count(n_intervals, "n_intervals", 0), "n_intervals")
     a_tau = check_contraction(interval_amplitude(kernel, tau, steps_per_interval), "a_tau")
@@ -291,6 +307,12 @@ def _survival(a_tau: complex, n: int) -> np.ndarray:
         if log_mod[0] <= -745.0:
             break  # log_r < 0, so every later power underflows too
         m = len(k)
+        if phase == 0.0:
+            # real positive a(tau): the power is mod + (+-0)j, whose hypot is mod; a mod at or
+            # below e^-745 squares to 0.0, as the cut below would set it
+            p[lo:lo + m] = np.fromiter(map(math.pow, map(math.exp, log_mod.tolist()),
+                                           itertools.repeat(2.0)), float, m)
+            continue
         mod = np.fromiter(map(math.exp, log_mod.tolist()), float, m)
         mod[log_mod <= -745.0] = 0.0
         ph = (k * phase).tolist()

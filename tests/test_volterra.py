@@ -286,6 +286,12 @@ class TestDecayBitPin:
     def test_null_result_survival(self, shape, lam, mode, tau, n, digest):
         assert decay_digest(*null_result_survival(unit_kernel(shape, lam, mode), tau, n)) == digest
 
+    def test_detuned_null_result_survival(self):
+        # c != 0 makes a(tau) complex: the analytic kernel's path through the cos/sin/hypot powers
+        kernel = MemoryKernel(SpectralDensity.lorentzian(1.0, 5.0, c=0.7))
+        assert decay_digest(*null_result_survival(kernel, 0.04, 6000)) == (
+            "991616bca80efda7fcff957f5a00b50d596c170ea4e2d589e23f8f0bf64aaf07")
+
     @pytest.mark.parametrize("shape, lam, mode, t_max, dt, scheme, digest", [
         (Shape.LORENTZIAN, 5.0, None, 1.0, None, "trapezoid",
          "c5e74398dfad42caafa044b344c4dd774e21d232be49a4651ee275ce9b5909de"),
@@ -441,6 +447,11 @@ class TestNullResultSurvival:
         cmath.rect(0.5, 0.0),
         cmath.rect(0.9, -1.9),                   # k log r passes -745 inside the second block
         cmath.rect(0.3, math.pi),                # ... and inside the first
+        # a real positive a(tau) takes the exp-and-pow branch; a -0 phase stays on it
+        complex(0.9, -0.0),                      # k log r passes -745 inside the second block
+        complex(0.3, 0.0),                       # ... and inside the first
+        complex(1.0 + 5e-10, 0.0),               # log r > 0
+        complex(1e-300, 0.0),
     ])
     def test_blocked_powers_match_scalar_powers(self, monkeypatch, a_tau):
         # the powers are taken in blocks through libm maps; each entry must keep the bits of
@@ -452,6 +463,24 @@ class TestNullResultSurvival:
             times, p_e = null_result_survival(lorentzian_kernel(lam=5.0), 0.1, n)
             assert p_e.tobytes() == oracle[:n + 1].tobytes()
         assert times.shape == p_e.shape
+
+    @pytest.mark.parametrize("a_tau, phase_maps", [
+        (complex(0.5, 0.0), False),
+        (complex(0.5, -0.0), False),
+        # phase pi: a real a(tau), but cos(k pi) rounds to +-1, and the power's hypot to its
+        # modulus, only while k (pi - float(pi)) stays small, not for every k
+        (complex(-0.5, 0.0), True),
+        (complex(-1.0, -0.0), True),
+        (cmath.rect(0.5, 1e-3), True),
+    ])
+    def test_only_a_positive_real_amplitude_skips_the_phase_maps(self, monkeypatch, a_tau,
+                                                                 phase_maps):
+        # exp and pow alone give abs(_power(a, k)) ** 2 by cos(+-0) = 1 and sin(+-0) = +-0
+        calls = []
+        cos = math.cos
+        monkeypatch.setattr(math, "cos", lambda x: calls.append(x) or cos(x))
+        volterra._survival(a_tau, 10)
+        assert bool(calls) == phase_maps
 
     def test_rejects_bad_arguments(self):
         kernel = lorentzian_kernel(lam=5.0)
